@@ -34,6 +34,7 @@ from .eigen import (
     count_decompositions,
     decomposition_count,
     eigh,
+    eigh_stack,
     pc_scores,
     projector,
     subspace,
@@ -52,6 +53,7 @@ from .errors import (
 from .influence import (
     EigenInfluence,
     LooEigenApprox,
+    LooEngine,
     approx_eigenvalues_loo,
     component_score,
     eif_covariance,
@@ -64,7 +66,6 @@ from .influence import (
 )
 from .subspace_diag import (
     InfluenceRecord,
-    RecordFlags,
     eif_b,
     eif_b_series,
     influence_records,

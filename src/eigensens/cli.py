@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,17 +27,14 @@ from .dataset import (
     DIVISOR_N_MINUS_1,
     EstimatorSpec,
     estimate,
-    estimate_loo,
     load_csv,
 )
 from .eigen import eigh, pc_scores, subspace
 from .errors import EigenSensError
-from .influence import approx_eigenvalues_loo, eigen_influence
-from .subspace_diag import influence_records, sci, sif_b
+from .influence import LooEngine
+from .subspace_diag import influence_records
 from .switching import (
     DEFAULT_NEAR_DELTA,
-    KIND_NEAR,
-    KIND_SWITCH,
     build_switch_report,
 )
 
@@ -70,6 +66,7 @@ class RunConfig:
     fmt: str = "json"
     out: Path | None = None
     precision: int = 6
+    # deprecated: still validated, but every sweep is serial
     jobs: int = 1
 
     def validate(self) -> None:
@@ -140,13 +137,6 @@ def _fmt_cell(x, digits: int) -> str:
     if isinstance(x, (float, np.floating)):
         return f"{x:.{digits}g}"
     return str(x)
-
-
-def _parallel_map(fn, items, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load(config: RunConfig) -> DataMatrix:
@@ -265,55 +255,34 @@ def cmd_analyze(config: RunConfig) -> list[Path]:
 
 def _influence_rows(config: RunConfig, X: DataMatrix):
     spec = config.estimator
-    E = eigh(estimate(X, spec))
+    engine = LooEngine(X, spec)
+    E = engine.eigen
     if not 1 <= config.L <= E.p:
         raise ConfigError(f"--L {config.L} out of range 1..{E.p}")
     n = X.n
 
-    records = influence_records(
-        X, spec, config.L, exact=config.mode == MODE_EXACT, eigen=E,
-        jobs=config.jobs,
-    )
-
+    kinds: dict[int, str] = {}
+    exact: bool | list[int] = config.mode == MODE_EXACT
     if config.mode == MODE_HYBRID:
         if config.L >= E.p:
             raise ConfigError("hybrid mode needs L < p to have a boundary pair")
         report = build_switch_report(
             X, spec, candidate_L=config.L, delta=config.delta,
-            pairs=[(config.L, config.L + 1)], eigen=E,
+            pairs=[(config.L, config.L + 1)], engine=engine,
         )
         kinds = {ev.obs_index: ev.kind for ev in report.events}
-        for record in records:
-            kind = kinds.get(record.obs_index)
-            record.flags.switching = kind == KIND_SWITCH
-            record.flags.near_switch = kind == KIND_NEAR
-            record.flags.replaced = kind is not None
-            if record.flags.replaced:
-                record.sif_b = sif_b(X, spec, config.L, record.obs_index, eigen=E)
-                record.sci = sci(X, spec, config.L, record.obs_index, eigen=E)
+        exact = sorted(kinds)
+    records = influence_records(X, spec, config.L, exact=exact, engine=engine)
 
-    def sif_vector_for(i: int) -> np.ndarray:
-        loo_values = eigh(estimate_loo(X, spec, i)).values
-        return -(n - 1) * (loo_values - E.values)
-
-    sif_vectors = None
-    if config.mode == MODE_EXACT:
-        sif_vectors = _parallel_map(sif_vector_for, range(1, n + 1), config.jobs)
-
-    per_eigen = _parallel_map(
-        lambda i: eigen_influence(X, spec, i, eigen=E), range(1, n + 1),
-        config.jobs,
-    )
-
+    hif = -(n - 1) * (engine.table - E.values)
+    deltas = X.values - X.values.mean(axis=0)
     rows = []
     for record in records:
         i = record.obs_index
-        info = per_eigen[i - 1]
-        flag = None
-        if record.flags.switching:
-            flag = KIND_SWITCH
-        elif record.flags.near_switch:
-            flag = KIND_NEAR
+        eif = None
+        if spec.kind == COVARIANCE:
+            w = E.vectors.T @ deltas[i - 1]
+            eif = (w * w - E.values).tolist()
         row = {
             "obs": i,
             "label": record.obs_label,
@@ -324,16 +293,18 @@ def _influence_rows(config: RunConfig, X: DataMatrix):
             "hybrid_b": None,
             "hybrid_c": None,
             "replaced": None,
-            "flag": flag,
-            "eif_eigen": None if info.eif is None else info.eif.tolist(),
-            "hif_eigen": info.hif.tolist(),
-            "sif_eigen": None if sif_vectors is None else sif_vectors[i - 1].tolist(),
+            "flag": kinds.get(i),
+            "eif_eigen": eif,
+            "hif_eigen": hif[i - 1].tolist(),
+            "sif_eigen": record.sif_eigen.tolist()
+            if config.mode == MODE_EXACT else None,
             "note": record.note,
         }
         if config.mode == MODE_HYBRID:
-            row["replaced"] = record.flags.replaced
-            row["hybrid_b"] = record.sif_b if record.flags.replaced else record.eif_b
-            row["hybrid_c"] = record.sci if record.flags.replaced else record.scia
+            replaced = i in kinds
+            row["replaced"] = replaced
+            row["hybrid_b"] = record.sif_b if replaced else record.eif_b
+            row["hybrid_c"] = record.sci if replaced else record.scia
         rows.append(row)
     return E, rows
 
@@ -384,7 +355,8 @@ def cmd_switching(config: RunConfig) -> list[Path]:
     """Switching detection report with retention advice."""
     X = _load(config)
     spec = config.estimator
-    E = eigh(estimate(X, spec))
+    engine = LooEngine(X, spec)
+    E = engine.eigen
     if not 1 <= config.L < E.p:
         raise ConfigError(
             f"--L {config.L} out of range 1..{E.p - 1} for retention advice"
@@ -396,13 +368,10 @@ def cmd_switching(config: RunConfig) -> list[Path]:
         pairs=config.pairs,
         verify=config.mode == MODE_EXACT,
         hybrid_measure="B" if config.mode == MODE_HYBRID else None,
-        eigen=E,
+        engine=engine,
     )
     flagged = sorted({ev.obs_index for ev in report.events})
-    loo_table = {
-        str(i): approx_eigenvalues_loo(X, spec, i, eigen=E).approx_values.tolist()
-        for i in flagged
-    }
+    loo_table = {str(i): engine.table[i - 1].tolist() for i in flagged}
 
     if config.fmt == "json":
         doc = {
@@ -506,8 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--precision", type=int, default=6,
                          help="significant digits in output")
         cmd.add_argument("--jobs", type=int, default=None,
-                         help=f"parallel sweep width (default "
-                              f"${JOBS_ENV_VAR} or 1)")
+                         help=f"deprecated, no effect (still validated; "
+                              f"default ${JOBS_ENV_VAR} or 1)")
     return parser
 
 

@@ -231,27 +231,33 @@ def _scatter(values: np.ndarray) -> np.ndarray:
 
 
 def _finish(scatter: np.ndarray, spec: EstimatorSpec, n_rows: int,
-            col_labels: list[str]) -> SymmetricEstimate:
+            col_labels: list[str]) -> np.ndarray:
+    """Scale a scatter matrix, or a stack of them (... x p x p), to ``spec``."""
     mat = scatter / spec.denominator(n_rows)
     if spec.kind == CORRELATION:
-        variances = np.diag(mat).copy()
-        if np.any(variances <= 0.0):
-            j = int(np.argmin(variances))
+        variances = np.diagonal(mat, axis1=-2, axis2=-1).copy()
+        bad = variances <= 0.0
+        if np.any(bad):
+            p = variances.shape[-1]
+            first = variances.reshape(-1, p)[np.argmax(bad.reshape(-1, p).any(axis=1))]
+            j = int(np.argmin(first))
             raise ZeroVarianceError(
                 f"column {col_labels[j]!r} has zero variance; "
                 "correlation estimate is undefined"
             )
         scale = np.sqrt(variances)
-        mat = mat / np.outer(scale, scale)
-        np.fill_diagonal(mat, 1.0)
-    return SymmetricEstimate(mat, spec, n_rows)
+        mat = mat / (scale[..., :, None] * scale[..., None, :])
+        diag = np.arange(mat.shape[-1])
+        mat[..., diag, diag] = 1.0
+    return mat
 
 
 def estimate(X: DataMatrix, spec: EstimatorSpec = EstimatorSpec()) -> SymmetricEstimate:
     """Covariance or correlation estimate of ``X`` under ``spec``."""
     if X.n < 2:
         raise DataError(f"need at least 2 observations, got {X.n}")
-    return _finish(_scatter(X.values), spec, X.n, X.col_labels)
+    return SymmetricEstimate(_finish(_scatter(X.values), spec, X.n, X.col_labels),
+                             spec, X.n)
 
 
 def estimate_loo(X: DataMatrix, spec: EstimatorSpec, i: int) -> SymmetricEstimate:
@@ -286,7 +292,9 @@ class LooEstimator:
 
     def full(self) -> SymmetricEstimate:
         """The estimate over all n observations."""
-        return _finish(self._scatter, self.spec, self.n, self._X.col_labels)
+        return SymmetricEstimate(
+            _finish(self._scatter, self.spec, self.n, self._X.col_labels),
+            self.spec, self.n)
 
     def loo_scatter(self, i: int) -> np.ndarray:
         """Centered scatter of the n-1 rows remaining after removing ``i``."""
@@ -296,5 +304,19 @@ class LooEstimator:
 
     def loo(self, i: int) -> SymmetricEstimate:
         """The estimate with observation ``i`` (1-based) removed."""
-        return _finish(self.loo_scatter(i), self.spec, self.n - 1,
-                       self._X.col_labels)
+        return SymmetricEstimate(
+            _finish(self.loo_scatter(i), self.spec, self.n - 1, self._X.col_labels),
+            self.spec, self.n - 1)
+
+    def loo_block(self, first: int, last: int) -> np.ndarray:
+        """Stacked estimates without each of observations ``first..last``.
+
+        Indices are 1-based and inclusive; the result is (last-first+1) x p x
+        p and matches :meth:`loo` entry for entry, bit for bit.
+        """
+        self._X._check_index(first)
+        self._X._check_index(last)
+        delta = self._X.values[first - 1:last] - self.mean
+        outer = delta[:, :, None] * delta[:, None, :]
+        scatters = self._scatter - (self.n / (self.n - 1.0)) * outer
+        return _finish(scatters, self.spec, self.n - 1, self._X.col_labels)

@@ -10,8 +10,9 @@ Conventions used throughout the package:
   recorded as ``gap_warnings`` so that downstream diagnostics can warn or
   refuse instead of silently dividing by a near-zero spectral gap.
 
-Every decomposition performed through :func:`eigh` is counted, which lets
-callers assert how many decompositions a workflow actually spent.
+Every decomposition performed through :func:`eigh` or :func:`eigh_stack` is
+counted, one per matrix, which lets callers assert how many decompositions a
+workflow actually spent.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "EigenSystem",
     "Subspace",
     "eigh",
+    "eigh_stack",
     "subspace",
     "projector",
     "pc_scores",
@@ -140,17 +142,32 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 def eigh(W: SymmetricEstimate | np.ndarray) -> EigenSystem:
     """Full decomposition of a symmetric matrix, deterministic conventions."""
-    global _decompositions
     mat = W.matrix if isinstance(W, SymmetricEstimate) else np.asarray(W, dtype=float)
+    return eigh_stack(mat[np.newaxis])[0]
+
+
+def eigh_stack(mats: np.ndarray) -> list[EigenSystem]:
+    """Decompose a stack of symmetric matrices (m x p x p) in one LAPACK call.
+
+    Counts as m decompositions.  Each system is bit for bit what :func:`eigh`
+    returns for its matrix alone.
+    """
+    global _decompositions
+    mats = np.asarray(mats, dtype=float)
     with _counter_lock:
-        _decompositions += 1
+        _decompositions += mats.shape[0]
     try:
-        values, vectors = np.linalg.eigh(mat)
+        stacked_values, stacked_vectors = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
-            f"eigendecomposition failed to converge for a {mat.shape[0]}x"
-            f"{mat.shape[0]} matrix: {exc}"
+            f"eigendecomposition failed to converge for a {mats.shape[-1]}x"
+            f"{mats.shape[-1]} matrix: {exc}"
         ) from exc
+    return [_ordered(values, vectors)
+            for values, vectors in zip(stacked_values, stacked_vectors)]
+
+
+def _ordered(values: np.ndarray, vectors: np.ndarray) -> EigenSystem:
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
@@ -208,15 +225,22 @@ def canonical_correlations(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ValueError(f"score matrices differ in shape: {A.shape} vs {B.shape}")
-    ac = A - A.mean(axis=0)
-    bc = B - B.mean(axis=0)
-    for name, mat in (("first", ac), ("second", bc)):
-        if np.linalg.matrix_rank(mat) < mat.shape[1]:
-            raise RankDeficiencyError(
-                f"{name} score matrix is rank deficient after centering "
-                f"(shape {mat.shape})"
-            )
-    qa, _ = np.linalg.qr(ac)
-    qb, _ = np.linalg.qr(bc)
+    return _cosines(_score_basis(A, "first"), _score_basis(B, "second"))
+
+
+def _score_basis(scores: np.ndarray, name: str) -> np.ndarray:
+    """Orthonormal basis of the column-centred scores; refuses rank deficiency."""
+    centered = scores - scores.mean(axis=0)
+    if np.linalg.matrix_rank(centered) < centered.shape[1]:
+        raise RankDeficiencyError(
+            f"{name} score matrix is rank deficient after centering "
+            f"(shape {centered.shape})"
+        )
+    q, _ = np.linalg.qr(centered)
+    return q
+
+
+def _cosines(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """Cosines of the principal angles between two orthonormal bases."""
     cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)
     return np.clip(np.sort(cosines)[::-1], 0.0, 1.0)

@@ -16,11 +16,16 @@ approximation ``approx_eigenvalues_loo``: the Rayleigh quotient of the
 leave-one-out estimate at the full-data eigenvectors.  Crucially those
 approximations are *not* re-sorted; they stay indexed by the full-data ranks,
 which is what makes order disruptions visible to the switching detector.
+
+:class:`LooEngine` holds the leave-one-out work of one run: the full-data
+decomposition, the approximate table (computed once) and the exact reduced
+decompositions, one per observation that needs one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -30,14 +35,17 @@ from .dataset import (
     EstimatorSpec,
     LooEstimator,
     SymmetricEstimate,
+    _finish,
+    _scatter,
     estimate,
     estimate_loo,
     mean_vector,
 )
-from .eigen import EigenSystem, eigh
+from .eigen import EigenSystem, eigh, eigh_stack
 from .errors import DataError, DegenerateEigenvaluesError, UnsupportedEstimatorError
 
 __all__ = [
+    "LooEngine",
     "LooEigenApprox",
     "EigenInfluence",
     "component_score",
@@ -50,6 +58,10 @@ __all__ = [
     "eigen_influence",
     "eigenvalue_gradient_check",
 ]
+
+# float64 entries per stacked block of p x p matrices (2 MiB), so that the
+# leave-one-out sweeps hold a few MB whatever n is
+CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -115,6 +127,11 @@ def approx_eigenvalues_loo(
     return LooEigenApprox(i, approx, exact_values)
 
 
+def _chunk_rows(p: int) -> int:
+    """Rows per stacked block, so that a block of p x p matrices stays small."""
+    return max(1, CHUNK_ENTRIES // (p * p))
+
+
 def loo_eigenvalue_table(
     X: DataMatrix,
     spec: EstimatorSpec,
@@ -124,17 +141,78 @@ def loo_eigenvalue_table(
     """n x p table of approximated leave-one-out eigenvalues, one row per i.
 
     The whole sweep reuses a single full-data decomposition and one scatter
-    accumulator, so its cost is dominated by n rank-one downdates.
+    accumulator: the rows come as stacked rank-one downdates in bounded
+    blocks, each projected onto the full-data eigenvectors in one call.  Every
+    row equals :func:`approx_eigenvalues_loo` for its observation exactly.
     """
     _require_loo(X)
     E = _full_eigen(X, spec, eigen)
     loo = LooEstimator(X, spec)
     table = np.empty((X.n, X.p))
-    for i in range(1, X.n + 1):
-        table[i - 1] = np.einsum(
-            "jp,jk,kp->p", E.vectors, loo.loo(i).matrix, E.vectors
+    step = _chunk_rows(X.p)
+    for first in range(1, X.n + 1, step):
+        last = min(first + step - 1, X.n)
+        table[first - 1:last] = np.einsum(
+            "jp,ijk,kp->ip", E.vectors, loo.loo_block(first, last), E.vectors
         )
     return table
+
+
+class LooEngine:
+    """The leave-one-out work of one run, shared by every diagnostic.
+
+    Holds the full-data decomposition, computes the approximate table of
+    :func:`loo_eigenvalue_table` once on first use, and decomposes reduced
+    estimates in stacked blocks.  A diagnostic handed an engine never rebuilds
+    what the engine already has.
+    """
+
+    def __init__(self, X: DataMatrix, spec: EstimatorSpec = EstimatorSpec(), *,
+                 eigen: EigenSystem | None = None):
+        self.X = X
+        self.spec = spec
+        self.eigen = _full_eigen(X, spec, eigen)
+        self._table: np.ndarray | None = None
+
+    @property
+    def table(self) -> np.ndarray:
+        """n x p approximated leave-one-out eigenvalues, in full-data rank order."""
+        if self._table is None:
+            self._table = loo_eigenvalue_table(self.X, self.spec, eigen=self.eigen)
+        return self._table
+
+    def reduced(self, rows: Iterable[int]) -> Iterator[tuple[int, EigenSystem]]:
+        """Exact decomposition of the estimate without each of ``rows``.
+
+        Yields ``(i, system)`` in the order given, one decomposition per row.
+        Each reduced matrix is re-estimated from the deleted data, exactly as
+        :func:`eigensens.dataset.estimate_loo` does, and each block of them is
+        decomposed in one stacked call.
+        """
+        X = self.X
+        _require_loo(X)
+        rows = [int(i) for i in rows]
+        for i in rows:
+            X._check_index(i)
+        step = _chunk_rows(X.p)
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            mats = np.stack([
+                _finish(_scatter(np.delete(X.values, i - 1, axis=0)), self.spec,
+                        X.n - 1, X.col_labels)
+                for i in block
+            ])
+            yield from zip(block, eigh_stack(mats))
+
+
+def _engine(X: DataMatrix, spec: EstimatorSpec, eigen: EigenSystem | None,
+            engine: LooEngine | None) -> LooEngine:
+    if engine is None:
+        return LooEngine(X, spec, eigen=eigen)
+    if engine.X is not X or engine.spec != spec:
+        raise ValueError("the leave-one-out engine was built for other data "
+                         "or another estimator")
+    return engine
 
 
 def _check_unique(E: EigenSystem, j: int, what: str) -> None:

@@ -8,17 +8,18 @@ empirical (full-data-only) member:
 * ``sci`` / ``scia`` -- based on the average squared canonical correlation
   between the retained score sets with and without the observation.
 
-The exact members cost one extra decomposition per observation; the
-empirical members are computed for every observation from a single full-data
-decomposition.  Sign conventions: ``sif_b``/``eif_b`` are non-positive and
-``sci``/``scia`` non-negative; it is the magnitudes that matter when
-comparing observations.
+The exact members cost one extra decomposition per observation, shared by
+both of them in a sweep; the empirical members are computed for every
+observation from a single full-data decomposition.  Sign conventions:
+``sif_b``/``eif_b`` are non-positive and ``sci``/``scia`` non-negative; it
+is the magnitudes that matter when comparing observations.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -33,16 +34,15 @@ from .eigen import (
     EigenSystem,
     GAP_TOL,
     Subspace,
-    canonical_correlations,
+    _cosines,
+    _score_basis,
     eigh,
-    pc_scores,
     subspace,
 )
 from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
-from .influence import _full_eigen, _require_loo
+from .influence import LooEngine, _engine, _full_eigen, _require_loo
 
 __all__ = [
-    "RecordFlags",
     "InfluenceRecord",
     "subspace_alignment",
     "sif_b",
@@ -56,15 +56,13 @@ __all__ = [
 
 
 @dataclass
-class RecordFlags:
-    switching: bool = False
-    near_switch: bool = False
-    replaced: bool = False
-
-
-@dataclass
 class InfluenceRecord:
-    """Per-observation subspace influence values for one retained count L."""
+    """Per-observation subspace influence values for one retained count L.
+
+    ``sif_eigen`` is the exact per-eigenvalue sample influence
+    -(n-1) (lambda_(i) - lambda), set with the sample columns because it comes
+    from the same reduced decomposition.
+    """
 
     obs_index: int
     obs_label: str
@@ -73,8 +71,8 @@ class InfluenceRecord:
     eif_b: float | None = None
     sci: float | None = None
     scia: float | None = None
-    flags: RecordFlags = field(default_factory=RecordFlags)
     note: str | None = None
+    sif_eigen: np.ndarray | None = None
 
 
 def subspace_alignment(S_full: Subspace, S_loo: Subspace) -> float:
@@ -99,6 +97,50 @@ def _boundary_note(E: EigenSystem, L: int, where: str) -> str | None:
             "tied; the retained subspace is weakly determined"
         )
     return None
+
+
+def _quiet_subspace(E: EigenSystem, L: int) -> Subspace:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return subspace(E, L)
+
+
+def _warn_boundaries(E: EigenSystem, E_loo: EigenSystem, L: int) -> None:
+    for system, where in ((E, "full-data"), (E_loo, "leave-one-out")):
+        note = _boundary_note(system, L, where)
+        if note is not None:
+            warnings.warn(note, RuntimeWarning, stacklevel=3)
+
+
+class _SampleMeasures:
+    """``sif_b`` and ``sci`` of reduced systems against one full-data system.
+
+    The full-data side (retained basis, centred data and, on first use, the
+    orthonormal basis of its scores) is built once, so a sweep pays only for
+    the reduced side of each observation.
+    """
+
+    def __init__(self, X: DataMatrix, E: EigenSystem, L: int):
+        if not 1 <= L <= E.p:
+            raise ValueError(f"L={L} out of range 1..{E.p}")
+        self.n = X.n
+        self.L = L
+        self.full = _quiet_subspace(E, L)
+        self._centered = X.values - X.values.mean(axis=0)
+        self._full_scores: np.ndarray | None = None
+
+    def sif_b(self, E_loo: EigenSystem) -> float:
+        if self.L == E_loo.p:
+            return 0.0
+        s_loo = _quiet_subspace(E_loo, self.L)
+        return (self.n - 1) * (subspace_alignment(self.full, s_loo) - 1.0)
+
+    def sci(self, E_loo: EigenSystem) -> float:
+        if self._full_scores is None:
+            self._full_scores = _score_basis(self._centered @ self.full.basis, "first")
+        scores = self._centered @ _quiet_subspace(E_loo, self.L).basis
+        r = _cosines(self._full_scores, _score_basis(scores, "second"))
+        return (self.n - 1) ** 2 * float(1.0 - np.mean(r**2))
 
 
 def sif_b(
@@ -128,15 +170,8 @@ def sif_b(
         )
         return 0.0
     E_loo = eigh(estimate_loo(X, spec, i))
-    for system, where in ((E, "full-data"), (E_loo, "leave-one-out")):
-        note = _boundary_note(system, L, where)
-        if note is not None:
-            warnings.warn(note, RuntimeWarning, stacklevel=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        s_full = subspace(E, L)
-        s_loo = subspace(E_loo, L)
-    return (X.n - 1) * (subspace_alignment(s_full, s_loo) - 1.0)
+    _warn_boundaries(E, E_loo, L)
+    return _SampleMeasures(X, E, L).sif_b(E_loo)
 
 
 def _check_denominators(E: EigenSystem, L: int) -> None:
@@ -253,15 +288,8 @@ def sci(
     """
     _require_loo(X)
     E = _full_eigen(X, spec, eigen)
-    if not 1 <= L <= E.p:
-        raise ValueError(f"L={L} out of range 1..{E.p}")
-    E_loo = eigh(estimate_loo(X, spec, i))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        a = pc_scores(X, subspace(E, L))
-        b = pc_scores(X, subspace(E_loo, L))
-    r = canonical_correlations(a, b)
-    return (X.n - 1) ** 2 * float(1.0 - np.mean(r**2))
+    measures = _SampleMeasures(X, E, L)
+    return measures.sci(eigh(estimate_loo(X, spec, i)))
 
 
 def influence_records(
@@ -269,21 +297,23 @@ def influence_records(
     spec: EstimatorSpec,
     L: int,
     *,
-    exact: bool = False,
+    exact: bool | Iterable[int] = False,
     eigen: EigenSystem | None = None,
-    jobs: int = 1,
+    engine: LooEngine | None = None,
 ) -> list[InfluenceRecord]:
     """Subspace influence values for every observation.
 
     The empirical columns are filled in one pass from a single full-data
     decomposition; when the denominators are degenerate they are left unset
     and the reason is recorded on each record instead of aborting the sweep.
-    ``exact=True`` adds the sample columns at one pair of reduced
-    decompositions per observation, optionally fanned out over ``jobs``
-    worker threads.
+    ``exact=True`` adds the sample columns (``sif_b``, ``sci`` and
+    ``sif_eigen``) for every observation, and an iterable of 1-based indices
+    adds them for those observations only.  Each such observation costs one
+    reduced decomposition, taken from ``engine`` when one is given.
     """
     _require_loo(X)
-    E = _full_eigen(X, spec, eigen)
+    engine = _engine(X, spec, eigen, engine)
+    E = engine.eigen
     note = _boundary_note(E, L, "full-data")
     empirical_b = empirical_c = None
     try:
@@ -303,22 +333,15 @@ def influence_records(
         )
         for i in range(1, X.n + 1)
     ]
-    if exact:
-        def exact_pair(i: int) -> tuple[float, float]:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                b = sif_b(X, spec, L, i, eigen=E)
-                c = sci(X, spec, L, i, eigen=E)
-            return b, c
-
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                pairs = list(pool.map(exact_pair, range(1, X.n + 1)))
-        else:
-            pairs = [exact_pair(i) for i in range(1, X.n + 1)]
-        for record, (b, c) in zip(records, pairs):
-            record.sif_b = b
-            record.sci = c
+    if isinstance(exact, bool):
+        rows = range(1, X.n + 1) if exact else range(0)
+    else:
+        rows = sorted({int(i) for i in exact})
+    if rows:
+        measures = _SampleMeasures(X, E, L)
+        for i, E_loo in engine.reduced(rows):
+            record = records[i - 1]
+            record.sif_b = measures.sif_b(E_loo)
+            record.sci = measures.sci(E_loo)
+            record.sif_eigen = -(X.n - 1) * (E_loo.values - E.values)
     return records

@@ -17,13 +17,17 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .dataset import DataMatrix, EstimatorSpec, estimate_loo
-from .eigen import EigenSystem, eigh
+from .dataset import DataMatrix, EstimatorSpec
+from .eigen import EigenSystem
 from .errors import CascadeUnderflowError, DataError, NoValidRetentionError
-from .influence import _full_eigen, loo_eigenvalue_table
-from .subspace_diag import eif_b_series, scia_series, sci, sif_b
+from .influence import LooEngine, _engine, _full_eigen, loo_eigenvalue_table
+from .subspace_diag import (
+    _SampleMeasures,
+    _warn_boundaries,
+    eif_b_series,
+    scia_series,
+)
 
 __all__ = [
     "DEFAULT_NEAR_DELTA",
@@ -107,6 +111,32 @@ def _sorted_events(events: Iterable[SwitchEvent]) -> list[SwitchEvent]:
     return sorted(events, key=lambda e: (e.pair, e.obs_index))
 
 
+def _scan(X: DataMatrix, table: np.ndarray, wanted: list[tuple[int, int]], *,
+          reversed_pairs: bool, delta: float | None) -> list[SwitchEvent]:
+    """Events over the table, one masked comparison per pair.
+
+    Flags reversed pairs when ``reversed_pairs`` is set and pairs within
+    ``delta`` when it is given.  A flagged pair is a ``switch`` when
+    reversed and a ``near_switch`` otherwise.  ``wanted`` is sorted, so the
+    events come out sorted by pair, then observation.
+    """
+    events = []
+    for j, k in wanted:
+        lo, hi = table[:, j - 1], table[:, k - 1]
+        reversed_ = lo < hi
+        mask = reversed_ if reversed_pairs else np.zeros_like(reversed_)
+        if delta is not None:
+            mask = mask | (np.abs(lo - hi) < delta)
+        rows = np.flatnonzero(mask)
+        for r, a, b, switch in zip(rows.tolist(), lo[rows].tolist(),
+                                   hi[rows].tolist(), reversed_[rows].tolist()):
+            events.append(SwitchEvent(
+                r + 1, X.row_labels[r], (j, k), a, b,
+                KIND_SWITCH if switch else KIND_NEAR,
+            ))
+    return events
+
+
 def detect_switching(
     X: DataMatrix,
     spec: EstimatorSpec,
@@ -120,20 +150,10 @@ def detect_switching(
     One full-data decomposition covers the entire sweep; no reduced matrix
     is decomposed.
     """
-    E = _full_eigen(X, spec, eigen)
-    wanted = _normalise_pairs(pairs, E.p)
+    wanted = _normalise_pairs(pairs, X.p)
     if table is None:
-        table = loo_eigenvalue_table(X, spec, eigen=E)
-    events = []
-    for j, k in wanted:
-        for i in range(1, X.n + 1):
-            lo, hi = table[i - 1, j - 1], table[i - 1, k - 1]
-            if lo < hi:
-                events.append(SwitchEvent(
-                    i, X.row_labels[i - 1], (j, k), float(lo), float(hi),
-                    KIND_SWITCH,
-                ))
-    return _sorted_events(events)
+        table = loo_eigenvalue_table(X, spec, eigen=eigen)
+    return _scan(X, table, wanted, reversed_pairs=True, delta=None)
 
 
 def detect_near_switch(
@@ -151,32 +171,16 @@ def detect_near_switch(
     ``switch`` kind.  The default threshold of 0.1 suits data on the scale
     of the bundled example; it is a tuning knob, not a universal constant.
     """
+    _check_delta(delta)
+    wanted = _normalise_pairs(pairs, X.p)
+    if table is None:
+        table = loo_eigenvalue_table(X, spec, eigen=eigen)
+    return _scan(X, table, wanted, reversed_pairs=False, delta=delta)
+
+
+def _check_delta(delta: float) -> None:
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    E = _full_eigen(X, spec, eigen)
-    wanted = _normalise_pairs(pairs, E.p)
-    if table is None:
-        table = loo_eigenvalue_table(X, spec, eigen=E)
-    events = []
-    for j, k in wanted:
-        for i in range(1, X.n + 1):
-            lo, hi = table[i - 1, j - 1], table[i - 1, k - 1]
-            if abs(lo - hi) < delta:
-                kind = KIND_SWITCH if lo < hi else KIND_NEAR
-                events.append(SwitchEvent(
-                    i, X.row_labels[i - 1], (j, k), float(lo), float(hi), kind,
-                ))
-    return _sorted_events(events)
-
-
-def _merge_events(switches: Iterable[SwitchEvent],
-                  nears: Iterable[SwitchEvent]) -> list[SwitchEvent]:
-    merged: dict[tuple[int, tuple[int, int]], SwitchEvent] = {}
-    for ev in nears:
-        merged[(ev.obs_index, ev.pair)] = ev
-    for ev in switches:
-        merged[(ev.obs_index, ev.pair)] = ev
-    return _sorted_events(merged.values())
 
 
 def _align_ranks(full: EigenSystem, reduced: EigenSystem) -> np.ndarray:
@@ -187,6 +191,10 @@ def _align_ranks(full: EigenSystem, reduced: EigenSystem) -> np.ndarray:
     assignment on absolute overlaps so that strongly rotated pairs cannot
     both claim the same reduced vector.
     """
+    # imported here: it is most of the package's import time, and only
+    # exact verification needs it
+    from scipy.optimize import linear_sum_assignment
+
     overlap = np.abs(full.vectors.T @ reduced.vectors)
     rows, cols = linear_sum_assignment(-overlap)
     where = np.empty(full.p, dtype=int)
@@ -201,27 +209,28 @@ def verify_exact(
     *,
     eigen: EigenSystem | None = None,
     delta: float = DEFAULT_NEAR_DELTA,
+    engine: LooEngine | None = None,
 ) -> list[SwitchEvent]:
     """Confirm approximation-flagged events with true re-decompositions.
 
-    For each event the reduced matrix is decomposed and its eigenvalues are
-    re-indexed by full-data rank via eigenvector alignment.  A switch event
-    is confirmed when the aligned exact values are out of order; a
-    near-switch event when they sit within ``delta``.
+    Each flagged observation's reduced matrix is decomposed once and its
+    eigenvalues are re-indexed by full-data rank via eigenvector alignment.
+    A switch event is confirmed when the aligned exact values are out of
+    order; a near-switch event when they sit within ``delta``.
     """
     if not events:
         return []
-    E = _full_eigen(X, spec, eigen)
-    reduced_cache: dict[int, EigenSystem] = {}
+    engine = _engine(X, spec, eigen, engine)
+    E = engine.eigen
+    aligned = {
+        i: reduced.values[_align_ranks(E, reduced)]
+        for i, reduced in engine.reduced(sorted({ev.obs_index for ev in events}))
+    }
     out = []
     for ev in events:
-        if ev.obs_index not in reduced_cache:
-            reduced_cache[ev.obs_index] = eigh(estimate_loo(X, spec, ev.obs_index))
-        reduced = reduced_cache[ev.obs_index]
-        where = _align_ranks(E, reduced)
         j, k = ev.pair
-        lo = float(reduced.values[where[j - 1]])
-        hi = float(reduced.values[where[k - 1]])
+        lo = float(aligned[ev.obs_index][j - 1])
+        hi = float(aligned[ev.obs_index][k - 1])
         confirmed = lo < hi if ev.kind == KIND_SWITCH else abs(lo - hi) < delta
         out.append(replace(ev, verified_exact=confirmed))
     return _sorted_events(out)
@@ -305,6 +314,7 @@ def hybrid_influence(
     measure: str = MEASURE_B,
     *,
     eigen: EigenSystem | None = None,
+    engine: LooEngine | None = None,
 ) -> list[HybridValue]:
     """Empirical influence series with exact values at the flagged indices.
 
@@ -317,21 +327,24 @@ def hybrid_influence(
         X._check_index(i)
     if measure not in (MEASURE_B, MEASURE_C):
         raise ValueError(f"measure must be 'B' or 'C', got {measure!r}")
-    E = _full_eigen(X, spec, eigen)
-    if measure == MEASURE_B:
-        series = eif_b_series(X, L, spec, eigen=E)
-        exact = lambda i: sif_b(X, spec, L, i, eigen=E)
-    else:
-        series = scia_series(X, L, spec, eigen=E)
-        exact = lambda i: sci(X, spec, L, i, eigen=E)
-    out = []
-    for i in range(1, X.n + 1):
-        if i in flagged_set:
-            out.append(HybridValue(i, X.row_labels[i - 1], float(exact(i)), True))
-        else:
-            out.append(HybridValue(i, X.row_labels[i - 1], float(series[i - 1]),
-                                   False))
-    return out
+    engine = _engine(X, spec, eigen, engine)
+    E = engine.eigen
+    series_of = eif_b_series if measure == MEASURE_B else scia_series
+    series = series_of(X, L, spec, eigen=E)
+    exact = {}
+    if flagged_set:
+        measures = _SampleMeasures(X, E, L)
+        for i, E_loo in engine.reduced(sorted(flagged_set)):
+            if measure == MEASURE_B:
+                _warn_boundaries(E, E_loo, L)
+                exact[i] = measures.sif_b(E_loo)
+            else:
+                exact[i] = measures.sci(E_loo)
+    return [
+        HybridValue(i, X.row_labels[i - 1],
+                    exact[i] if i in exact else float(series[i - 1]), i in exact)
+        for i in range(1, X.n + 1)
+    ]
 
 
 def build_switch_report(
@@ -344,17 +357,24 @@ def build_switch_report(
     verify: bool = False,
     hybrid_measure: str | None = None,
     eigen: EigenSystem | None = None,
+    engine: LooEngine | None = None,
 ) -> SwitchReport:
-    """Run detection, recommendation and (optionally) a hybrid sweep."""
-    E = _full_eigen(X, spec, eigen)
-    table = loo_eigenvalue_table(X, spec, eigen=E)
-    switches = detect_switching(X, spec, pairs, eigen=E, table=table)
-    nears = detect_near_switch(X, spec, delta, pairs, eigen=E, table=table)
-    events = _merge_events(switches, nears)
+    """Run detection, recommendation and (optionally) a hybrid sweep.
+
+    Detection flags reversed pairs and pairs within ``delta`` in one pass
+    over the approximate table.  Verification and the hybrid sweep take
+    their reduced decompositions from the same engine.
+    """
+    _check_delta(delta)
+    engine = _engine(X, spec, eigen, engine)
+    E = engine.eigen
+    wanted = _normalise_pairs(pairs, E.p)
+    detected = _scan(X, engine.table, wanted, reversed_pairs=True, delta=delta)
+    events = detected
     if verify:
-        events = verify_exact(events, X, spec, eigen=E, delta=delta)
+        events = verify_exact(events, X, spec, delta=delta, engine=engine)
     try:
-        advice = recommend_L(X, spec, candidate_L, eigen=E, events=switches)
+        advice = recommend_L(X, spec, candidate_L, eigen=E, events=detected)
     except NoValidRetentionError as exc:
         advice = RetentionAdvice(candidate_L, f"retention advice failed: {exc}")
     hybrid = None
@@ -362,7 +382,7 @@ def build_switch_report(
         boundary = {ev.obs_index for ev in events if ev.pair == (candidate_L,
                                                                  candidate_L + 1)}
         hybrid = hybrid_influence(X, spec, candidate_L, boundary,
-                                  hybrid_measure, eigen=E)
+                                  hybrid_measure, engine=engine)
     return SwitchReport(events, advice, delta, hybrid)
 
 

@@ -1,0 +1,144 @@
+"""The shared leave-one-out engine against the per-observation reference paths."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import eigensens
+
+from conftest import COR_N, COV_N, COV_N1, gaussian_data
+from eigensens import (
+    DataMatrix,
+    EstimatorSpec,
+    LooEngine,
+    approx_eigenvalues_loo,
+    bundled_oils_path,
+    count_decompositions,
+    eigh,
+    eigh_stack,
+    estimate,
+    estimate_loo,
+    influence_records,
+    load_oils,
+    loo_eigenvalue_table,
+)
+from eigensens.cli import main
+from eigensens.errors import DataError, ZeroVarianceError
+from eigensens.influence import _chunk_rows
+
+COR_N1 = EstimatorSpec("correlation", "n-1")
+SPECS = [COV_N, COV_N1, COR_N, COR_N1]
+
+# 400 rows of 30 columns: blocks of _chunk_rows(30) rows leave a partial one
+SEEDED = gaussian_data(3, 400, np.linspace(3.0, 1.0, 30))
+
+
+def _datasets():
+    return [pytest.param(load_oils(), id="oils"), pytest.param(SEEDED, id="seeded")]
+
+
+def test_seeded_rows_are_not_a_multiple_of_the_block():
+    assert SEEDED.n % _chunk_rows(SEEDED.p) != 0
+    assert SEEDED.n > _chunk_rows(SEEDED.p)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.divisor}")
+@pytest.mark.parametrize("X", _datasets())
+class TestAgainstReference:
+    def test_table_rows_equal_per_row_approximation(self, X, spec):
+        E = eigh(estimate(X, spec))
+        table = loo_eigenvalue_table(X, spec, eigen=E)
+        for i in range(1, X.n + 1):
+            ref = approx_eigenvalues_loo(X, spec, i, eigen=E).approx_values
+            assert np.array_equal(table[i - 1], ref), f"row {i}"
+
+    def test_reduced_systems_equal_reference_decompositions(self, X, spec):
+        engine = LooEngine(X, spec)
+        seen = []
+        for i, system in engine.reduced(range(1, X.n + 1)):
+            ref = eigh(estimate_loo(X, spec, i))
+            assert np.array_equal(system.values, ref.values), f"obs {i}"
+            assert np.array_equal(system.vectors, ref.vectors), f"obs {i}"
+            assert system.gap_warnings == ref.gap_warnings
+            seen.append(i)
+        assert seen == list(range(1, X.n + 1))
+
+
+class TestEngine:
+    def test_stacked_call_counts_every_matrix(self):
+        mats = np.stack([estimate(SEEDED, COV_N).matrix] * 5)
+        with count_decompositions() as window:
+            systems = eigh_stack(mats)
+        assert window.total == 5
+        assert len(systems) == 5
+
+    def test_reduced_costs_one_decomposition_per_row(self, oils):
+        engine = LooEngine(oils, COV_N)
+        with count_decompositions() as window:
+            rows = [i for i, _ in engine.reduced([58, 3, 42])]
+        assert window.total == 3
+        assert rows == [58, 3, 42]
+
+    def test_table_is_computed_once(self, oils):
+        engine = LooEngine(oils, COV_N)
+        assert engine.table is engine.table
+
+    def test_reduced_rejects_out_of_range_rows(self, oils):
+        with pytest.raises(DataError, match="out of range"):
+            list(LooEngine(oils, COV_N).reduced([97]))
+
+    def test_engine_for_other_data_is_refused(self, oils):
+        engine = LooEngine(SEEDED, COV_N)
+        with pytest.raises(ValueError, match="engine"):
+            influence_records(oils, COV_N, 2, engine=engine)
+        with pytest.raises(ValueError, match="engine"):
+            influence_records(SEEDED, COR_N, 2, engine=engine)
+
+    def test_table_reports_zero_variance_after_removal(self):
+        X = DataMatrix(
+            np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 9.0]]),
+            col_labels=["a", "b"],
+        )
+        with pytest.raises(ZeroVarianceError, match="'b'"):
+            loo_eigenvalue_table(X, COR_N)
+
+    def test_records_take_exact_columns_for_chosen_rows(self, oils):
+        every = influence_records(oils, COV_N, 2, exact=True)
+        some = influence_records(oils, COV_N, 2, exact=[58, 42])
+        for a, b in zip(every, some):
+            if a.obs_index in (42, 58):
+                assert (a.sif_b, a.sci) == (b.sif_b, b.sci)
+                assert np.array_equal(a.sif_eigen, b.sif_eigen)
+            else:
+                assert b.sif_b is None and b.sci is None and b.sif_eigen is None
+
+
+class TestCliCost:
+    @staticmethod
+    def _spent(tmp_path, mode):
+        with count_decompositions() as window:
+            assert main(["influence", "--input", str(bundled_oils_path()),
+                         "--label-col", "oil_type", "--mode", mode,
+                         "--out", str(tmp_path / f"{mode}.json")]) == 0
+        return window.total
+
+    def test_exact_mode_is_one_reduced_decomposition_per_row(self, tmp_path):
+        assert self._spent(tmp_path, "exact") == 96 + 1
+
+    def test_hybrid_mode_decomposes_only_flagged_rows(self, tmp_path):
+        # the (2,3) boundary flags 7 switches and 4 near switches
+        assert self._spent(tmp_path, "hybrid") == 1 + 11
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    src = str(Path(eigensens.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, eigensens.cli; sys.exit('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr or "scipy.optimize was imported"

@@ -272,13 +272,6 @@ class TestSweeps:
         )
         assert records[56].sci == pytest.approx(sci(oils, COV_N, 2, 57, eigen=E))
 
-    def test_records_exact_mode_parallel_matches_serial(self, oils):
-        serial = influence_records(oils, COV_N, 2, exact=True)
-        threaded = influence_records(oils, COV_N, 2, exact=True, jobs=4)
-        for a, b in zip(serial, threaded):
-            assert a.sif_b == b.sif_b
-            assert a.sci == b.sci
-
     def test_records_note_on_degenerate_spectrum(self):
         records = influence_records(tied_spectrum_data(), COV_N, 1)
         assert all(r.eif_b is None and r.scia is None for r in records)
