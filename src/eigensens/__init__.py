@@ -52,7 +52,6 @@ from .errors import (
 )
 from .influence import (
     EigenInfluence,
-    LooEigenApprox,
     LooEngine,
     approx_eigenvalues_loo,
     component_score,

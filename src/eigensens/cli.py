@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -40,8 +39,6 @@ from .switching import (
 
 __all__ = ["RunConfig", "cmd_analyze", "cmd_influence", "cmd_switching", "main"]
 
-JOBS_ENV_VAR = "EIGENSENS_JOBS"
-
 MODE_APPROX = "approx"
 MODE_EXACT = "exact"
 MODE_HYBRID = "hybrid"
@@ -66,16 +63,12 @@ class RunConfig:
     fmt: str = "json"
     out: Path | None = None
     precision: int = 6
-    # deprecated: still validated, but every sweep is serial
-    jobs: int = 1
 
     def validate(self) -> None:
         if self.L < 1:
             raise ConfigError(f"--L must be at least 1, got {self.L}")
         if not self.delta > 0.0:
             raise ConfigError(f"--delta must be positive, got {self.delta}")
-        if self.jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {self.jobs}")
         if self.precision < 1:
             raise ConfigError(f"--precision must be at least 1, got {self.precision}")
         if self.mode not in (MODE_APPROX, MODE_EXACT, MODE_HYBRID):
@@ -97,18 +90,6 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
             raise ConfigError(f"pair {chunk!r} is not a consecutive 1-based pair")
         pairs.append(pair)
     return pairs
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"environment variable {JOBS_ENV_VAR}={raw!r} is not an integer"
-        ) from None
 
 
 def _round_sig(x: float, digits: int) -> float:
@@ -474,9 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None, help="output path")
         cmd.add_argument("--precision", type=int, default=6,
                          help="significant digits in output")
-        cmd.add_argument("--jobs", type=int, default=None,
-                         help=f"deprecated, no effect (still validated; "
-                              f"default ${JOBS_ENV_VAR} or 1)")
     return parser
 
 
@@ -495,7 +473,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         fmt=args.fmt,
         out=None if args.out is None else Path(args.out),
         precision=args.precision,
-        jobs=args.jobs if args.jobs is not None else _default_jobs(),
     )
     config.validate()
     return config

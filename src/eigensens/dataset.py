@@ -99,16 +99,6 @@ class DataMatrix:
         self._check_index(i)
         return self.values[i - 1]
 
-    def drop_row(self, i: int) -> "DataMatrix":
-        """Return a copy with observation ``i`` (1-based) removed."""
-        self._check_index(i)
-        keep = [k for k in range(self.n) if k != i - 1]
-        return DataMatrix(
-            self.values[keep],
-            [self.row_labels[k] for k in keep],
-            list(self.col_labels),
-        )
-
     def drop_rows(self, indices) -> "DataMatrix":
         """Return a copy with all 1-based ``indices`` removed."""
         drop = set()
@@ -269,7 +259,7 @@ def estimate_loo(X: DataMatrix, spec: EstimatorSpec, i: int) -> SymmetricEstimat
     """
     if X.n < 3:
         raise DataError(f"leave-one-out needs at least 3 observations, got {X.n}")
-    return estimate(X.drop_row(i), spec)
+    return estimate(X.drop_rows([i]), spec)
 
 
 class LooEstimator:
@@ -290,29 +280,15 @@ class LooEstimator:
         self.mean = X.values.mean(axis=0)
         self._scatter = _scatter(X.values)
 
-    def full(self) -> SymmetricEstimate:
-        """The estimate over all n observations."""
-        return SymmetricEstimate(
-            _finish(self._scatter, self.spec, self.n, self._X.col_labels),
-            self.spec, self.n)
-
-    def loo_scatter(self, i: int) -> np.ndarray:
-        """Centered scatter of the n-1 rows remaining after removing ``i``."""
-        self._X._check_index(i)
-        delta = self._X.values[i - 1] - self.mean
-        return self._scatter - (self.n / (self.n - 1.0)) * np.outer(delta, delta)
-
     def loo(self, i: int) -> SymmetricEstimate:
         """The estimate with observation ``i`` (1-based) removed."""
-        return SymmetricEstimate(
-            _finish(self.loo_scatter(i), self.spec, self.n - 1, self._X.col_labels),
-            self.spec, self.n - 1)
+        return SymmetricEstimate(self.loo_block(i, i)[0], self.spec, self.n - 1)
 
     def loo_block(self, first: int, last: int) -> np.ndarray:
         """Stacked estimates without each of observations ``first..last``.
 
         Indices are 1-based and inclusive; the result is (last-first+1) x p x
-        p and matches :meth:`loo` entry for entry, bit for bit.
+        p; entry k is the estimate without observation ``first + k``.
         """
         self._X._check_index(first)
         self._X._check_index(last)

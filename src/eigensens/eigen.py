@@ -6,9 +6,12 @@ Conventions used throughout the package:
 * each eigenvector is normalised so that its largest-magnitude entry is
   positive (ties broken by the lowest index), which makes repeated
   decompositions of the same matrix bit-for-bit identical;
-* adjacent eigenvalues whose relative gap falls below ``GAP_TOL`` are
-  recorded as ``gap_warnings`` so that downstream diagnostics can warn or
-  refuse instead of silently dividing by a near-zero spectral gap.
+* adjacent eigenvalues whose gap, relative to the largest eigenvalue
+  magnitude, falls below ``GAP_TOL`` are recorded as ``gap_warnings`` so
+  that downstream diagnostics can warn or refuse instead of silently
+  dividing by a near-zero spectral gap.  Tiny negatives down to
+  ``NEGATIVE_CLAMP`` on the same scale are rounded to zero, so both
+  tolerances are independent of the units of the data.
 
 Every decomposition performed through :func:`eigh` or :func:`eigh_stack` is
 counted, one per matrix, which lets callers assert how many decompositions a
@@ -167,13 +170,19 @@ def eigh_stack(mats: np.ndarray) -> list[EigenSystem]:
             for values, vectors in zip(stacked_values, stacked_vectors)]
 
 
+def _tie_scale(values: np.ndarray) -> float:
+    """Scale of the relative tolerances: max |lambda|, or 1 for a zero matrix."""
+    top = float(np.max(np.abs(values))) if values.size else 0.0
+    return top if top > 0.0 else 1.0
+
+
 def _ordered(values: np.ndarray, vectors: np.ndarray) -> EigenSystem:
     order = np.argsort(values, kind="stable")[::-1]
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
+    scale = _tie_scale(values)
     # remove floating-point negatives on estimates that are PSD in theory
-    values[(values < 0.0) & (values >= NEGATIVE_CLAMP)] = 0.0
-    scale = 1.0 + abs(float(values[0])) if values.size else 1.0
+    values[(values < 0.0) & (values >= NEGATIVE_CLAMP * scale)] = 0.0
     gaps = [
         (j + 1, j + 2)
         for j in range(values.size - 1)

@@ -46,7 +46,6 @@ from .errors import DataError, DegenerateEigenvaluesError, UnsupportedEstimatorE
 
 __all__ = [
     "LooEngine",
-    "LooEigenApprox",
     "EigenInfluence",
     "component_score",
     "approx_eigenvalues_loo",
@@ -65,24 +64,10 @@ CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass
-class LooEigenApprox:
-    """Approximated (and optionally exact) eigenvalues after removing one row.
-
-    ``approx_values[j-1]`` is the Rayleigh quotient of the leave-one-out
-    estimate at the j-th full-data eigenvector, kept in full-data rank order.
-    """
-
-    obs_index: int
-    approx_values: np.ndarray
-    exact_values: np.ndarray | None = None
-
-
-@dataclass
 class EigenInfluence:
     """Per-eigenvalue influence values for one observation."""
 
     obs_index: int
-    sif: np.ndarray | None
     eif: np.ndarray | None
     hif: np.ndarray
 
@@ -108,23 +93,18 @@ def approx_eigenvalues_loo(
     i: int,
     *,
     eigen: EigenSystem | None = None,
-    exact: bool = False,
-) -> LooEigenApprox:
+) -> np.ndarray:
     """Approximate all eigenvalues of the estimate with observation ``i`` removed.
 
-    Uses the full-data eigenvectors as fixed directions, so no additional
-    decomposition is required once ``eigen`` is available.  With
-    ``exact=True`` the reduced matrix is also re-decomposed and the sorted
-    exact eigenvalues are attached for comparison.
+    Entry j-1 is the Rayleigh quotient of the leave-one-out estimate at the
+    j-th full-data eigenvector, kept in full-data rank order.  Uses the
+    full-data eigenvectors as fixed directions, so no additional
+    decomposition is required once ``eigen`` is available.
     """
     _require_loo(X)
     E = _full_eigen(X, spec, eigen)
     w_loo = LooEstimator(X, spec).loo(i).matrix
-    approx = np.einsum("jp,jk,kp->p", E.vectors, w_loo, E.vectors)
-    exact_values = None
-    if exact:
-        exact_values = eigh(estimate_loo(X, spec, i)).values
-    return LooEigenApprox(i, approx, exact_values)
+    return np.einsum("jp,jk,kp->p", E.vectors, w_loo, E.vectors)
 
 
 def _chunk_rows(p: int) -> int:
@@ -205,10 +185,10 @@ class LooEngine:
             yield from zip(block, eigh_stack(mats))
 
 
-def _engine(X: DataMatrix, spec: EstimatorSpec, eigen: EigenSystem | None,
+def _engine(X: DataMatrix, spec: EstimatorSpec,
             engine: LooEngine | None) -> LooEngine:
     if engine is None:
-        return LooEngine(X, spec, eigen=eigen)
+        return LooEngine(X, spec)
     if engine.X is not X or engine.spec != spec:
         raise ValueError("the leave-one-out engine was built for other data "
                          "or another estimator")
@@ -302,7 +282,7 @@ def hif_eigenvalue(
     """
     E = _full_eigen(X, spec, eigen)
     approx = approx_eigenvalues_loo(X, spec, i, eigen=E)
-    return -(X.n - 1) * (float(approx.approx_values[j - 1]) - E.value(j))
+    return -(X.n - 1) * (float(approx[j - 1]) - E.value(j))
 
 
 def eigen_influence(
@@ -311,26 +291,19 @@ def eigen_influence(
     i: int,
     *,
     eigen: EigenSystem | None = None,
-    exact: bool = False,
 ) -> EigenInfluence:
-    """All per-eigenvalue influence values for one observation.
+    """Empirical and hybrid per-eigenvalue influence for one observation.
 
-    The empirical column is present only for covariance estimates; the exact
-    column only when ``exact`` is requested (it costs one decomposition).
+    The empirical column is present only for covariance estimates.
     """
     E = _full_eigen(X, spec, eigen)
-    n = X.n
     approx = approx_eigenvalues_loo(X, spec, i, eigen=E)
-    hif = -(n - 1) * (approx.approx_values - E.values)
+    hif = -(X.n - 1) * (approx - E.values)
     eif = None
     if spec.kind == COVARIANCE:
         w = E.vectors.T @ (X.row(i) - mean_vector(X))
         eif = w * w - E.values
-    sif = None
-    if exact:
-        loo_values = eigh(estimate_loo(X, spec, i)).values
-        sif = -(n - 1) * (loo_values - E.values)
-    return EigenInfluence(i, sif, eif, hif)
+    return EigenInfluence(i, eif, hif)
 
 
 def eigenvalue_gradient_check(

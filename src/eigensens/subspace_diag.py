@@ -36,8 +36,8 @@ from .eigen import (
     Subspace,
     _cosines,
     _score_basis,
+    _tie_scale,
     eigh,
-    subspace,
 )
 from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
 from .influence import LooEngine, _engine, _full_eigen, _require_loo
@@ -99,12 +99,6 @@ def _boundary_note(E: EigenSystem, L: int, where: str) -> str | None:
     return None
 
 
-def _quiet_subspace(E: EigenSystem, L: int) -> Subspace:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return subspace(E, L)
-
-
 def _warn_boundaries(E: EigenSystem, E_loo: EigenSystem, L: int) -> None:
     for system, where in ((E, "full-data"), (E_loo, "leave-one-out")):
         note = _boundary_note(system, L, where)
@@ -125,20 +119,21 @@ class _SampleMeasures:
             raise ValueError(f"L={L} out of range 1..{E.p}")
         self.n = X.n
         self.L = L
-        self.full = _quiet_subspace(E, L)
+        self.full = Subspace(E.vectors[:, :L].copy(), L)
         self._centered = X.values - X.values.mean(axis=0)
         self._full_scores: np.ndarray | None = None
 
     def sif_b(self, E_loo: EigenSystem) -> float:
         if self.L == E_loo.p:
             return 0.0
-        s_loo = _quiet_subspace(E_loo, self.L)
+        s_loo = Subspace(E_loo.vectors[:, :self.L].copy(), self.L)
         return (self.n - 1) * (subspace_alignment(self.full, s_loo) - 1.0)
 
     def sci(self, E_loo: EigenSystem) -> float:
         if self._full_scores is None:
             self._full_scores = _score_basis(self._centered @ self.full.basis, "first")
-        scores = self._centered @ _quiet_subspace(E_loo, self.L).basis
+        s_loo = Subspace(E_loo.vectors[:, :self.L].copy(), self.L)
+        scores = self._centered @ s_loo.basis
         r = _cosines(self._full_scores, _score_basis(scores, "second"))
         return (self.n - 1) ** 2 * float(1.0 - np.mean(r**2))
 
@@ -175,7 +170,7 @@ def sif_b(
 
 
 def _check_denominators(E: EigenSystem, L: int) -> None:
-    scale = 1.0 + abs(E.value(1))
+    scale = _tie_scale(E.values)
     for l in range(1, L + 1):
         for k in range(L + 1, E.p + 1):
             if abs(E.value(l) - E.value(k)) < GAP_TOL * scale:
@@ -298,7 +293,6 @@ def influence_records(
     L: int,
     *,
     exact: bool | Iterable[int] = False,
-    eigen: EigenSystem | None = None,
     engine: LooEngine | None = None,
 ) -> list[InfluenceRecord]:
     """Subspace influence values for every observation.
@@ -312,7 +306,7 @@ def influence_records(
     reduced decomposition, taken from ``engine`` when one is given.
     """
     _require_loo(X)
-    engine = _engine(X, spec, eigen, engine)
+    engine = _engine(X, spec, engine)
     E = engine.eigen
     note = _boundary_note(E, L, "full-data")
     empirical_b = empirical_c = None

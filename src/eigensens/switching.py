@@ -143,7 +143,6 @@ def detect_switching(
     pairs: Sequence[tuple[int, int]] | None = None,
     *,
     eigen: EigenSystem | None = None,
-    table: np.ndarray | None = None,
 ) -> list[SwitchEvent]:
     """Flag every (i, pair) where removal reverses the approximated order.
 
@@ -151,8 +150,7 @@ def detect_switching(
     is decomposed.
     """
     wanted = _normalise_pairs(pairs, X.p)
-    if table is None:
-        table = loo_eigenvalue_table(X, spec, eigen=eigen)
+    table = loo_eigenvalue_table(X, spec, eigen=eigen)
     return _scan(X, table, wanted, reversed_pairs=True, delta=None)
 
 
@@ -163,7 +161,6 @@ def detect_near_switch(
     pairs: Sequence[tuple[int, int]] | None = None,
     *,
     eigen: EigenSystem | None = None,
-    table: np.ndarray | None = None,
 ) -> list[SwitchEvent]:
     """Flag every (i, pair) whose approximated eigenvalues sit within delta.
 
@@ -173,8 +170,7 @@ def detect_near_switch(
     """
     _check_delta(delta)
     wanted = _normalise_pairs(pairs, X.p)
-    if table is None:
-        table = loo_eigenvalue_table(X, spec, eigen=eigen)
+    table = loo_eigenvalue_table(X, spec, eigen=eigen)
     return _scan(X, table, wanted, reversed_pairs=False, delta=delta)
 
 
@@ -207,7 +203,6 @@ def verify_exact(
     X: DataMatrix,
     spec: EstimatorSpec,
     *,
-    eigen: EigenSystem | None = None,
     delta: float = DEFAULT_NEAR_DELTA,
     engine: LooEngine | None = None,
 ) -> list[SwitchEvent]:
@@ -220,7 +215,7 @@ def verify_exact(
     """
     if not events:
         return []
-    engine = _engine(X, spec, eigen, engine)
+    engine = _engine(X, spec, engine)
     E = engine.eigen
     aligned = {
         i: reduced.values[_align_ranks(E, reduced)]
@@ -313,7 +308,6 @@ def hybrid_influence(
     flagged: Iterable[int],
     measure: str = MEASURE_B,
     *,
-    eigen: EigenSystem | None = None,
     engine: LooEngine | None = None,
 ) -> list[HybridValue]:
     """Empirical influence series with exact values at the flagged indices.
@@ -327,7 +321,7 @@ def hybrid_influence(
         X._check_index(i)
     if measure not in (MEASURE_B, MEASURE_C):
         raise ValueError(f"measure must be 'B' or 'C', got {measure!r}")
-    engine = _engine(X, spec, eigen, engine)
+    engine = _engine(X, spec, engine)
     E = engine.eigen
     series_of = eif_b_series if measure == MEASURE_B else scia_series
     series = series_of(X, L, spec, eigen=E)
@@ -356,7 +350,6 @@ def build_switch_report(
     pairs: Sequence[tuple[int, int]] | None = None,
     verify: bool = False,
     hybrid_measure: str | None = None,
-    eigen: EigenSystem | None = None,
     engine: LooEngine | None = None,
 ) -> SwitchReport:
     """Run detection, recommendation and (optionally) a hybrid sweep.
@@ -366,7 +359,7 @@ def build_switch_report(
     their reduced decompositions from the same engine.
     """
     _check_delta(delta)
-    engine = _engine(X, spec, eigen, engine)
+    engine = _engine(X, spec, engine)
     E = engine.eigen
     wanted = _normalise_pairs(pairs, E.p)
     detected = _scan(X, engine.table, wanted, reversed_pairs=True, delta=delta)

@@ -1,3 +1,9 @@
+import os
+
+# one BLAS thread: the small stacked LAPACK calls slow down badly when
+# OpenBLAS worker threads compete with another process for the CPUs
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -127,16 +127,6 @@ class TestInfluence:
             rtol=0, atol=1e-3,
         )
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        docs = []
-        for jobs in ("1", "4"):
-            out = tmp_path / f"inf{jobs}.json"
-            assert run("influence", "--input", OILS, "--label-col", "oil_type",
-                       "--L", "2", "--mode", "exact", "--jobs", jobs,
-                       "--out", str(out)) == 0
-            docs.append(out.read_bytes())
-        assert docs[0] == docs[1]
-
     def test_csv_schema_is_stable(self, tmp_path):
         out = tmp_path / "inf.csv"
         assert run("influence", "--input", OILS, "--label-col", "oil_type",
@@ -252,17 +242,6 @@ class TestExitCodesAndConfig:
         assert run("switching", "--input", OILS, "--label-col", "oil_type",
                    "--pairs", "7:8") == 2
         assert "consecutive pair" in capsys.readouterr().err
-
-    def test_jobs_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EIGENSENS_JOBS", "2")
-        out = tmp_path / "a.json"
-        assert run("analyze", "--input", OILS, "--label-col", "oil_type",
-                   "--out", str(out)) == 0
-
-    def test_invalid_jobs_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("EIGENSENS_JOBS", "many")
-        assert run("analyze", "--input", OILS, "--label-col", "oil_type") == 2
-        assert "EIGENSENS_JOBS" in capsys.readouterr().err
 
     def test_numeric_label_column_without_flag_is_data_error(self, capsys):
         assert run("analyze", "--input", OILS) == 1

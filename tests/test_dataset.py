@@ -108,8 +108,8 @@ class TestDataMatrix:
     def test_drop_row_bounds(self):
         X = make_data([[1.0], [2.0], [3.0]])
         with pytest.raises(DataError, match="out of range"):
-            X.drop_row(4)
-        dropped = X.drop_row(2)
+            X.drop_rows([4])
+        dropped = X.drop_rows([2])
         assert dropped.row_labels == ["1", "3"]
         assert np.array_equal(dropped.values.ravel(), [1.0, 3.0])
 
@@ -194,7 +194,7 @@ class TestEstimateLoo:
     def test_matches_physical_deletion(self, spec):
         X = gaussian_data(42, 10, [2.0, 1.0, 0.5])
         for i in range(1, X.n + 1):
-            direct = estimate(X.drop_row(i), spec).matrix
+            direct = estimate(X.drop_rows([i]), spec).matrix
             np.testing.assert_array_equal(
                 estimate_loo(X, spec, i).matrix, direct
             )
@@ -204,7 +204,7 @@ class TestEstimateLoo:
         X = gaussian_data(7, 12, [3.0, 1.0, 0.4, 0.1])
         loo = LooEstimator(X, spec)
         for i in range(1, X.n + 1):
-            direct = estimate(X.drop_row(i), spec).matrix
+            direct = estimate(X.drop_rows([i]), spec).matrix
             np.testing.assert_allclose(
                 loo.loo(i).matrix, direct, rtol=0, atol=1e-10
             )
@@ -232,7 +232,7 @@ class TestEstimateLoo:
         i = int(rng.integers(1, n + 1))
         np.testing.assert_allclose(
             loo.loo(i).matrix,
-            estimate(X.drop_row(i), COV_N).matrix,
+            estimate(X.drop_rows([i]), COV_N).matrix,
             rtol=0,
             atol=1e-10,
         )

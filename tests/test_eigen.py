@@ -83,6 +83,21 @@ class TestEigh:
         E = eigh(estimate(X, COV_N))
         assert np.all(E.values >= 0.0)
 
+    @pytest.mark.parametrize("s", [1e-6, 1e6, 1e8])
+    def test_tolerances_follow_the_units(self, s):
+        # the zero eigenvalues of a rank-deficient covariance stay clamped
+        # and tied whatever the units of the data
+        X = gaussian_data(5, 4, [1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        unit = eigh(estimate(X, COV_N))
+        E = eigh(estimate(make_data(X.values * s), COV_N))
+        assert np.all(E.values >= 0.0)
+        assert E.gap_warnings == unit.gap_warnings
+
+    def test_zero_matrix_is_fully_degenerate(self):
+        E = eigh(np.zeros((3, 3)))
+        np.testing.assert_array_equal(E.values, [0.0, 0.0, 0.0])
+        assert E.gap_warnings == [(1, 2), (2, 3)]
+
     def test_accepts_symmetric_estimate(self, oils):
         E = eigh(estimate(oils, COV_N))
         assert E.p == 7

@@ -15,16 +15,20 @@ from eigensens import (
     DataMatrix,
     EstimatorSpec,
     LooEngine,
+    SwitchEvent,
     approx_eigenvalues_loo,
+    build_switch_report,
     bundled_oils_path,
     count_decompositions,
     eigh,
     eigh_stack,
     estimate,
     estimate_loo,
+    hybrid_influence,
     influence_records,
     load_oils,
     loo_eigenvalue_table,
+    verify_exact,
 )
 from eigensens.cli import main
 from eigensens.errors import DataError, ZeroVarianceError
@@ -35,6 +39,20 @@ SPECS = [COV_N, COV_N1, COR_N, COR_N1]
 
 # 400 rows of 30 columns: blocks of _chunk_rows(30) rows leave a partial one
 SEEDED = gaussian_data(3, 400, np.linspace(3.0, 1.0, 30))
+
+
+# every function that takes engine=, called on (X, spec) with that engine
+ENGINE_TAKERS = {
+    "influence_records":
+        lambda X, spec, engine: influence_records(X, spec, 2, engine=engine),
+    "verify_exact": lambda X, spec, engine: verify_exact(
+        [SwitchEvent(1, X.row_labels[0], (2, 3), 0.0, 0.0, "switch")], X, spec,
+        engine=engine),
+    "hybrid_influence":
+        lambda X, spec, engine: hybrid_influence(X, spec, 2, [1], engine=engine),
+    "build_switch_report": lambda X, spec, engine: build_switch_report(
+        X, spec, candidate_L=2, engine=engine),
+}
 
 
 def _datasets():
@@ -53,7 +71,7 @@ class TestAgainstReference:
         E = eigh(estimate(X, spec))
         table = loo_eigenvalue_table(X, spec, eigen=E)
         for i in range(1, X.n + 1):
-            ref = approx_eigenvalues_loo(X, spec, i, eigen=E).approx_values
+            ref = approx_eigenvalues_loo(X, spec, i, eigen=E)
             assert np.array_equal(table[i - 1], ref), f"row {i}"
 
     def test_reduced_systems_equal_reference_decompositions(self, X, spec):
@@ -91,12 +109,13 @@ class TestEngine:
         with pytest.raises(DataError, match="out of range"):
             list(LooEngine(oils, COV_N).reduced([97]))
 
-    def test_engine_for_other_data_is_refused(self, oils):
+    @pytest.mark.parametrize("call", ENGINE_TAKERS.values(), ids=ENGINE_TAKERS.keys())
+    def test_engine_for_other_data_is_refused(self, oils, call):
         engine = LooEngine(SEEDED, COV_N)
         with pytest.raises(ValueError, match="engine"):
-            influence_records(oils, COV_N, 2, engine=engine)
+            call(oils, COV_N, engine)
         with pytest.raises(ValueError, match="engine"):
-            influence_records(SEEDED, COR_N, 2, engine=engine)
+            call(SEEDED, COR_N, engine)
 
     def test_table_reports_zero_variance_after_removal(self):
         X = DataMatrix(

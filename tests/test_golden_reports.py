@@ -1,9 +1,9 @@
-"""Byte guard: the oils benchmark invocations reproduce their recorded reports.
+"""Byte guard: benchmark invocations reproduce their recorded reports.
 
-Replays the ``oils-cli`` invocations of ``bench/workloads.py`` in-process and
-compares every file written with its SHA-256 in ``bench/golden.json``, so a
-change in any printed digit fails here before it reaches the benchmark.
-Only reads ``bench/``.
+Replays the ``oils-cli`` invocations of ``bench/workloads.py``, and three
+pool-0 synthetic invocations, in-process and compares every file written
+with its SHA-256 in ``bench/golden.json``, so a change in any printed digit
+fails here before it reaches the benchmark.  Only reads ``bench/``.
 """
 
 import importlib.util
@@ -14,7 +14,8 @@ import pytest
 
 from eigensens.cli import main
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def _bench_module(name):
@@ -33,8 +34,7 @@ OILS = workloads.WORKLOADS["oils-cli"]
 
 @pytest.fixture(scope="module")
 def oils_input(tmp_path_factory):
-    root = Path(__file__).resolve().parents[1]
-    return workloads.write_input(OILS, 0, tmp_path_factory.mktemp("oils"), root)
+    return workloads.write_input(OILS, 0, tmp_path_factory.mktemp("oils"), ROOT)
 
 
 @pytest.mark.parametrize("inv", OILS.invocations, ids=lambda inv: inv.name)
@@ -43,4 +43,29 @@ def test_oils_report_matches_recorded_digest(inv, oils_input, tmp_path):
     assert want, f"no recorded digests for {inv.name}"
     assert main(inv.argv(oils_input, tmp_path)) == 0
     problems, _ = reports.check(tmp_path, want)
+    assert not problems, problems
+
+
+# Oils fits in one stacked block of 7 x 7 matrices; these runs at p = 30
+# sweep 291-row blocks, so the table and the reduced systems cross block
+# boundaries.
+ACROSS_BLOCKS = [
+    ("approx-sparse-4000x30", "switching-hybrid-csv"),
+    ("exact-dense-1000x30", "switching-hybrid-L20"),
+    ("exact-dense-1000x30", "influence-exact"),
+]
+
+
+@pytest.mark.parametrize("workload, name", ACROSS_BLOCKS,
+                         ids=[f"{w}/{n}" for w, n in ACROSS_BLOCKS])
+def test_multi_block_report_matches_recorded_digest(workload, name, tmp_path):
+    w = workloads.WORKLOADS[workload]
+    inv = next(inv for inv in w.invocations if inv.name == name)
+    want = reports.expected(reports.load_golden(), w.name, 0, inv.name)
+    assert want, f"no recorded digests for {workload}/{name}"
+    input_csv = workloads.write_input(w, 0, tmp_path / "input", ROOT)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(inv.argv(input_csv, out_dir)) == 0
+    problems, _ = reports.check(out_dir, want)
     assert not problems, problems

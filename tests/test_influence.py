@@ -54,22 +54,15 @@ class TestComponentScore:
 
 class TestApproxEigenvaluesLoo:
     def test_oils_obs57(self, oils):
-        approx = approx_eigenvalues_loo(oils, COV_N, 57).approx_values
+        approx = approx_eigenvalues_loo(oils, COV_N, 57)
         expected = [452.727, 9.599, 9.816, 0.647, 0.369, 0.059, 0.036]
         np.testing.assert_allclose(np.round(approx, 3), expected, atol=1e-12)
         assert approx[1] < approx[2]
 
-    def test_exact_flag_fills_exact_values(self, oils):
-        res = approx_eigenvalues_loo(oils, COV_N, 57, exact=True)
-        assert res.exact_values is not None
-        np.testing.assert_array_equal(
-            res.exact_values, eigh(estimate_loo(oils, COV_N, 57)).values
-        )
-
     def test_scalar_case_is_exact(self):
         X = make_data([[1.0], [4.0], [2.5], [0.5], [6.0]])
         for i in range(1, 6):
-            approx = approx_eigenvalues_loo(X, COV_N, i).approx_values[0]
+            approx = approx_eigenvalues_loo(X, COV_N, i)[0]
             exact = estimate_loo(X, COV_N, i).matrix[0, 0]
             assert approx == pytest.approx(exact, abs=1e-14)
 
@@ -81,7 +74,7 @@ class TestApproxEigenvaluesLoo:
             spread = E.values[0] - E.values[-1]
             errors = []
             for i in range(1, n + 1):
-                approx = approx_eigenvalues_loo(X, COV_N, i, eigen=E).approx_values
+                approx = approx_eigenvalues_loo(X, COV_N, i, eigen=E)
                 exact = eigh(estimate_loo(X, COV_N, i)).values
                 err = np.max(np.abs(approx - exact))
                 assert err <= 0.15 * spread
@@ -95,7 +88,7 @@ class TestApproxEigenvaluesLoo:
         for i in (1, 42, 96):
             np.testing.assert_array_equal(
                 table[i - 1],
-                approx_eigenvalues_loo(oils, COV_N, i, eigen=E).approx_values,
+                approx_eigenvalues_loo(oils, COV_N, i, eigen=E),
             )
 
 
@@ -201,14 +194,14 @@ class TestHifEigenvalue:
     def test_identity_with_approximation(self, oils):
         E = eigh(estimate(oils, COV_N))
         for i in (1, 42, 57):
-            approx = approx_eigenvalues_loo(oils, COV_N, i, eigen=E).approx_values
+            approx = approx_eigenvalues_loo(oils, COV_N, i, eigen=E)
             for j in (1, 2, 7):
                 h = hif_eigenvalue(oils, COV_N, j, i, eigen=E)
                 assert h + 95.0 * (approx[j - 1] - E.values[j - 1]) == 0.0
 
     def test_oils_obs57_second_eigenvalue(self, oils):
         E = eigh(estimate(oils, COV_N))
-        approx2 = approx_eigenvalues_loo(oils, COV_N, 57, eigen=E).approx_values[1]
+        approx2 = approx_eigenvalues_loo(oils, COV_N, 57, eigen=E)[1]
         h = hif_eigenvalue(oils, COV_N, 2, 57, eigen=E)
         assert h == pytest.approx(-95.0 * (approx2 - E.values[1]), abs=1e-9)
         assert round(approx2, 3) == pytest.approx(9.599)

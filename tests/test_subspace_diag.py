@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from eigensens import (
+    DataMatrix,
     DegenerateEigenvaluesError,
     EigenSystem,
+    LooEngine,
     Subspace,
     UnsupportedEstimatorError,
     count_decompositions,
@@ -266,7 +268,8 @@ class TestSweeps:
 
     def test_records_exact_mode(self, oils):
         E = eigh(estimate(oils, COV_N))
-        records = influence_records(oils, COV_N, 2, exact=True, eigen=E)
+        records = influence_records(oils, COV_N, 2, exact=True,
+                                    engine=LooEngine(oils, COV_N, eigen=E))
         assert records[56].sif_b == pytest.approx(
             sif_b(oils, COV_N, 2, 57, eigen=E)
         )
@@ -276,3 +279,11 @@ class TestSweeps:
         records = influence_records(tied_spectrum_data(), COV_N, 1)
         assert all(r.eif_b is None and r.scia is None for r in records)
         assert all("nearly equal" in r.note for r in records)
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-6, 1e6])
+def test_tolerances_do_not_depend_on_units(oils, s):
+    sX = DataMatrix(oils.values * s, oils.row_labels, oils.col_labels)
+    assert eigh(estimate(sX, COV_N)).gap_warnings == []
+    records = influence_records(sX, COV_N, 2)
+    assert all(r.eif_b is not None for r in records)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from eigensens import (
     CascadeUnderflowError,
+    LooEngine,
     NoValidRetentionError,
     build_switch_report,
     cascade_scan,
@@ -173,7 +174,8 @@ class TestRecommendL:
 class TestHybridInfluence:
     def test_empty_flagged_equals_empirical_series(self, oils):
         E = eigh(estimate(oils, COV_N))
-        series = hybrid_influence(oils, COV_N, 2, [], "B", eigen=E)
+        series = hybrid_influence(oils, COV_N, 2, [], "B",
+                                  engine=LooEngine(oils, COV_N, eigen=E))
         pure = eif_b_series(oils, 2, eigen=E)
         assert all(not hv.replaced for hv in series)
         np.testing.assert_array_equal([hv.value for hv in series], pure)
@@ -181,7 +183,8 @@ class TestHybridInfluence:
     def test_all_flagged_equals_sample_series(self):
         X = gaussian_data(3, 15, [2.0, 1.0, 0.4])
         E = eigh(estimate(X, COV_N))
-        series = hybrid_influence(X, COV_N, 2, range(1, 16), "B", eigen=E)
+        series = hybrid_influence(X, COV_N, 2, range(1, 16), "B",
+                                  engine=LooEngine(X, COV_N, eigen=E))
         assert all(hv.replaced for hv in series)
         for hv in series:
             assert hv.value == sif_b(X, COV_N, 2, hv.obs_index, eigen=E)
@@ -189,7 +192,8 @@ class TestHybridInfluence:
     def test_oils_flagged_entries_match_exact_oracle(self, oils):
         flagged = [28, 42, 57, 58, 59, 60, 90, 91, 93, 94, 95]
         E = eigh(estimate(oils, COV_N))
-        series = hybrid_influence(oils, COV_N, 2, flagged, "B", eigen=E)
+        series = hybrid_influence(oils, COV_N, 2, flagged, "B",
+                                  engine=LooEngine(oils, COV_N, eigen=E))
         empirical = eif_b_series(oils, 2, eigen=E)
         for hv in series:
             if hv.obs_index in flagged:
@@ -201,7 +205,8 @@ class TestHybridInfluence:
 
     def test_measure_c_uses_score_diagnostics(self, oils):
         E = eigh(estimate(oils, COV_N))
-        series = hybrid_influence(oils, COV_N, 2, [42], "C", eigen=E)
+        series = hybrid_influence(oils, COV_N, 2, [42], "C",
+                                  engine=LooEngine(oils, COV_N, eigen=E))
         empirical = scia_series(oils, 2, eigen=E)
         assert series[41].value == sci(oils, COV_N, 2, 42, eigen=E)
         assert series[0].value == empirical[0]
@@ -209,7 +214,8 @@ class TestHybridInfluence:
     def test_differs_from_empirical_exactly_on_flagged(self, oils):
         E = eigh(estimate(oils, COV_N))
         flagged = {42, 57}
-        series = hybrid_influence(oils, COV_N, 2, flagged, "B", eigen=E)
+        series = hybrid_influence(oils, COV_N, 2, flagged, "B",
+                                  engine=LooEngine(oils, COV_N, eigen=E))
         pure = eif_b_series(oils, 2, eigen=E)
         differing = {
             hv.obs_index for hv in series if hv.value != pure[hv.obs_index - 1]
