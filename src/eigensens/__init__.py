@@ -20,7 +20,6 @@ from .dataset import (
     DIVISOR_N_MINUS_1,
     DataMatrix,
     EstimatorSpec,
-    LooEstimator,
     SymmetricEstimate,
     estimate,
     estimate_loo,

@@ -18,7 +18,6 @@ __all__ = [
     "DataMatrix",
     "EstimatorSpec",
     "SymmetricEstimate",
-    "LooEstimator",
     "load_csv",
     "mean_vector",
     "estimate",
@@ -151,11 +150,12 @@ def load_csv(path, *, header: bool = True, label_col: str | None = None) -> Data
     ``header`` controls whether the first row carries column names.  When
     ``label_col`` names one of those columns, its cells become the row labels
     and it is excluded from the numeric values; otherwise rows are labeled by
-    their 1-based position.
+    their 1-based position.  A leading byte-order mark, which spreadsheet
+    "CSV UTF-8" exports write, is skipped.
     """
     path = Path(path)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -254,45 +254,9 @@ def estimate_loo(X: DataMatrix, spec: EstimatorSpec, i: int) -> SymmetricEstimat
     """Estimate over the n-1 observations that remain when ``i`` is removed.
 
     This is the plain re-estimation on the physically deleted matrix; it is
-    the reference semantics that the faster downdating path in
-    :class:`LooEstimator` must reproduce.
+    the reference semantics that the downdates of
+    :meth:`eigensens.influence.LooEngine.loo_block` must reproduce.
     """
     if X.n < 3:
         raise DataError(f"leave-one-out needs at least 3 observations, got {X.n}")
     return estimate(X.drop_rows([i]), spec)
-
-
-class LooEstimator:
-    """All leave-one-out estimates of one dataset via rank-one downdating.
-
-    Precomputes the centered scatter once, then produces each ``W_(i)`` in
-    O(p^2) instead of O(n p^2).  Results agree with :func:`estimate_loo`
-    to floating-point accuracy.
-    """
-
-    def __init__(self, X: DataMatrix, spec: EstimatorSpec = EstimatorSpec()):
-        if X.n < 3:
-            raise DataError(f"leave-one-out needs at least 3 observations, got {X.n}")
-        self._X = X
-        self.spec = spec
-        self.n = X.n
-        self.p = X.p
-        self.mean = X.values.mean(axis=0)
-        self._scatter = _scatter(X.values)
-
-    def loo(self, i: int) -> SymmetricEstimate:
-        """The estimate with observation ``i`` (1-based) removed."""
-        return SymmetricEstimate(self.loo_block(i, i)[0], self.spec, self.n - 1)
-
-    def loo_block(self, first: int, last: int) -> np.ndarray:
-        """Stacked estimates without each of observations ``first..last``.
-
-        Indices are 1-based and inclusive; the result is (last-first+1) x p x
-        p; entry k is the estimate without observation ``first + k``.
-        """
-        self._X._check_index(first)
-        self._X._check_index(last)
-        delta = self._X.values[first - 1:last] - self.mean
-        outer = delta[:, :, None] * delta[:, None, :]
-        scatters = self._scatter - (self.n / (self.n - 1.0)) * outer
-        return _finish(scatters, self.spec, self.n - 1, self._X.col_labels)

@@ -17,9 +17,11 @@ leave-one-out estimate at the full-data eigenvectors.  Crucially those
 approximations are *not* re-sorted; they stay indexed by the full-data ranks,
 which is what makes order disruptions visible to the switching detector.
 
-:class:`LooEngine` holds the leave-one-out work of one run: the full-data
-decomposition, the approximate table (computed once) and the exact reduced
-decompositions, one per observation that needs one.
+:class:`LooEngine` holds the leave-one-out state of one run: the full-data
+decomposition, mean and scatter, the rank-one downdates, the approximate table
+(computed once) and the exact reduced decompositions, one per observation
+that needs one.  The sweeps take it as ``engine=``; the per-observation
+functions are references that decompose their own input.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .dataset import (
     COVARIANCE,
     DataMatrix,
     EstimatorSpec,
-    LooEstimator,
     SymmetricEstimate,
     _finish,
     _scatter,
@@ -72,11 +73,6 @@ class EigenInfluence:
     hif: np.ndarray
 
 
-def _full_eigen(X: DataMatrix, spec: EstimatorSpec,
-                eigen: EigenSystem | None) -> EigenSystem:
-    return eigen if eigen is not None else eigh(estimate(X, spec))
-
-
 def component_score(E: EigenSystem, xbar: np.ndarray, x_i: np.ndarray, l: int) -> float:
     """Score of a point on the l-th eigenvector (1-based): eta_l . (x_i - xbar)."""
     return float(E.vector(l) @ (np.asarray(x_i, float) - np.asarray(xbar, float)))
@@ -87,24 +83,20 @@ def _require_loo(X: DataMatrix) -> None:
         raise DataError(f"leave-one-out needs at least 3 observations, got {X.n}")
 
 
-def approx_eigenvalues_loo(
-    X: DataMatrix,
-    spec: EstimatorSpec,
-    i: int,
-    *,
-    eigen: EigenSystem | None = None,
-) -> np.ndarray:
+def approx_eigenvalues_loo(X: DataMatrix, spec: EstimatorSpec, i: int) -> np.ndarray:
     """Approximate all eigenvalues of the estimate with observation ``i`` removed.
 
     Entry j-1 is the Rayleigh quotient of the leave-one-out estimate at the
     j-th full-data eigenvector, kept in full-data rank order.  Uses the
-    full-data eigenvectors as fixed directions, so no additional
-    decomposition is required once ``eigen`` is available.
+    full-data eigenvectors as fixed directions, so the full-data
+    decomposition is the only one required.
     """
-    _require_loo(X)
-    E = _full_eigen(X, spec, eigen)
-    w_loo = LooEstimator(X, spec).loo(i).matrix
-    return np.einsum("jp,jk,kp->p", E.vectors, w_loo, E.vectors)
+    return _rayleigh_row(LooEngine(X, spec), i)
+
+
+def _rayleigh_row(engine: LooEngine, i: int) -> np.ndarray:
+    V = engine.eigen.vectors
+    return np.einsum("jp,jk,kp->p", V, engine.loo_block(i, i)[0], V)
 
 
 def _chunk_rows(p: int) -> int:
@@ -116,7 +108,7 @@ def loo_eigenvalue_table(
     X: DataMatrix,
     spec: EstimatorSpec,
     *,
-    eigen: EigenSystem | None = None,
+    engine: LooEngine | None = None,
 ) -> np.ndarray:
     """n x p table of approximated leave-one-out eigenvalues, one row per i.
 
@@ -125,41 +117,60 @@ def loo_eigenvalue_table(
     blocks, each projected onto the full-data eigenvectors in one call.  Every
     row equals :func:`approx_eigenvalues_loo` for its observation exactly.
     """
-    _require_loo(X)
-    E = _full_eigen(X, spec, eigen)
-    loo = LooEstimator(X, spec)
+    engine = _engine(X, spec, engine)
+    V = engine.eigen.vectors
     table = np.empty((X.n, X.p))
     step = _chunk_rows(X.p)
     for first in range(1, X.n + 1, step):
         last = min(first + step - 1, X.n)
         table[first - 1:last] = np.einsum(
-            "jp,ijk,kp->ip", E.vectors, loo.loo_block(first, last), E.vectors
+            "jp,ijk,kp->ip", V, engine.loo_block(first, last), V
         )
     return table
 
 
 class LooEngine:
-    """The leave-one-out work of one run, shared by every diagnostic.
+    """The full-data and leave-one-out state of one run, shared by all diagnostics.
 
-    Holds the full-data decomposition, computes the approximate table of
-    :func:`loo_eigenvalue_table` once on first use, and decomposes reduced
-    estimates in stacked blocks.  A diagnostic handed an engine never rebuilds
-    what the engine already has.
+    Holds the full-data decomposition, mean and scatter; produces each
+    leave-one-out estimate as a rank-one downdate in O(p^2); computes the
+    approximate table of :func:`loo_eigenvalue_table` once on first use; and
+    decomposes reduced estimates in stacked blocks.  A diagnostic handed an
+    engine never rebuilds what the engine already has.
     """
 
     def __init__(self, X: DataMatrix, spec: EstimatorSpec = EstimatorSpec(), *,
                  eigen: EigenSystem | None = None):
         self.X = X
         self.spec = spec
-        self.eigen = _full_eigen(X, spec, eigen)
+        self.eigen = eigen if eigen is not None else eigh(estimate(X, spec))
+        self.mean = X.values.mean(axis=0)
+        self._scatter = _scatter(X.values)
         self._table: np.ndarray | None = None
 
     @property
     def table(self) -> np.ndarray:
         """n x p approximated leave-one-out eigenvalues, in full-data rank order."""
         if self._table is None:
-            self._table = loo_eigenvalue_table(self.X, self.spec, eigen=self.eigen)
+            self._table = loo_eigenvalue_table(self.X, self.spec, engine=self)
         return self._table
+
+    def loo_block(self, first: int, last: int) -> np.ndarray:
+        """Stacked estimates without each of observations ``first..last``.
+
+        Indices are 1-based and inclusive; the result is (last-first+1) x p x
+        p; entry k is the estimate without observation ``first + k``, a
+        rank-one downdate of the full-data scatter that agrees with
+        :func:`eigensens.dataset.estimate_loo` to floating-point accuracy.
+        """
+        X = self.X
+        _require_loo(X)
+        X._check_index(first)
+        X._check_index(last)
+        delta = X.values[first - 1:last] - self.mean
+        outer = delta[:, :, None] * delta[:, None, :]
+        scatters = self._scatter - (X.n / (X.n - 1.0)) * outer
+        return _finish(scatters, self.spec, X.n - 1, X.col_labels)
 
     def reduced(self, rows: Iterable[int]) -> Iterator[tuple[int, EigenSystem]]:
         """Exact decomposition of the estimate without each of ``rows``.
@@ -209,8 +220,6 @@ def sif_eigenvalue(
     spec: EstimatorSpec,
     j: int,
     i: int,
-    *,
-    eigen: EigenSystem | None = None,
 ) -> float:
     """Sample influence of observation ``i`` on the j-th eigenvalue (1-based).
 
@@ -218,7 +227,7 @@ def sif_eigenvalue(
     the observation, both taken in descending order from true decompositions.
     """
     _require_loo(X)
-    E = _full_eigen(X, spec, eigen)
+    E = eigh(estimate(X, spec))
     _check_unique(E, j, "the sample influence of an eigenvalue")
     loo_values = eigh(estimate_loo(X, spec, i)).values
     return -(X.n - 1) * (float(loo_values[j - 1]) - E.value(j))
@@ -248,8 +257,6 @@ def eif_eigenvalue(
     j: int,
     i: int,
     spec: EstimatorSpec = EstimatorSpec(),
-    *,
-    eigen: EigenSystem | None = None,
 ) -> float:
     """Closed-form empirical influence on the j-th covariance eigenvalue.
 
@@ -262,7 +269,7 @@ def eif_eigenvalue(
             f"{spec.kind!r} estimates; use hif_eigenvalue, which works for "
             "any symmetric estimator"
         )
-    E = _full_eigen(X, spec, eigen)
+    E = eigh(estimate(X, spec))
     w = component_score(E, mean_vector(X), X.row(i), j)
     return w * w - E.value(j)
 
@@ -272,36 +279,32 @@ def hif_eigenvalue(
     spec: EstimatorSpec,
     j: int,
     i: int,
-    *,
-    eigen: EigenSystem | None = None,
 ) -> float:
     """Hybrid influence on the j-th eigenvalue, valid for any estimator kind.
 
     Equals -(n-1) times the approximated eigenvalue shift of
     :func:`approx_eigenvalues_loo`, by construction exactly.
     """
-    E = _full_eigen(X, spec, eigen)
-    approx = approx_eigenvalues_loo(X, spec, i, eigen=E)
-    return -(X.n - 1) * (float(approx[j - 1]) - E.value(j))
+    engine = LooEngine(X, spec)
+    approx = _rayleigh_row(engine, i)
+    return -(X.n - 1) * (float(approx[j - 1]) - engine.eigen.value(j))
 
 
 def eigen_influence(
     X: DataMatrix,
     spec: EstimatorSpec,
     i: int,
-    *,
-    eigen: EigenSystem | None = None,
 ) -> EigenInfluence:
     """Empirical and hybrid per-eigenvalue influence for one observation.
 
     The empirical column is present only for covariance estimates.
     """
-    E = _full_eigen(X, spec, eigen)
-    approx = approx_eigenvalues_loo(X, spec, i, eigen=E)
-    hif = -(X.n - 1) * (approx - E.values)
+    engine = LooEngine(X, spec)
+    E = engine.eigen
+    hif = -(X.n - 1) * (_rayleigh_row(engine, i) - E.values)
     eif = None
     if spec.kind == COVARIANCE:
-        w = E.vectors.T @ (X.row(i) - mean_vector(X))
+        w = E.vectors.T @ (X.row(i) - engine.mean)
         eif = w * w - E.values
     return EigenInfluence(i, eif, hif)
 

@@ -27,8 +27,8 @@ from .dataset import (
     COVARIANCE,
     DataMatrix,
     EstimatorSpec,
+    estimate,
     estimate_loo,
-    mean_vector,
 )
 from .eigen import (
     EigenSystem,
@@ -40,7 +40,7 @@ from .eigen import (
     eigh,
 )
 from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
-from .influence import LooEngine, _engine, _full_eigen, _require_loo
+from .influence import LooEngine, _engine, _require_loo
 
 __all__ = [
     "InfluenceRecord",
@@ -143,8 +143,6 @@ def sif_b(
     spec: EstimatorSpec,
     L: int,
     i: int,
-    *,
-    eigen: EigenSystem | None = None,
 ) -> float:
     """Sample influence of observation ``i`` on the retained L-dim subspace.
 
@@ -153,7 +151,7 @@ def sif_b(
     """
     _require_loo(X)
     X._check_index(i)
-    E = _full_eigen(X, spec, eigen)
+    E = eigh(estimate(X, spec))
     if not 1 <= L <= E.p:
         raise ValueError(f"L={L} out of range 1..{E.p}")
     if L == E.p:
@@ -181,17 +179,18 @@ def _check_denominators(E: EigenSystem, L: int) -> None:
 
 
 def _empirical_pieces(X: DataMatrix, spec: EstimatorSpec, L: int,
-                      eigen: EigenSystem | None):
+                      engine: LooEngine | None):
     if spec.kind != COVARIANCE:
         raise UnsupportedEstimatorError(
             "empirical subspace influence uses the covariance closed form; "
             f"got {spec.kind!r} (use the exact measures instead)"
         )
-    E = _full_eigen(X, spec, eigen)
+    engine = _engine(X, spec, engine)
+    E = engine.eigen
     if not 1 <= L < E.p:
         raise ValueError(f"L={L} out of range 1..{E.p - 1} for empirical measures")
     _check_denominators(E, L)
-    scores = (X.values - mean_vector(X)) @ E.vectors
+    scores = (X.values - engine.mean) @ E.vectors
     return E, scores
 
 
@@ -200,14 +199,14 @@ def eif_b_series(
     L: int,
     spec: EstimatorSpec = EstimatorSpec(),
     *,
-    eigen: EigenSystem | None = None,
+    engine: LooEngine | None = None,
 ) -> np.ndarray:
     """Empirical subspace influence for every observation in one pass.
 
     Uses only the full-data eigenvalues and scores, so the entire series
-    costs a single decomposition.
+    costs a single decomposition, taken from ``engine`` when one is given.
     """
-    E, om = _empirical_pieces(X, spec, L, eigen)
+    E, om = _empirical_pieces(X, spec, L, engine)
     lam = E.values
     total = np.zeros(X.n)
     for l in range(L):
@@ -223,10 +222,10 @@ def scia_series(
     L: int,
     spec: EstimatorSpec = EstimatorSpec(),
     *,
-    eigen: EigenSystem | None = None,
+    engine: LooEngine | None = None,
 ) -> np.ndarray:
     """Empirical score-space influence for every observation in one pass."""
-    E, om = _empirical_pieces(X, spec, L, eigen)
+    E, om = _empirical_pieces(X, spec, L, engine)
     lam = E.values
     total = np.zeros(X.n)
     for l in range(L):
@@ -246,12 +245,10 @@ def eif_b(
     L: int,
     i: int,
     spec: EstimatorSpec = EstimatorSpec(),
-    *,
-    eigen: EigenSystem | None = None,
 ) -> float:
     """Empirical counterpart of :func:`sif_b` for observation ``i``."""
     X._check_index(i)
-    return float(eif_b_series(X, L, spec, eigen=eigen)[i - 1])
+    return float(eif_b_series(X, L, spec)[i - 1])
 
 
 def scia(
@@ -259,12 +256,10 @@ def scia(
     L: int,
     i: int,
     spec: EstimatorSpec = EstimatorSpec(),
-    *,
-    eigen: EigenSystem | None = None,
 ) -> float:
     """Empirical counterpart of :func:`sci` for observation ``i``."""
     X._check_index(i)
-    return float(scia_series(X, L, spec, eigen=eigen)[i - 1])
+    return float(scia_series(X, L, spec)[i - 1])
 
 
 def sci(
@@ -272,8 +267,6 @@ def sci(
     spec: EstimatorSpec,
     L: int,
     i: int,
-    *,
-    eigen: EigenSystem | None = None,
 ) -> float:
     """Sample influence of observation ``i`` on the retained score space.
 
@@ -282,8 +275,7 @@ def sci(
     rows are the same on both sides; only the basis changes.
     """
     _require_loo(X)
-    E = _full_eigen(X, spec, eigen)
-    measures = _SampleMeasures(X, E, L)
+    measures = _SampleMeasures(X, eigh(estimate(X, spec)), L)
     return measures.sci(eigh(estimate_loo(X, spec, i)))
 
 
@@ -311,8 +303,8 @@ def influence_records(
     note = _boundary_note(E, L, "full-data")
     empirical_b = empirical_c = None
     try:
-        empirical_b = eif_b_series(X, L, spec, eigen=E)
-        empirical_c = scia_series(X, L, spec, eigen=E)
+        empirical_b = eif_b_series(X, L, spec, engine=engine)
+        empirical_c = scia_series(X, L, spec, engine=engine)
     except (DegenerateEigenvaluesError, UnsupportedEstimatorError) as exc:
         note = str(exc) if note is None else f"{note}; {exc}"
 

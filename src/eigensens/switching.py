@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import DataMatrix, EstimatorSpec
 from .eigen import EigenSystem
 from .errors import CascadeUnderflowError, DataError, NoValidRetentionError
-from .influence import LooEngine, _engine, _full_eigen, loo_eigenvalue_table
+from .influence import LooEngine, _engine
 from .subspace_diag import (
     _SampleMeasures,
     _warn_boundaries,
@@ -142,15 +142,15 @@ def detect_switching(
     spec: EstimatorSpec,
     pairs: Sequence[tuple[int, int]] | None = None,
     *,
-    eigen: EigenSystem | None = None,
+    engine: LooEngine | None = None,
 ) -> list[SwitchEvent]:
     """Flag every (i, pair) where removal reverses the approximated order.
 
     One full-data decomposition covers the entire sweep; no reduced matrix
-    is decomposed.
+    is decomposed.  The table is taken from ``engine`` when one is given.
     """
     wanted = _normalise_pairs(pairs, X.p)
-    table = loo_eigenvalue_table(X, spec, eigen=eigen)
+    table = _engine(X, spec, engine).table
     return _scan(X, table, wanted, reversed_pairs=True, delta=None)
 
 
@@ -160,7 +160,7 @@ def detect_near_switch(
     delta: float = DEFAULT_NEAR_DELTA,
     pairs: Sequence[tuple[int, int]] | None = None,
     *,
-    eigen: EigenSystem | None = None,
+    engine: LooEngine | None = None,
 ) -> list[SwitchEvent]:
     """Flag every (i, pair) whose approximated eigenvalues sit within delta.
 
@@ -170,7 +170,7 @@ def detect_near_switch(
     """
     _check_delta(delta)
     wanted = _normalise_pairs(pairs, X.p)
-    table = loo_eigenvalue_table(X, spec, eigen=eigen)
+    table = _engine(X, spec, engine).table
     return _scan(X, table, wanted, reversed_pairs=False, delta=delta)
 
 
@@ -236,7 +236,7 @@ def recommend_L(
     spec: EstimatorSpec,
     candidate_L: int,
     *,
-    eigen: EigenSystem | None = None,
+    engine: LooEngine | None = None,
     events: Sequence[SwitchEvent] | None = None,
 ) -> RetentionAdvice:
     """Adjust a candidate retained count away from switching boundaries.
@@ -245,14 +245,15 @@ def recommend_L(
     stable under single-observation removal.  Retaining one more component
     keeps both eigenvectors involved and is preferred; when that would mean
     retaining everything, one fewer is recommended instead.  The walk
-    continues while the new boundary is also disrupted.
+    continues while the new boundary is also disrupted.  Without ``events``,
+    switching is detected on the table of ``engine``.
     """
-    E = _full_eigen(X, spec, eigen)
-    p = E.p
+    engine = _engine(X, spec, engine)
+    p = X.p
     if not 1 <= candidate_L < p:
         raise ValueError(f"candidate_L={candidate_L} out of range 1..{p - 1}")
     if events is None:
-        events = detect_switching(X, spec, eigen=E)
+        events = detect_switching(X, spec, engine=engine)
     switched: dict[int, list[int]] = {}
     for ev in events:
         if ev.kind == KIND_SWITCH:
@@ -324,7 +325,7 @@ def hybrid_influence(
     engine = _engine(X, spec, engine)
     E = engine.eigen
     series_of = eif_b_series if measure == MEASURE_B else scia_series
-    series = series_of(X, L, spec, eigen=E)
+    series = series_of(X, L, spec, engine=engine)
     exact = {}
     if flagged_set:
         measures = _SampleMeasures(X, E, L)
@@ -360,14 +361,13 @@ def build_switch_report(
     """
     _check_delta(delta)
     engine = _engine(X, spec, engine)
-    E = engine.eigen
-    wanted = _normalise_pairs(pairs, E.p)
+    wanted = _normalise_pairs(pairs, X.p)
     detected = _scan(X, engine.table, wanted, reversed_pairs=True, delta=delta)
     events = detected
     if verify:
         events = verify_exact(events, X, spec, delta=delta, engine=engine)
     try:
-        advice = recommend_L(X, spec, candidate_L, eigen=E, events=detected)
+        advice = recommend_L(X, spec, candidate_L, engine=engine, events=detected)
     except NoValidRetentionError as exc:
         advice = RetentionAdvice(candidate_L, f"retention advice failed: {exc}")
     hybrid = None

@@ -12,24 +12,23 @@ from scipy.optimize import linear_sum_assignment
 from scipy.stats import spearmanr
 
 from eigensens import (
+    LooEngine,
     approx_eigenvalues_loo,
     count_decompositions,
     detect_near_switch,
     detect_switching,
     eigen_influence,
     eigh,
-    estimate,
     estimate_loo,
     hybrid_influence,
     eigenvalue_gradient_check,
-    loo_eigenvalue_table,
     recommend_L,
     sci,
     scia_series,
     sif_b,
     eif_b_series,
 )
-from eigensens.dataset import DataMatrix, LooEstimator
+from eigensens.dataset import DataMatrix
 
 from conftest import COV_N
 
@@ -101,17 +100,16 @@ def test_criterion_4_recommendation(oils):
 
 def test_criterion_5_underestimation_property(oils):
     with criterion(5, "empirical measures underestimate at switching points"):
-        E = eigh(estimate(oils, COV_N))
         flagged = [42, 57, 58, 59, 60, 91, 93]
         switching = np.zeros(oils.n, dtype=bool)
         switching[np.array(flagged) - 1] = True
 
         every = range(1, oils.n + 1)
         ratios = {
-            "|EIF_B|/|SIF_B|": np.abs(eif_b_series(oils, 2, eigen=E)) / np.abs(
-                [sif_b(oils, COV_N, 2, i, eigen=E) for i in every]),
-            "|SCIA|/|SCI|": np.abs(scia_series(oils, 2, eigen=E)) / np.abs(
-                [sci(oils, COV_N, 2, i, eigen=E) for i in every]),
+            "|EIF_B|/|SIF_B|": np.abs(eif_b_series(oils, 2)) / np.abs(
+                [sif_b(oils, COV_N, 2, i) for i in every]),
+            "|SCIA|/|SCI|": np.abs(scia_series(oils, 2)) / np.abs(
+                [sci(oils, COV_N, 2, i) for i in every]),
         }
         # The paper gives no size for the shortfall at switching points.
         # Obs 58 reaches |EIF_B|/|SIF_B| = 0.70 (its closed form agrees with a
@@ -145,28 +143,28 @@ def test_criterion_5_underestimation_property(oils):
 
         for L in (1, 3):
             sample_b = np.array([
-                sif_b(oils, COV_N, L, i, eigen=E) for i in range(1, 97)
+                sif_b(oils, COV_N, L, i) for i in range(1, 97)
             ])
             sample_c = np.array([
-                sci(oils, COV_N, L, i, eigen=E) for i in range(1, 97)
+                sci(oils, COV_N, L, i) for i in range(1, 97)
             ])
             assert np.max(np.abs(sample_b)) < 1.0
-            emp_b = eif_b_series(oils, L, eigen=E)
-            emp_c = scia_series(oils, L, eigen=E)
+            emp_b = eif_b_series(oils, L)
+            emp_c = scia_series(oils, L)
             assert spearmanr(np.abs(emp_b), np.abs(sample_b)).statistic > 0.9
             assert spearmanr(np.abs(emp_c), np.abs(sample_c)).statistic > 0.9
 
 
 def _check_identities(X):
     n = X.n
-    E = eigh(estimate(X, COV_N))
-    table = loo_eigenvalue_table(X, COV_N, eigen=E)
-    loo = LooEstimator(X, COV_N)
+    engine = LooEngine(X, COV_N)
+    E, table = engine.eigen, engine.table
     for i in range(1, n + 1):
-        info = eigen_influence(X, COV_N, i, eigen=E)
+        info = eigen_influence(X, COV_N, i)
         residual = info.hif + (n - 1) * (table[i - 1] - E.values)
         assert np.max(np.abs(residual)) == 0.0
-        assert abs(np.sum(table[i - 1]) - np.trace(loo.loo(i).matrix)) <= 1e-8
+        trace = np.trace(engine.loo_block(i, i)[0])
+        assert abs(np.sum(table[i - 1]) - trace) <= 1e-8
         exact_top = eigh(estimate_loo(X, COV_N, i)).values[0]
         assert table[i - 1, 0] <= exact_top + 1e-10
 
@@ -198,8 +196,8 @@ def test_criterion_7_oracle_equivalence():
             medians = []
             for n in (20, 40, 80, 160):
                 X = DataMatrix(pool[:n].copy())
-                E = eigh(estimate(X, COV_N))
-                table = loo_eigenvalue_table(X, COV_N, eigen=E)
+                engine = LooEngine(X, COV_N)
+                E, table = engine.eigen, engine.table
                 errors = []
                 for i in range(1, n + 1):
                     reduced = eigh(estimate_loo(X, COV_N, i))

@@ -219,6 +219,31 @@ class TestSwitching:
                                                  range(1, 8))
 
 
+class TestStdout:
+    """Without --out, the report goes to stdout."""
+
+    @pytest.mark.parametrize("command", ["analyze", "influence", "switching"])
+    def test_json_equals_the_out_file(self, tmp_path, capsys, command):
+        argv = [command, "--input", OILS, "--label-col", "oil_type"]
+        out = tmp_path / "report.json"
+        assert run(*argv, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run(*argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+    def test_csv_tables_follow_each_other(self, tmp_path, capsys):
+        argv = ["analyze", "--input", OILS, "--label-col", "oil_type",
+                "--format", "csv"]
+        out = tmp_path / "analysis.csv"
+        assert run(*argv, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run(*argv) == 0
+        scree = out.read_text()
+        scores = (tmp_path / "analysis_scores.csv").read_text()
+        assert scree.startswith("component,") and scores.startswith("obs,")
+        assert capsys.readouterr().out == scree + "\n# table: scores\n" + scores
+
+
 class TestExitCodesAndConfig:
     def test_missing_input_is_a_data_error(self, tmp_path, capsys):
         assert run("switching", "--input", str(tmp_path / "nope.csv")) == 1

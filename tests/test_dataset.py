@@ -9,7 +9,7 @@ from eigensens import (
     DataError,
     DataMatrix,
     EstimatorSpec,
-    LooEstimator,
+    LooEngine,
     ZeroVarianceError,
     estimate,
     estimate_loo,
@@ -88,6 +88,19 @@ class TestLoadCsv:
         path.write_text("id,a\nr1,1\nr2,2\nr3,3\n")
         with pytest.raises(DataError, match="'nope' not found"):
             load_csv(path, label_col="nope")
+
+    @pytest.mark.parametrize("text, options", [
+        ("oil_type,a,b\nA,1,2\nB,3,4\nC,5,6\n", {"label_col": "oil_type"}),
+        ("1,2\n3,4\n5,6\n", {"header": False}),
+    ], ids=["label-col", "no-header"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, options):
+        # spreadsheet "CSV UTF-8" exports start the file with U+FEFF
+        path = tmp_path / "bom.csv"
+        path.write_text(text, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        X = load_csv(path, **options)
+        assert np.array_equal(X.values, [[1, 2], [3, 4], [5, 6]])
+        assert X.col_labels == (["a", "b"] if "label_col" in options else ["x1", "x2"])
 
     def test_label_column_requires_header(self, tmp_path):
         path = tmp_path / "plain.csv"
@@ -202,11 +215,11 @@ class TestEstimateLoo:
     @pytest.mark.parametrize("spec", [COV_N, COV_N1, COR_N])
     def test_downdate_matches_physical_deletion(self, spec):
         X = gaussian_data(7, 12, [3.0, 1.0, 0.4, 0.1])
-        loo = LooEstimator(X, spec)
+        engine = LooEngine(X, spec)
         for i in range(1, X.n + 1):
             direct = estimate(X.drop_rows([i]), spec).matrix
             np.testing.assert_allclose(
-                loo.loo(i).matrix, direct, rtol=0, atol=1e-10
+                engine.loo_block(i, i)[0], direct, rtol=0, atol=1e-10
             )
 
     def test_correlation_loo_zero_variance(self):
@@ -219,7 +232,7 @@ class TestEstimateLoo:
         with pytest.raises(ZeroVarianceError, match="'b'"):
             estimate_loo(X, COR_N, 4)
         with pytest.raises(ZeroVarianceError, match="'b'"):
-            LooEstimator(X, COR_N).loo(4)
+            LooEngine(X, COR_N).loo_block(4, 4)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -228,10 +241,10 @@ class TestEstimateLoo:
         n = int(rng.integers(3, 15))
         p = int(rng.integers(1, 6))
         X = make_data(rng.normal(size=(n, p)) * rng.uniform(0.5, 4.0, size=p))
-        loo = LooEstimator(X, COV_N)
+        engine = LooEngine(X, COV_N)
         i = int(rng.integers(1, n + 1))
         np.testing.assert_allclose(
-            loo.loo(i).matrix,
+            engine.loo_block(i, i)[0],
             estimate(X.drop_rows([i]), COV_N).matrix,
             rtol=0,
             atol=1e-10,

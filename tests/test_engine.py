@@ -20,14 +20,27 @@ from eigensens import (
     build_switch_report,
     bundled_oils_path,
     count_decompositions,
+    detect_near_switch,
+    detect_switching,
+    eif_b,
+    eif_b_series,
+    eif_eigenvalue,
+    eigen_influence,
     eigh,
     eigh_stack,
     estimate,
     estimate_loo,
+    hif_eigenvalue,
     hybrid_influence,
     influence_records,
     load_oils,
     loo_eigenvalue_table,
+    recommend_L,
+    sci,
+    scia,
+    scia_series,
+    sif_b,
+    sif_eigenvalue,
     verify_exact,
 )
 from eigensens.cli import main
@@ -43,6 +56,15 @@ SEEDED = gaussian_data(3, 400, np.linspace(3.0, 1.0, 30))
 
 # every function that takes engine=, called on (X, spec) with that engine
 ENGINE_TAKERS = {
+    "loo_eigenvalue_table":
+        lambda X, spec, engine: loo_eigenvalue_table(X, spec, engine=engine),
+    "eif_b_series": lambda X, spec, engine: eif_b_series(X, 2, spec, engine=engine),
+    "scia_series": lambda X, spec, engine: scia_series(X, 2, spec, engine=engine),
+    "detect_switching":
+        lambda X, spec, engine: detect_switching(X, spec, engine=engine),
+    "detect_near_switch":
+        lambda X, spec, engine: detect_near_switch(X, spec, engine=engine),
+    "recommend_L": lambda X, spec, engine: recommend_L(X, spec, 2, engine=engine),
     "influence_records":
         lambda X, spec, engine: influence_records(X, spec, 2, engine=engine),
     "verify_exact": lambda X, spec, engine: verify_exact(
@@ -52,6 +74,21 @@ ENGINE_TAKERS = {
         lambda X, spec, engine: hybrid_influence(X, spec, 2, [1], engine=engine),
     "build_switch_report": lambda X, spec, engine: build_switch_report(
         X, spec, candidate_L=2, engine=engine),
+}
+
+# every per-observation reference, on observation 58 of oils under COV_N, with
+# the decompositions it costs: its own full-data one, and for the sample
+# influences the reduced one as well
+PER_ROW_COST = {
+    "approx_eigenvalues_loo": (lambda X: approx_eigenvalues_loo(X, COV_N, 58), 1),
+    "hif_eigenvalue": (lambda X: hif_eigenvalue(X, COV_N, 2, 58), 1),
+    "eigen_influence": (lambda X: eigen_influence(X, COV_N, 58), 1),
+    "eif_eigenvalue": (lambda X: eif_eigenvalue(X, 2, 58), 1),
+    "eif_b": (lambda X: eif_b(X, 2, 58), 1),
+    "scia": (lambda X: scia(X, 2, 58), 1),
+    "sif_eigenvalue": (lambda X: sif_eigenvalue(X, COV_N, 2, 58), 2),
+    "sif_b": (lambda X: sif_b(X, COV_N, 2, 58), 2),
+    "sci": (lambda X: sci(X, COV_N, 2, 58), 2),
 }
 
 
@@ -68,10 +105,9 @@ def test_seeded_rows_are_not_a_multiple_of_the_block():
 @pytest.mark.parametrize("X", _datasets())
 class TestAgainstReference:
     def test_table_rows_equal_per_row_approximation(self, X, spec):
-        E = eigh(estimate(X, spec))
-        table = loo_eigenvalue_table(X, spec, eigen=E)
+        table = loo_eigenvalue_table(X, spec)
         for i in range(1, X.n + 1):
-            ref = approx_eigenvalues_loo(X, spec, i, eigen=E)
+            ref = approx_eigenvalues_loo(X, spec, i)
             assert np.array_equal(table[i - 1], ref), f"row {i}"
 
     def test_reduced_systems_equal_reference_decompositions(self, X, spec):
@@ -111,11 +147,18 @@ class TestEngine:
 
     @pytest.mark.parametrize("call", ENGINE_TAKERS.values(), ids=ENGINE_TAKERS.keys())
     def test_engine_for_other_data_is_refused(self, oils, call):
-        engine = LooEngine(SEEDED, COV_N)
         with pytest.raises(ValueError, match="engine"):
-            call(oils, COV_N, engine)
+            call(oils, COV_N, LooEngine(SEEDED, COV_N))
+        # another estimator's state must not reach a sweep: on oils, the
+        # correlation decomposition hides all seven covariance (2,3) switches
         with pytest.raises(ValueError, match="engine"):
-            call(SEEDED, COR_N, engine)
+            call(oils, COV_N, LooEngine(oils, COR_N))
+
+    @pytest.mark.parametrize("call, cost", PER_ROW_COST.values(), ids=PER_ROW_COST.keys())
+    def test_per_row_reference_decomposes_its_own_input(self, oils, call, cost):
+        with count_decompositions() as window:
+            call(oils)
+        assert window.total == cost
 
     def test_table_reports_zero_variance_after_removal(self):
         X = DataMatrix(

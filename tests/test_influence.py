@@ -4,8 +4,10 @@ import pytest
 from eigensens import (
     DegenerateEigenvaluesError,
     EigenSystem,
+    LooEngine,
     UnsupportedEstimatorError,
     approx_eigenvalues_loo,
+    eif_b_series,
     eif_covariance,
     eif_eigenvalue,
     eigen_influence,
@@ -17,9 +19,9 @@ from eigensens import (
     loo_eigenvalue_table,
     mean_vector,
     component_score,
+    scia_series,
     sif_eigenvalue,
 )
-from eigensens.dataset import LooEstimator
 
 from conftest import COV_N, COV_N1, COR_N, gaussian_data, make_data
 
@@ -74,7 +76,7 @@ class TestApproxEigenvaluesLoo:
             spread = E.values[0] - E.values[-1]
             errors = []
             for i in range(1, n + 1):
-                approx = approx_eigenvalues_loo(X, COV_N, i, eigen=E)
+                approx = approx_eigenvalues_loo(X, COV_N, i)
                 exact = eigh(estimate_loo(X, COV_N, i)).values
                 err = np.max(np.abs(approx - exact))
                 assert err <= 0.15 * spread
@@ -83,12 +85,10 @@ class TestApproxEigenvaluesLoo:
         assert medians[30] > medians[60] > medians[120]
 
     def test_table_matches_single_calls(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        table = loo_eigenvalue_table(oils, COV_N, eigen=E)
+        table = loo_eigenvalue_table(oils, COV_N)
         for i in (1, 42, 96):
             np.testing.assert_array_equal(
-                table[i - 1],
-                approx_eigenvalues_loo(oils, COV_N, i, eigen=E),
+                table[i - 1], approx_eigenvalues_loo(oils, COV_N, i)
             )
 
 
@@ -105,12 +105,12 @@ class TestSifEigenvalue:
         X = make_data(values)
         E = eigh(estimate(X, COV_N))
         for j in (1, 2, 3):
-            s = sif_eigenvalue(X, COV_N, j, 38, eigen=E)
+            s = sif_eigenvalue(X, COV_N, j, 38)
             assert abs(s) <= 2.0 * E.values[j - 1]
 
     def test_oils_obs57_second_eigenvalue(self, oils):
         E = eigh(estimate(oils, COV_N))
-        s = sif_eigenvalue(oils, COV_N, 2, 57, eigen=E)
+        s = sif_eigenvalue(oils, COV_N, 2, 57)
         loo2 = eigh(estimate_loo(oils, COV_N, 57)).values[1]
         assert s == pytest.approx(-95.0 * (loo2 - E.values[1]), abs=1e-9)
         assert round(loo2, 3) == pytest.approx(9.850)
@@ -151,7 +151,7 @@ class TestEifEigenvalue:
         X, i = centered_with_mean_row
         E = eigh(estimate(X, COV_N))
         for j in (1, 2, 3):
-            assert eif_eigenvalue(X, j, i, eigen=E) == pytest.approx(
+            assert eif_eigenvalue(X, j, i) == pytest.approx(
                 -E.values[j - 1], abs=1e-12
             )
 
@@ -173,10 +173,10 @@ class TestEifEigenvalue:
         for i in range(1, n + 1):
             if not inside[i - 1]:
                 continue
-            s = sif_eigenvalue(X, COV_N, 1, i, eigen=E)
+            s = sif_eigenvalue(X, COV_N, 1, i)
             if abs(s) < 0.2 * E.values[0]:
                 continue
-            e = eif_eigenvalue(X, 1, i, eigen=E)
+            e = eif_eigenvalue(X, 1, i)
             assert abs(e - s) <= 0.10 * abs(s)
             checked += 1
         assert checked >= 10
@@ -194,15 +194,15 @@ class TestHifEigenvalue:
     def test_identity_with_approximation(self, oils):
         E = eigh(estimate(oils, COV_N))
         for i in (1, 42, 57):
-            approx = approx_eigenvalues_loo(oils, COV_N, i, eigen=E)
+            approx = approx_eigenvalues_loo(oils, COV_N, i)
             for j in (1, 2, 7):
-                h = hif_eigenvalue(oils, COV_N, j, i, eigen=E)
+                h = hif_eigenvalue(oils, COV_N, j, i)
                 assert h + 95.0 * (approx[j - 1] - E.values[j - 1]) == 0.0
 
     def test_oils_obs57_second_eigenvalue(self, oils):
         E = eigh(estimate(oils, COV_N))
-        approx2 = approx_eigenvalues_loo(oils, COV_N, 57, eigen=E)[1]
-        h = hif_eigenvalue(oils, COV_N, 2, 57, eigen=E)
+        approx2 = approx_eigenvalues_loo(oils, COV_N, 57)[1]
+        h = hif_eigenvalue(oils, COV_N, 2, 57)
         assert h == pytest.approx(-95.0 * (approx2 - E.values[1]), abs=1e-9)
         assert round(approx2, 3) == pytest.approx(9.599)
 
@@ -266,26 +266,23 @@ class TestEigenvalueGradientCheck:
 
 class TestInfluenceInvariants:
     def test_exactness_identity_everywhere(self, oils):
-        E = eigh(estimate(oils, COV_N))
+        engine = LooEngine(oils, COV_N)
+        E, table = engine.eigen, engine.table
         n = oils.n
-        table = loo_eigenvalue_table(oils, COV_N, eigen=E)
         for i in range(1, n + 1):
-            info = eigen_influence(oils, COV_N, i, eigen=E)
+            info = eigen_influence(oils, COV_N, i)
             residual = info.hif + (n - 1) * (table[i - 1] - E.values)
             assert np.max(np.abs(residual)) <= 1e-12
 
     def test_basis_completeness(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        loo = LooEstimator(oils, COV_N)
-        table = loo_eigenvalue_table(oils, COV_N, eigen=E)
+        engine = LooEngine(oils, COV_N)
         for i in range(1, oils.n + 1):
-            assert np.sum(table[i - 1]) == pytest.approx(
-                np.trace(loo.loo(i).matrix), abs=1e-8
+            assert np.sum(engine.table[i - 1]) == pytest.approx(
+                np.trace(engine.loo_block(i, i)[0]), abs=1e-8
             )
 
     def test_rayleigh_dominance(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        table = loo_eigenvalue_table(oils, COV_N, eigen=E)
+        table = loo_eigenvalue_table(oils, COV_N)
         for i in range(1, oils.n + 1):
             exact_top = eigh(estimate_loo(oils, COV_N, i)).values[0]
             assert exact_top >= table[i - 1, 0] - 1e-10
@@ -301,11 +298,10 @@ class TestInfluenceInvariants:
             med = {}
             for n in (30, 240):
                 X = make_data(rng.normal(size=(n, 3)) @ cov_half.T)
-                E = eigh(estimate(X, COV_N))
                 diffs = []
                 for i in range(1, n + 1):
-                    s = sif_eigenvalue(X, COV_N, 1, i, eigen=E)
-                    e = eif_eigenvalue(X, 1, i, eigen=E)
+                    s = sif_eigenvalue(X, COV_N, 1, i)
+                    e = eif_eigenvalue(X, 1, i)
                     diffs.append(abs(e - s))
                 med[n] = np.median(diffs)
             wins += med[30] > med[240]
@@ -318,8 +314,9 @@ class TestInfluenceInvariants:
             E.vectors * np.where(np.arange(E.p) % 2 == 0, -1.0, 1.0),
             list(E.gap_warnings),
         )
-        for i in (7, 42, 57):
-            a = eigen_influence(oils, COV_N, i, eigen=E)
-            b = eigen_influence(oils, COV_N, i, eigen=flipped)
-            np.testing.assert_allclose(a.hif, b.hif, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(a.eif, b.eif, rtol=0, atol=1e-9)
+        a = LooEngine(oils, COV_N, eigen=E)
+        b = LooEngine(oils, COV_N, eigen=flipped)
+        np.testing.assert_allclose(a.table, b.table, rtol=0, atol=1e-9)
+        for series in (eif_b_series, scia_series):
+            np.testing.assert_allclose(series(oils, 2, engine=a),
+                                       series(oils, 2, engine=b), rtol=0, atol=1e-9)

@@ -119,18 +119,16 @@ class TestSifB:
             assert sif_b(oils, COV_N, 7, 4) == 0.0
 
     def test_oils_top_spikes_are_the_switching_observations(self, oils):
-        E = eigh(estimate(oils, COV_N))
         magnitudes = {
-            i: abs(sif_b(oils, COV_N, 2, i, eigen=E))
+            i: abs(sif_b(oils, COV_N, 2, i))
             for i in range(1, oils.n + 1)
         }
         top7 = sorted(sorted(magnitudes, key=magnitudes.get, reverse=True)[:7])
         assert top7 == [42, 57, 58, 59, 60, 91, 93]
 
     def test_never_positive(self, oils):
-        E = eigh(estimate(oils, COV_N))
         for i in (1, 42, 57, 96):
-            assert sif_b(oils, COV_N, 2, i, eigen=E) <= 0.0
+            assert sif_b(oils, COV_N, 2, i) <= 0.0
 
     def test_works_for_correlation_estimates(self, oils):
         value = sif_b(oils, COR_N, 2, 57)
@@ -154,9 +152,8 @@ class TestEifB:
         assert eif_b(X, 1, 1) == pytest.approx(-0.5, abs=1e-9)
 
     def test_oils_obs42_underestimates_badly(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        empirical = eif_b(oils, 2, i=42, eigen=E)
-        sample = sif_b(oils, COV_N, 2, 42, eigen=E)
+        empirical = eif_b(oils, 2, i=42)
+        sample = sif_b(oils, COV_N, 2, 42)
         assert abs(empirical) < 0.1 * abs(sample)
 
     def test_oils_obs58_is_the_slope_along_contamination(self, oils):
@@ -192,17 +189,15 @@ class TestSci:
             assert sci(X, COV_N, 2, i) == pytest.approx(0.0, abs=1e-8)
 
     def test_oils_top_spikes_match_sif_b_spikes(self, oils):
-        E = eigh(estimate(oils, COV_N))
         magnitudes = {
-            i: sci(oils, COV_N, 2, i, eigen=E) for i in range(1, oils.n + 1)
+            i: sci(oils, COV_N, 2, i) for i in range(1, oils.n + 1)
         }
         top7 = sorted(sorted(magnitudes, key=magnitudes.get, reverse=True)[:7])
         assert top7 == [42, 57, 58, 59, 60, 91, 93]
 
     def test_within_bounds(self, oils):
-        E = eigh(estimate(oils, COV_N))
         for i in (1, 42, 60):
-            value = sci(oils, COV_N, 2, i, eigen=E)
+            value = sci(oils, COV_N, 2, i)
             assert 0.0 <= value <= (oils.n - 1) ** 2
 
 
@@ -224,8 +219,8 @@ class TestScia:
         for i in range(1, X.n + 1):
             if not inside[i - 1]:
                 continue
-            sample = sci(X, COV_N, 2, i, eigen=E)
-            empirical = scia(X, 2, i, eigen=E)
+            sample = sci(X, COV_N, 2, i)
+            empirical = scia(X, 2, i)
             assert abs(empirical - sample) <= 0.25 * max(sample, 1e-12)
             checked += 1
         assert checked >= 40
@@ -234,30 +229,30 @@ class TestScia:
         X = make_data([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0], [-0.5, -1.0]])
         doctored = EigenSystem(np.array([0.0, -1.0]), np.eye(2), [])
         with pytest.raises(DegenerateEigenvaluesError, match="zero"):
-            scia(X, 1, 1, eigen=doctored)
+            scia_series(X, 1, engine=LooEngine(X, COV_N, eigen=doctored))
 
 
 class TestSweeps:
     def test_empirical_series_use_one_decomposition(self, oils):
         with count_decompositions() as window:
-            E = eigh(estimate(oils, COV_N))
-            b = eif_b_series(oils, 2, eigen=E)
-            c = scia_series(oils, 2, eigen=E)
+            engine = LooEngine(oils, COV_N)
+            b = eif_b_series(oils, 2, engine=engine)
+            c = scia_series(oils, 2, engine=engine)
         assert window.total == 1
         assert b.shape == c.shape == (oils.n,)
 
     def test_series_match_single_calls(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        b = eif_b_series(oils, 2, eigen=E)
-        c = scia_series(oils, 2, eigen=E)
+        engine = LooEngine(oils, COV_N)
+        b = eif_b_series(oils, 2, engine=engine)
+        c = scia_series(oils, 2, engine=engine)
         for i in (1, 42, 96):
-            assert b[i - 1] == eif_b(oils, 2, i, eigen=E)
-            assert c[i - 1] == scia(oils, 2, i, eigen=E)
+            assert b[i - 1] == eif_b(oils, 2, i)
+            assert c[i - 1] == scia(oils, 2, i)
 
     def test_series_sign_conventions(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        assert np.all(eif_b_series(oils, 2, eigen=E) <= 0.0)
-        assert np.all(scia_series(oils, 2, eigen=E) >= 0.0)
+        engine = LooEngine(oils, COV_N)
+        assert np.all(eif_b_series(oils, 2, engine=engine) <= 0.0)
+        assert np.all(scia_series(oils, 2, engine=engine) >= 0.0)
 
     def test_records_empirical_only(self, oils):
         records = influence_records(oils, COV_N, 2)
@@ -267,13 +262,9 @@ class TestSweeps:
         assert records[41].obs_label == oils.row_labels[41]
 
     def test_records_exact_mode(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        records = influence_records(oils, COV_N, 2, exact=True,
-                                    engine=LooEngine(oils, COV_N, eigen=E))
-        assert records[56].sif_b == pytest.approx(
-            sif_b(oils, COV_N, 2, 57, eigen=E)
-        )
-        assert records[56].sci == pytest.approx(sci(oils, COV_N, 2, 57, eigen=E))
+        records = influence_records(oils, COV_N, 2, exact=True)
+        assert records[56].sif_b == pytest.approx(sif_b(oils, COV_N, 2, 57))
+        assert records[56].sci == pytest.approx(sci(oils, COV_N, 2, 57))
 
     def test_records_note_on_degenerate_spectrum(self):
         records = influence_records(tied_spectrum_data(), COV_N, 1)

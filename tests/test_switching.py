@@ -15,8 +15,6 @@ from eigensens import (
     count_decompositions,
     detect_near_switch,
     detect_switching,
-    eigh,
-    estimate,
     hybrid_influence,
     recommend_L,
     sci,
@@ -173,50 +171,45 @@ class TestRecommendL:
 
 class TestHybridInfluence:
     def test_empty_flagged_equals_empirical_series(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        series = hybrid_influence(oils, COV_N, 2, [], "B",
-                                  engine=LooEngine(oils, COV_N, eigen=E))
-        pure = eif_b_series(oils, 2, eigen=E)
+        engine = LooEngine(oils, COV_N)
+        series = hybrid_influence(oils, COV_N, 2, [], "B", engine=engine)
+        pure = eif_b_series(oils, 2, engine=engine)
         assert all(not hv.replaced for hv in series)
         np.testing.assert_array_equal([hv.value for hv in series], pure)
 
     def test_all_flagged_equals_sample_series(self):
         X = gaussian_data(3, 15, [2.0, 1.0, 0.4])
-        E = eigh(estimate(X, COV_N))
-        series = hybrid_influence(X, COV_N, 2, range(1, 16), "B",
-                                  engine=LooEngine(X, COV_N, eigen=E))
+        engine = LooEngine(X, COV_N)
+        series = hybrid_influence(X, COV_N, 2, range(1, 16), "B", engine=engine)
         assert all(hv.replaced for hv in series)
         for hv in series:
-            assert hv.value == sif_b(X, COV_N, 2, hv.obs_index, eigen=E)
+            assert hv.value == sif_b(X, COV_N, 2, hv.obs_index)
 
     def test_oils_flagged_entries_match_exact_oracle(self, oils):
         flagged = [28, 42, 57, 58, 59, 60, 90, 91, 93, 94, 95]
-        E = eigh(estimate(oils, COV_N))
-        series = hybrid_influence(oils, COV_N, 2, flagged, "B",
-                                  engine=LooEngine(oils, COV_N, eigen=E))
-        empirical = eif_b_series(oils, 2, eigen=E)
+        engine = LooEngine(oils, COV_N)
+        series = hybrid_influence(oils, COV_N, 2, flagged, "B", engine=engine)
+        empirical = eif_b_series(oils, 2, engine=engine)
         for hv in series:
             if hv.obs_index in flagged:
                 assert hv.replaced
-                assert hv.value == sif_b(oils, COV_N, 2, hv.obs_index, eigen=E)
+                assert hv.value == sif_b(oils, COV_N, 2, hv.obs_index)
             else:
                 assert not hv.replaced
                 assert hv.value == empirical[hv.obs_index - 1]
 
     def test_measure_c_uses_score_diagnostics(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        series = hybrid_influence(oils, COV_N, 2, [42], "C",
-                                  engine=LooEngine(oils, COV_N, eigen=E))
-        empirical = scia_series(oils, 2, eigen=E)
-        assert series[41].value == sci(oils, COV_N, 2, 42, eigen=E)
+        engine = LooEngine(oils, COV_N)
+        series = hybrid_influence(oils, COV_N, 2, [42], "C", engine=engine)
+        empirical = scia_series(oils, 2, engine=engine)
+        assert series[41].value == sci(oils, COV_N, 2, 42)
         assert series[0].value == empirical[0]
 
     def test_differs_from_empirical_exactly_on_flagged(self, oils):
-        E = eigh(estimate(oils, COV_N))
+        engine = LooEngine(oils, COV_N)
         flagged = {42, 57}
-        series = hybrid_influence(oils, COV_N, 2, flagged, "B",
-                                  engine=LooEngine(oils, COV_N, eigen=E))
-        pure = eif_b_series(oils, 2, eigen=E)
+        series = hybrid_influence(oils, COV_N, 2, flagged, "B", engine=engine)
+        pure = eif_b_series(oils, 2, engine=engine)
         differing = {
             hv.obs_index for hv in series if hv.value != pure[hv.obs_index - 1]
         }
