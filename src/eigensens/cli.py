@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -92,21 +93,14 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _round_sig(x: float, digits: int) -> float:
-    if not np.isfinite(x):
-        return float(x)
-    return float(f"{x:.{digits}g}")
-
-
 def _round_doc(obj, digits: int):
+    """Round every finite float of a document to ``digits`` significant digits."""
     if isinstance(obj, dict):
         return {k: _round_doc(v, digits) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_round_doc(v, digits) for v in obj]
-    if isinstance(obj, (float, np.floating)):
-        return _round_sig(float(obj), digits)
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float(f"{obj:.{digits}g}")
     return obj
 
 
@@ -115,9 +109,21 @@ def _fmt_cell(x, digits: int) -> str:
         return ""
     if isinstance(x, bool):
         return str(x).lower()
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float):
         return f"{x:.{digits}g}"
     return str(x)
+
+
+def _cells(record: dict, blanks: dict | None = None) -> list:
+    """One CSV row from a document record: its values in key order, each list
+    spread over its own columns.  A None under a key of ``blanks`` becomes
+    that key's blank cells."""
+    cells = []
+    for key, value in record.items():
+        if value is None and blanks:
+            value = blanks.get(key)
+        cells.extend(value if isinstance(value, list) else [value])
+    return cells
 
 
 def _load(config: RunConfig) -> DataMatrix:
@@ -192,45 +198,38 @@ def cmd_analyze(config: RunConfig) -> list[Path]:
     cumulative = np.cumsum(proportion)
     scores = pc_scores(X, subspace(E, config.L))
 
+    doc = {
+        "command": "analyze",
+        "version": __version__,
+        "estimator": {"kind": config.estimator.kind,
+                      "divisor": config.estimator.divisor},
+        "n": X.n,
+        "p": X.p,
+        "L": config.L,
+        "eigenvalues": E.values.tolist(),
+        "proportion_explained": proportion.tolist(),
+        "cumulative_proportion": cumulative.tolist(),
+        "gap_warnings": [list(pair) for pair in E.gap_warnings],
+        "scree": [
+            {"component": j + 1, "eigenvalue": float(E.values[j]),
+             "proportion": float(proportion[j]),
+             "cumulative": float(cumulative[j])}
+            for j in range(E.p)
+        ],
+        "scores": [
+            {"obs": i + 1, "label": X.row_labels[i],
+             "values": scores[i].tolist()}
+            for i in range(X.n)
+        ],
+    }
     if config.fmt == "json":
-        doc = {
-            "command": "analyze",
-            "version": __version__,
-            "estimator": {"kind": config.estimator.kind,
-                          "divisor": config.estimator.divisor},
-            "n": X.n,
-            "p": X.p,
-            "L": config.L,
-            "eigenvalues": E.values.tolist(),
-            "proportion_explained": proportion.tolist(),
-            "cumulative_proportion": cumulative.tolist(),
-            "gap_warnings": [list(pair) for pair in E.gap_warnings],
-            "scree": [
-                {"component": j + 1, "eigenvalue": float(E.values[j]),
-                 "proportion": float(proportion[j]),
-                 "cumulative": float(cumulative[j])}
-                for j in range(E.p)
-            ],
-            "scores": [
-                {"obs": i + 1, "label": X.row_labels[i],
-                 "values": scores[i].tolist()}
-                for i in range(X.n)
-            ],
-        }
         return _write_json(config, doc)
-
-    scree_rows = [
-        [j + 1, E.values[j], proportion[j], cumulative[j]] for j in range(E.p)
-    ]
-    score_rows = [
-        [i + 1, X.row_labels[i], *scores[i]] for i in range(X.n)
-    ]
     return _write_tables(config, [
         ("", _csv_text(["component", "eigenvalue", "proportion", "cumulative"],
-                       scree_rows, config.precision)),
+                       [_cells(r) for r in doc["scree"]], config.precision)),
         ("_scores", _csv_text(
             ["obs", "label", *(f"PC{j + 1}" for j in range(config.L))],
-            score_rows, config.precision)),
+            [_cells(r) for r in doc["scores"]], config.precision)),
     ])
 
 
@@ -256,7 +255,7 @@ def _influence_rows(config: RunConfig, X: DataMatrix):
     records = influence_records(X, spec, config.L, exact=exact, engine=engine)
 
     hif = -(n - 1) * (engine.table - E.values)
-    deltas = X.values - X.values.mean(axis=0)
+    deltas = X.values - engine.mean
     rows = []
     for record in records:
         i = record.obs_index
@@ -295,40 +294,30 @@ def cmd_influence(config: RunConfig) -> list[Path]:
     X = _load(config)
     E, rows = _influence_rows(config, X)
 
+    doc = {
+        "command": "influence",
+        "version": __version__,
+        "estimator": {"kind": config.estimator.kind,
+                      "divisor": config.estimator.divisor},
+        "n": X.n,
+        "p": X.p,
+        "L": config.L,
+        "mode": config.mode,
+        "eigenvalues": E.values.tolist(),
+        "observations": rows,
+    }
     if config.fmt == "json":
-        doc = {
-            "command": "influence",
-            "version": __version__,
-            "estimator": {"kind": config.estimator.kind,
-                          "divisor": config.estimator.divisor},
-            "n": X.n,
-            "p": X.p,
-            "L": config.L,
-            "mode": config.mode,
-            "eigenvalues": E.values.tolist(),
-            "observations": rows,
-        }
         return _write_json(config, doc)
 
     p = X.p
     header = (
         ["obs", "label", "eif_b", "scia", "sif_b", "sci", "hybrid_b",
          "hybrid_c", "replaced", "flag"]
-        + [f"eif_l{j + 1}" for j in range(p)]
-        + [f"hif_l{j + 1}" for j in range(p)]
-        + [f"sif_l{j + 1}" for j in range(p)]
+        + [f"{v}_l{j + 1}" for v in ("eif", "hif", "sif") for j in range(p)]
         + ["note"]
     )
-    table = []
-    for row in rows:
-        cells = [row["obs"], row["label"], row["eif_b"], row["scia"],
-                 row["sif_b"], row["sci"], row["hybrid_b"], row["hybrid_c"],
-                 row["replaced"], row["flag"]]
-        for key in ("eif_eigen", "hif_eigen", "sif_eigen"):
-            vec = row[key]
-            cells.extend([None] * p if vec is None else vec)
-        cells.append(row["note"])
-        table.append(cells)
+    blanks = dict.fromkeys(("eif_eigen", "hif_eigen", "sif_eigen"), [None] * p)
+    table = [_cells(row, blanks) for row in rows]
     return _write_tables(config, [("", _csv_text(header, table, config.precision))])
 
 
@@ -354,69 +343,62 @@ def cmd_switching(config: RunConfig) -> list[Path]:
     flagged = sorted({ev.obs_index for ev in report.events})
     loo_table = {str(i): engine.table[i - 1].tolist() for i in flagged}
 
-    if config.fmt == "json":
-        doc = {
-            "command": "switching",
-            "version": __version__,
-            "estimator": {"kind": spec.kind, "divisor": spec.divisor},
-            "n": X.n,
-            "p": X.p,
-            "mode": config.mode,
-            "delta": report.delta,
-            "pairs": None if config.pairs is None
-            else [list(pair) for pair in config.pairs],
-            "candidate_L": config.L,
-            "recommended_L": {"L": report.recommendation.L,
-                              "rationale": report.recommendation.rationale},
-            "eigenvalues": E.values.tolist(),
-            "events": [
-                {"obs": ev.obs_index, "label": ev.obs_label,
-                 "pair": list(ev.pair), "approx_lo": ev.approx_lo,
-                 "approx_hi": ev.approx_hi, "kind": ev.kind,
-                 "verified_exact": ev.verified_exact}
-                for ev in report.events
+    doc = {
+        "command": "switching",
+        "version": __version__,
+        "estimator": {"kind": spec.kind, "divisor": spec.divisor},
+        "n": X.n,
+        "p": X.p,
+        "mode": config.mode,
+        "delta": report.delta,
+        "pairs": None if config.pairs is None
+        else [list(pair) for pair in config.pairs],
+        "candidate_L": config.L,
+        "recommended_L": {"L": report.recommendation.L,
+                          "rationale": report.recommendation.rationale},
+        "eigenvalues": E.values.tolist(),
+        "events": [
+            {"obs": ev.obs_index, "label": ev.obs_label,
+             "pair": list(ev.pair), "approx_lo": ev.approx_lo,
+             "approx_hi": ev.approx_hi, "kind": ev.kind,
+             "verified_exact": ev.verified_exact}
+            for ev in report.events
+        ],
+        "loo_eigenvalues": loo_table,
+        "hybrid": None if report.hybrid_series is None else {
+            "measure": "B",
+            "L": config.L,
+            "series": [
+                {"obs": hv.obs_index, "label": hv.obs_label,
+                 "value": hv.value, "replaced": hv.replaced}
+                for hv in report.hybrid_series
             ],
-            "loo_eigenvalues": loo_table,
-            "hybrid": None if report.hybrid_series is None else {
-                "measure": "B",
-                "L": config.L,
-                "series": [
-                    {"obs": hv.obs_index, "label": hv.obs_label,
-                     "value": hv.value, "replaced": hv.replaced}
-                    for hv in report.hybrid_series
-                ],
-            },
-        }
+        },
+    }
+    if config.fmt == "json":
         return _write_json(config, doc)
 
     comments = [
-        f"delta={report.delta:g}",
+        f"delta={report.delta:.{config.precision}g}",
         f"candidate_L={config.L}",
         f"recommended_L={report.recommendation.L}",
         f"rationale={report.recommendation.rationale}",
     ]
-    event_rows = [
-        [ev.obs_index, ev.obs_label, ev.pair[0], ev.pair[1], ev.approx_lo,
-         ev.approx_hi, ev.kind, ev.verified_exact]
-        for ev in report.events
-    ]
     tables = [("", _csv_text(
         ["obs", "label", "pair_low", "pair_high", "approx_lo", "approx_hi",
          "kind", "verified_exact"],
-        event_rows, config.precision, comments))]
+        [_cells(ev) for ev in doc["events"]], config.precision, comments))]
     loo_rows = [
-        [int(i), X.row_labels[int(i) - 1], *loo_table[i]]
-        for i in sorted(loo_table, key=int)
+        [int(i), X.row_labels[int(i) - 1], *values]
+        for i, values in loo_table.items()
     ]
     tables.append(("_loo", _csv_text(
         ["obs", "label", *(f"lambda{j + 1}" for j in range(X.p))],
         loo_rows, config.precision)))
-    if report.hybrid_series is not None:
+    if doc["hybrid"] is not None:
         tables.append(("_hybrid", _csv_text(
             ["obs", "label", "value", "replaced"],
-            [[hv.obs_index, hv.obs_label, hv.value, hv.replaced]
-             for hv in report.hybrid_series],
-            config.precision)))
+            [_cells(hv) for hv in doc["hybrid"]["series"]], config.precision)))
     return _write_tables(config, tables)
 
 

@@ -7,6 +7,7 @@ observations are usually numbered in reports and plots.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -197,7 +198,7 @@ def load_csv(path, *, header: bool = True, label_col: str | None = None) -> Data
                 raise DataError(
                     f"cannot parse {text!r} at row {r}, column {names[c]!r}"
                 ) from None
-            if not np.isfinite(x):
+            if not math.isfinite(x):
                 raise DataError(f"non-finite value at row {r}, column {names[c]!r}")
             parsed.append(x)
         values.append(parsed)

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import subprocess
@@ -13,6 +14,19 @@ OILS = str(bundled_oils_path())
 
 def run(*argv):
     return main(list(argv))
+
+
+def _is_float_cell(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return not cell.lstrip("-").isdigit()
+
+
+def _significant_digits(cell):
+    mantissa = cell.lstrip("-").split("e")[0].replace(".", "")
+    return len(mantissa.lstrip("0"))
 
 
 @pytest.fixture
@@ -139,12 +153,24 @@ class TestInfluence:
         assert header[24:31] == [f"sif_l{j}" for j in range(1, 8)]
         assert header[31] == "note"
 
-    def test_precision_flag(self, tmp_path):
-        out = tmp_path / "inf.json"
-        assert run("influence", "--input", OILS, "--label-col", "oil_type",
-                   "--L", "2", "--precision", "3", "--out", str(out)) == 0
-        doc = json.loads(out.read_text())
-        assert doc["eigenvalues"][0] == 463.0
+    @pytest.mark.parametrize("command, fmt", [
+        ("influence", "json"), ("influence", "csv"), ("analyze", "csv"),
+    ])
+    def test_precision_flag(self, tmp_path, command, fmt):
+        out = tmp_path / f"report.{fmt}"
+        assert run(command, "--input", OILS, "--label-col", "oil_type",
+                   "--L", "2", "--precision", "3", "--format", fmt,
+                   "--out", str(out)) == 0
+        if fmt == "json":
+            assert json.loads(out.read_text())["eigenvalues"][0] == 463.0
+            return
+        floats = [cell for path in sorted(tmp_path.glob("report*.csv"))
+                  for row in csv.reader(path.read_text().splitlines()[1:])
+                  for cell in row if _is_float_cell(cell)]
+        assert floats
+        assert max(_significant_digits(cell) for cell in floats) == 3
+        if command == "analyze":
+            assert out.read_text().splitlines()[1].startswith("1,463,")
 
 
 class TestSwitching:
@@ -217,6 +243,15 @@ class TestSwitching:
         loo = (tmp_path / "sw_loo.csv").read_text().splitlines()
         assert loo[0] == "obs,label," + ",".join(f"lambda{j}" for j in
                                                  range(1, 8))
+
+    def test_csv_delta_comment_follows_precision(self, tmp_path):
+        argv = ["switching", "--input", OILS, "--label-col", "oil_type",
+                "--delta", "0.123456789", "--precision", "9"]
+        assert run(*argv, "--out", str(tmp_path / "sw.json")) == 0
+        assert run(*argv, "--format", "csv", "--out", str(tmp_path / "sw.csv")) == 0
+        assert json.loads((tmp_path / "sw.json").read_text())["delta"] == 0.123456789
+        lines = (tmp_path / "sw.csv").read_text().splitlines()
+        assert lines[0] == "# delta=0.123456789"
 
 
 class TestStdout:

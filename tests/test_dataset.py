@@ -53,6 +53,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"'oops' at row 2"):
             load_csv(path)
 
+    def test_first_defect_in_row_major_order(self, tmp_path):
+        # row 1 holds a non-finite cell, row 2 an unparsable one
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\ninf,2\n3,oops\n5,6\n")
+        with pytest.raises(DataError, match=r"non-finite value at row 1, column 'a'"):
+            load_csv(path)
+
+    def test_header_without_data_rows(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("a,b\n")
+        with pytest.raises(DataError, match="has a header but no data rows"):
+            load_csv(path)
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b\n1,2\n3\n5,6\n")

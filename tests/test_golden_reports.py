@@ -48,11 +48,14 @@ def test_oils_report_matches_recorded_digest(inv, oils_input, tmp_path):
 
 # Oils fits in one stacked block of 7 x 7 matrices; these runs at p = 30
 # sweep 291-row blocks, so the table and the reduced systems cross block
-# boundaries.
+# boundaries.  The last two also hold the largest rounded JSON document and
+# the longest CSV tables flattened from document records.
 ACROSS_BLOCKS = [
     ("approx-sparse-4000x30", "switching-hybrid-csv"),
     ("exact-dense-1000x30", "switching-hybrid-L20"),
     ("exact-dense-1000x30", "influence-exact"),
+    ("approx-sparse-4000x30", "influence-approx"),
+    ("exact-dense-1000x30", "analyze-csv"),
 ]
 
 
