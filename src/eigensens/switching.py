@@ -183,18 +183,65 @@ def _align_ranks(full: EigenSystem, reduced: EigenSystem) -> np.ndarray:
     """Match reduced-data eigenvectors to full-data ranks, one to one.
 
     Returns ``where[j]`` = 0-based position, in the reduced spectrum, of the
-    eigenvector best aligned with full-data rank j+1.  Uses an optimal
-    assignment on absolute overlaps so that strongly rotated pairs cannot
+    eigenvector best aligned with full-data rank j+1: the assignment of
+    greatest total absolute overlap, so that strongly rotated pairs cannot
     both claim the same reduced vector.
-    """
-    # imported here: it is most of the package's import time, and only
-    # exact verification needs it
-    from scipy.optimize import linear_sum_assignment
 
+    Certificate: when every row of the overlap matrix has a strict maximum
+    and the row argmaxes fall in distinct columns, the argmax permutation
+    is the unique optimal assignment, since no assignment can beat the sum
+    of the row maxima.  Otherwise (ties, or two ranks drawn to one reduced
+    vector, as in a pair rotated by about 45 degrees) the exact solve of
+    :func:`_min_cost_assignment` decides.
+    """
     overlap = np.abs(full.vectors.T @ reduced.vectors)
-    rows, cols = linear_sum_assignment(-overlap)
-    where = np.empty(full.p, dtype=int)
-    where[rows] = cols
+    where = overlap.argmax(axis=1)
+    best = overlap.max(axis=1)
+    strict = np.count_nonzero(overlap < best[:, None], axis=1) == full.p - 1
+    if strict.all() and np.unique(where).size == full.p:
+        return where
+    return _min_cost_assignment(-overlap)
+
+
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a square matrix, at least total cost.
+
+    Kuhn-Munkres by shortest augmenting paths with row and column
+    potentials (Kuhn 1955; Munkres 1957), O(p^3): row r is inserted by a
+    Dijkstra-like search over the reduced costs ``cost - u - v``, which
+    stay non-negative, and the matching is flipped along the path found.
+    Column ``p`` is a virtual start column.
+    """
+    p = cost.shape[0]
+    u = np.zeros(p)
+    v = np.zeros(p + 1)
+    owner = np.full(p + 1, -1)              # row matched to each column
+    for r in range(p):
+        owner[p] = r
+        col = p
+        dist = np.full(p + 1, np.inf)       # shortest reduced cost to each column
+        via = np.full(p + 1, p)             # previous column on that path
+        done = np.zeros(p + 1, dtype=bool)
+        while owner[col] != -1:
+            done[col] = True
+            row = owner[col]
+            reach = cost[row] - u[row] - v[:p]
+            closer = ~done[:p] & (reach < dist[:p])
+            dist[:p][closer] = reach[closer]
+            via[:p][closer] = col
+            open_dist = np.where(done, np.inf, dist)
+            nxt = int(np.argmin(open_dist))
+            step = open_dist[nxt]
+            u[owner[done]] += step
+            v[done] -= step
+            dist[~done] -= step
+            col = nxt
+        while col != p:
+            prev = via[col]
+            owner[col] = owner[prev]
+            col = prev
+    where = np.empty(p, dtype=int)
+    where[owner[:p]] = np.arange(p)
     return where
 
 

@@ -7,7 +7,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from eigensens import DataMatrix, EstimatorSpec, load_oils
+from eigensens import DataMatrix, EstimatorSpec, load_oils, switching
 
 COV_N = EstimatorSpec("covariance", "n")
 COV_N1 = EstimatorSpec("covariance", "n-1")
@@ -17,6 +17,20 @@ COR_N = EstimatorSpec("correlation", "n")
 @pytest.fixture(scope="session")
 def oils() -> DataMatrix:
     return load_oils()
+
+
+@pytest.fixture
+def alignment_solves(monkeypatch) -> list[int]:
+    """Sizes of the exact assignment solves rank alignment falls back to."""
+    calls = []
+    solve = switching._min_cost_assignment
+
+    def spy(cost):
+        calls.append(cost.shape[0])
+        return solve(cost)
+
+    monkeypatch.setattr(switching, "_min_cost_assignment", spy)
+    return calls
 
 
 def make_data(values) -> DataMatrix:

@@ -1,5 +1,6 @@
 """The shared leave-one-out engine against the per-observation reference paths."""
 
+import json
 import os
 import subprocess
 import sys
@@ -196,11 +197,33 @@ class TestCliCost:
         assert self._spent(tmp_path, "hybrid") == 1 + 11
 
 
-def test_cli_import_leaves_scipy_optimize_out():
+# Runs in a fresh interpreter: the report of an exact switching run needs
+# rank alignment, which must not pull scipy in.
+_SCIPY_CHECK = """
+import sys
+from eigensens.cli import main
+if sys.argv[1:] and main(sys.argv[1:]) != 0:
+    sys.exit("the run failed")
+leaked = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.exit(f"scipy modules loaded: {leaked}" if leaked else 0)
+"""
+
+
+@pytest.mark.parametrize("estimator", [None, "cov", "cor"],
+                         ids=["import-only", "switching-exact-cov",
+                              "switching-exact-cor"])
+def test_cli_leaves_scipy_out(estimator, tmp_path):
     src = str(Path(eigensens.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, eigensens.cli; sys.exit('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr or "scipy.optimize was imported"
+    argv = [] if estimator is None else [
+        "switching", "--mode", "exact", "--estimator", estimator,
+        "--input", str(bundled_oils_path()), "--label-col", "oil_type",
+        "--out", str(tmp_path / "report.json"),
+    ]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_CHECK, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    if estimator is not None:
+        events = json.loads((tmp_path / "report.json").read_text())["events"]
+        assert any(ev["verified_exact"] is not None for ev in events)

@@ -1,7 +1,8 @@
 """Byte guard: benchmark invocations reproduce their recorded reports.
 
-Replays the ``oils-cli`` invocations of ``bench/workloads.py``, and three
-pool-0 synthetic invocations, in-process and compares every file written
+Replays the ``oils-cli`` invocations of ``bench/workloads.py``, five
+pool-0 synthetic invocations and one pool-7 run whose rank alignment needs
+the exact assignment solve, in-process, and compares every file written
 with its SHA-256 in ``bench/golden.json``, so a change in any printed digit
 fails here before it reaches the benchmark.  Only reads ``bench/``.
 """
@@ -46,6 +47,19 @@ def test_oils_report_matches_recorded_digest(inv, oils_input, tmp_path):
     assert not problems, problems
 
 
+def _replay(workload, pool, name, tmp_path):
+    w = workloads.WORKLOADS[workload]
+    inv = next(inv for inv in w.invocations if inv.name == name)
+    want = reports.expected(reports.load_golden(), w.name, pool, inv.name)
+    assert want, f"no recorded digests for {workload}/{name} at pool index {pool}"
+    input_csv = workloads.write_input(w, pool, tmp_path / "input", ROOT)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(inv.argv(input_csv, out_dir)) == 0
+    problems, _ = reports.check(out_dir, want)
+    assert not problems, problems
+
+
 # Oils fits in one stacked block of 7 x 7 matrices; these runs at p = 30
 # sweep 291-row blocks, so the table and the reduced systems cross block
 # boundaries.  The last two also hold the largest rounded JSON document and
@@ -62,13 +76,11 @@ ACROSS_BLOCKS = [
 @pytest.mark.parametrize("workload, name", ACROSS_BLOCKS,
                          ids=[f"{w}/{n}" for w, n in ACROSS_BLOCKS])
 def test_multi_block_report_matches_recorded_digest(workload, name, tmp_path):
-    w = workloads.WORKLOADS[workload]
-    inv = next(inv for inv in w.invocations if inv.name == name)
-    want = reports.expected(reports.load_golden(), w.name, 0, inv.name)
-    assert want, f"no recorded digests for {workload}/{name}"
-    input_csv = workloads.write_input(w, 0, tmp_path / "input", ROOT)
-    out_dir = tmp_path / "out"
-    out_dir.mkdir()
-    assert main(inv.argv(input_csv, out_dir)) == 0
-    problems, _ = reports.check(out_dir, want)
-    assert not problems, problems
+    _replay(workload, 0, name, tmp_path)
+
+
+def test_uncertified_alignment_report_matches_recorded_digest(alignment_solves, tmp_path):
+    # one row of this input has a near-tied pair rotated by about 45 degrees,
+    # the only row of the pool whose rank alignment the argmax cannot certify
+    _replay("exact-dense-1000x30", 7, "switching-exact", tmp_path)
+    assert alignment_solves == [30]

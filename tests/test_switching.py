@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -21,6 +22,8 @@ from eigensens import (
     sif_b,
     verify_exact,
 )
+from eigensens import switching
+from eigensens.eigen import EigenSystem
 from eigensens.subspace_diag import eif_b_series, scia_series
 from eigensens.switching import KIND_NEAR, KIND_SWITCH
 
@@ -129,6 +132,84 @@ class TestVerifyExact:
     def test_all_oils_events_confirmed(self, oils):
         events = detect_switching(oils, COV_N)
         assert all(ev.verified_exact for ev in verify_exact(events, oils, COV_N))
+
+
+def _system(vectors) -> EigenSystem:
+    vectors = np.asarray(vectors, dtype=float)
+    return EigenSystem(np.arange(vectors.shape[0], 0, -1.0), vectors)
+
+
+def _orthogonal(rng, p):
+    q, r = np.linalg.qr(rng.normal(size=(p, p)))
+    return q * np.sign(np.diag(r))
+
+
+def _rotation(p, a, b, angle):
+    g = np.eye(p)
+    g[[a, b], [a, b]] = np.cos(angle)
+    g[a, b], g[b, a] = -np.sin(angle), np.sin(angle)
+    return g
+
+
+class TestAlignRanks:
+    """The certified argmax and the exact fallback against brute force."""
+
+    @staticmethod
+    def _check_optimal(full, reduced):
+        overlap = np.abs(full.vectors.T @ reduced.vectors)
+        p = overlap.shape[0]
+        where = switching._align_ranks(full, reduced)
+        assert sorted(where.tolist()) == list(range(p))
+        best = max(overlap[np.arange(p), list(perm)].sum()
+                   for perm in itertools.permutations(range(p)))
+        assert overlap[np.arange(p), where].sum() == pytest.approx(best, rel=1e-12)
+        return where
+
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 6),
+           spread=st.floats(0.0, 3.0))
+    @settings(max_examples=200, deadline=None)
+    def test_assignment_is_an_optimal_permutation(self, seed, p, spread):
+        # small spreads keep the reduced basis near a signed permutation of
+        # the full one (certified); large ones mix it (fallback)
+        rng = np.random.default_rng(seed)
+        V = _orthogonal(rng, p)
+        signed = np.eye(p)[rng.permutation(p)] * rng.choice([-1.0, 1.0], size=p)
+        mix, _ = np.linalg.qr(np.eye(p) + spread * rng.normal(size=(p, p)))
+        self._check_optimal(_system(V), _system(V @ signed @ mix))
+
+    def test_near_tied_rotated_pair_takes_the_fallback(self, alignment_solves):
+        # a pair rotated by about 45 degrees, then rank 2 tilted towards
+        # rank 3: both of the first two ranks lean to reduced vector 1
+        W = _rotation(3, 0, 1, np.arccos(0.708)) @ _rotation(3, 1, 2, 0.08)
+        overlap = np.abs(W)
+        assert overlap[[0, 1], [0, 1]] == pytest.approx([0.708, 0.705], abs=1e-3)
+        assert overlap[:2].argmax(axis=1).tolist() == [0, 0]
+        where = self._check_optimal(_system(np.eye(3)), _system(W))
+        assert where.tolist() == [0, 1, 2]
+        assert alignment_solves == [3]
+
+    def test_exactly_tied_row_maximum_is_not_certified(self, alignment_solves):
+        # rational rotation: the last row ties its first two columns while
+        # the row argmaxes (2, 1, 0) still fall in distinct columns
+        W = np.array([[-5, -2, 14], [10, -11, 2], [10, 10, 5]]) / 15.0
+        assert np.abs(W[2, 0]) == np.abs(W[2, 1])
+        where = self._check_optimal(_system(np.eye(3)), _system(W))
+        assert where.tolist() == [2, 1, 0]
+        assert alignment_solves == [3]
+
+    def test_single_component(self, alignment_solves):
+        where = self._check_optimal(_system([[1.0]]), _system([[-1.0]]))
+        assert where.tolist() == [0]
+        assert alignment_solves == []
+
+    def test_clear_permutation_is_certified(self, alignment_solves):
+        rng = np.random.default_rng(3)
+        V = _orthogonal(rng, 5)
+        order = [3, 0, 4, 1, 2]
+        reduced = _system(V[:, order] * [1.0, -1.0, 1.0, 1.0, -1.0])
+        where = self._check_optimal(_system(V), reduced)
+        assert where.tolist() == np.argsort(order).tolist()
+        assert alignment_solves == []
 
 
 class TestRecommendL:
