@@ -1,5 +1,7 @@
 """Command-line front end: analyze | influence | switching.
 
+Every run is one pipeline: parse and check the settings, load the CSV, run
+the command, emit the report (the shared header plus the command's body).
 Exit codes: 0 on success, 2 for configuration errors, 1 for data or I/O
 errors.  Warnings go to stderr; results go to --out (or stdout).
 """
@@ -13,7 +15,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,44 +39,11 @@ from .switching import (
     build_switch_report,
 )
 
-__all__ = ["RunConfig", "cmd_analyze", "cmd_influence", "cmd_switching", "main"]
+__all__ = ["main"]
 
 MODE_APPROX = "approx"
 MODE_EXACT = "exact"
 MODE_HYBRID = "hybrid"
-
-
-class ConfigError(Exception):
-    """Invalid command-line configuration (exit code 2)."""
-
-
-@dataclass
-class RunConfig:
-    """Validated settings for one CLI run."""
-
-    input: Path
-    estimator: EstimatorSpec = EstimatorSpec()
-    label_col: str | None = None
-    header: bool = True
-    L: int = 2
-    delta: float = DEFAULT_NEAR_DELTA
-    pairs: list[tuple[int, int]] | None = None
-    mode: str = MODE_APPROX
-    fmt: str = "json"
-    out: Path | None = None
-    precision: int = 6
-
-    def validate(self) -> None:
-        if self.L < 1:
-            raise ConfigError(f"--L must be at least 1, got {self.L}")
-        if not self.delta > 0.0:
-            raise ConfigError(f"--delta must be positive, got {self.delta}")
-        if self.precision < 1:
-            raise ConfigError(f"--precision must be at least 1, got {self.precision}")
-        if self.mode not in (MODE_APPROX, MODE_EXACT, MODE_HYBRID):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.fmt not in ("json", "csv"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -86,9 +54,9 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
             j, k = chunk.split(":")
             pair = (int(j), int(k))
         except ValueError:
-            raise ConfigError(f"cannot parse pair {chunk!r}; expected j:k") from None
+            raise ValueError(f"cannot parse pair {chunk!r}; expected j:k") from None
         if pair[1] != pair[0] + 1 or pair[0] < 1:
-            raise ConfigError(f"pair {chunk!r} is not a consecutive 1-based pair")
+            raise ValueError(f"pair {chunk!r} is not a consecutive 1-based pair")
         pairs.append(pair)
     return pairs
 
@@ -126,29 +94,10 @@ def _cells(record: dict, blanks: dict | None = None) -> list:
     return cells
 
 
-def _load(config: RunConfig) -> DataMatrix:
-    return load_csv(config.input, header=config.header, label_col=config.label_col)
-
-
-def _write_text(path: Path | None, text: str) -> list[Path]:
-    if path is None:
-        sys.stdout.write(text)
-        return []
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    return [path]
-
-
-def _write_json(config: RunConfig, doc: dict) -> list[Path]:
-    text = json.dumps(_round_doc(doc, config.precision), indent=2) + "\n"
-    return _write_text(config.out, text)
-
-
-def _csv_text(header: list[str], rows: list[list], digits: int,
-              comments: list[str] | None = None) -> str:
+def _csv_text(digits: int, header: list[str], rows: list[list],
+              comments: tuple[str, ...] = ()) -> str:
     buf = io.StringIO()
-    for line in comments or []:
+    for line in comments:
         buf.write(f"# {line}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -157,35 +106,36 @@ def _csv_text(header: list[str], rows: list[list], digits: int,
     return buf.getvalue()
 
 
-def _sibling(path: Path, suffix: str) -> Path:
-    return path.with_name(path.stem + suffix + path.suffix)
+def _emit(args: argparse.Namespace, doc: dict, tables) -> None:
+    """Write ``doc`` as JSON, or the CSV tables of ``tables()``.
 
-
-def _write_tables(config: RunConfig, tables: list[tuple[str, str]]) -> list[Path]:
-    """Write (suffix, text) tables; the first table owns the --out path."""
-    if config.out is None:
-        for idx, (suffix, text) in enumerate(tables):
+    Each table is ``(name, header, rows[, comments])``.  The first one owns
+    --out and each other one its sibling ``<stem>_<name><suffix>``; without
+    --out they follow each other on stdout, each after a ``# table:`` line.
+    """
+    if args.fmt == "json":
+        texts = [("", json.dumps(_round_doc(doc, args.precision), indent=2) + "\n")]
+    else:
+        texts = [(name, _csv_text(args.precision, *table))
+                 for name, *table in tables()]
+    for idx, (name, text) in enumerate(texts):
+        if args.out is None:
             if idx:
-                sys.stdout.write("\n")
-            if suffix:
-                sys.stdout.write(f"# table: {suffix.lstrip('_')}\n")
+                sys.stdout.write(f"\n# table: {name}\n")
             sys.stdout.write(text)
-        return []
-    written = []
-    base = Path(config.out)
-    for suffix, text in tables:
-        path = base if not suffix else _sibling(base, suffix)
-        written.extend(_write_text(path, text))
-    return written
+            continue
+        path = Path(args.out)
+        if name:
+            path = path.with_name(f"{path.stem}_{name}{path.suffix}")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
 
 
-def cmd_analyze(config: RunConfig) -> list[Path]:
+def _analyze(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     """Eigen-analysis: eigenvalues, explained variance, scree table, scores."""
-    X = _load(config)
-    w = estimate(X, config.estimator)
-    E = eigh(w)
-    if config.L > E.p:
-        raise ConfigError(f"--L {config.L} exceeds the {E.p} available components")
+    E = eigh(estimate(X, spec))
+    if args.L > E.p:
+        raise ValueError(f"--L {args.L} exceeds the {E.p} available components")
     for j, k in E.gap_warnings:
         warnings.warn(
             f"eigenvalues {j} and {k} are nearly tied; component order is "
@@ -196,16 +146,10 @@ def cmd_analyze(config: RunConfig) -> list[Path]:
     total = float(np.sum(E.values))
     proportion = E.values / total if total > 0 else np.zeros_like(E.values)
     cumulative = np.cumsum(proportion)
-    scores = pc_scores(X, subspace(E, config.L))
+    scores = pc_scores(X, subspace(E, args.L))
 
-    doc = {
-        "command": "analyze",
-        "version": __version__,
-        "estimator": {"kind": config.estimator.kind,
-                      "divisor": config.estimator.divisor},
-        "n": X.n,
-        "p": X.p,
-        "L": config.L,
+    body = {
+        "L": args.L,
         "eigenvalues": E.values.tolist(),
         "proportion_explained": proportion.tolist(),
         "cumulative_proportion": cumulative.tolist(),
@@ -222,39 +166,35 @@ def cmd_analyze(config: RunConfig) -> list[Path]:
             for i in range(X.n)
         ],
     }
-    if config.fmt == "json":
-        return _write_json(config, doc)
-    return _write_tables(config, [
-        ("", _csv_text(["component", "eigenvalue", "proportion", "cumulative"],
-                       [_cells(r) for r in doc["scree"]], config.precision)),
-        ("_scores", _csv_text(
-            ["obs", "label", *(f"PC{j + 1}" for j in range(config.L))],
-            [_cells(r) for r in doc["scores"]], config.precision)),
-    ])
+    return body, lambda: [
+        ("", ["component", "eigenvalue", "proportion", "cumulative"],
+         [_cells(r) for r in body["scree"]]),
+        ("scores", ["obs", "label", *(f"PC{j + 1}" for j in range(args.L))],
+         [_cells(r) for r in body["scores"]]),
+    ]
 
 
-def _influence_rows(config: RunConfig, X: DataMatrix):
-    spec = config.estimator
+def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
+    """Per-observation influence sweep over all diagnostics for this mode."""
     engine = LooEngine(X, spec)
     E = engine.eigen
-    if not 1 <= config.L <= E.p:
-        raise ConfigError(f"--L {config.L} out of range 1..{E.p}")
-    n = X.n
+    if args.L > E.p:
+        raise ValueError(f"--L {args.L} out of range 1..{E.p}")
 
     kinds: dict[int, str] = {}
-    exact: bool | list[int] = config.mode == MODE_EXACT
-    if config.mode == MODE_HYBRID:
-        if config.L >= E.p:
-            raise ConfigError("hybrid mode needs L < p to have a boundary pair")
+    exact: bool | list[int] = args.mode == MODE_EXACT
+    if args.mode == MODE_HYBRID:
+        if args.L >= E.p:
+            raise ValueError("hybrid mode needs L < p to have a boundary pair")
         report = build_switch_report(
-            X, spec, candidate_L=config.L, delta=config.delta,
-            pairs=[(config.L, config.L + 1)], engine=engine,
+            X, spec, candidate_L=args.L, delta=args.delta,
+            pairs=[(args.L, args.L + 1)], engine=engine,
         )
         kinds = {ev.obs_index: ev.kind for ev in report.events}
         exact = sorted(kinds)
-    records = influence_records(X, spec, config.L, exact=exact, engine=engine)
+    records = influence_records(X, spec, args.L, exact=exact, engine=engine)
 
-    hif = -(n - 1) * (engine.table - E.values)
+    hif = -(X.n - 1) * (engine.table - E.values)
     deltas = X.values - engine.mean
     rows = []
     for record in records:
@@ -277,85 +217,59 @@ def _influence_rows(config: RunConfig, X: DataMatrix):
             "eif_eigen": eif,
             "hif_eigen": hif[i - 1].tolist(),
             "sif_eigen": record.sif_eigen.tolist()
-            if config.mode == MODE_EXACT else None,
+            if args.mode == MODE_EXACT else None,
             "note": record.note,
         }
-        if config.mode == MODE_HYBRID:
+        if args.mode == MODE_HYBRID:
             replaced = i in kinds
             row["replaced"] = replaced
             row["hybrid_b"] = record.sif_b if replaced else record.eif_b
             row["hybrid_c"] = record.sci if replaced else record.scia
         rows.append(row)
-    return E, rows
 
-
-def cmd_influence(config: RunConfig) -> list[Path]:
-    """Per-observation influence sweep over all diagnostics for this mode."""
-    X = _load(config)
-    E, rows = _influence_rows(config, X)
-
-    doc = {
-        "command": "influence",
-        "version": __version__,
-        "estimator": {"kind": config.estimator.kind,
-                      "divisor": config.estimator.divisor},
-        "n": X.n,
-        "p": X.p,
-        "L": config.L,
-        "mode": config.mode,
+    body = {
+        "L": args.L,
+        "mode": args.mode,
         "eigenvalues": E.values.tolist(),
         "observations": rows,
     }
-    if config.fmt == "json":
-        return _write_json(config, doc)
-
-    p = X.p
     header = (
         ["obs", "label", "eif_b", "scia", "sif_b", "sci", "hybrid_b",
          "hybrid_c", "replaced", "flag"]
-        + [f"{v}_l{j + 1}" for v in ("eif", "hif", "sif") for j in range(p)]
+        + [f"{v}_l{j + 1}" for v in ("eif", "hif", "sif") for j in range(X.p)]
         + ["note"]
     )
-    blanks = dict.fromkeys(("eif_eigen", "hif_eigen", "sif_eigen"), [None] * p)
-    table = [_cells(row, blanks) for row in rows]
-    return _write_tables(config, [("", _csv_text(header, table, config.precision))])
+    blanks = dict.fromkeys(("eif_eigen", "hif_eigen", "sif_eigen"), [None] * X.p)
+    return body, lambda: [("", header, [_cells(row, blanks) for row in rows])]
 
 
-def cmd_switching(config: RunConfig) -> list[Path]:
+def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     """Switching detection report with retention advice."""
-    X = _load(config)
-    spec = config.estimator
     engine = LooEngine(X, spec)
     E = engine.eigen
-    if not 1 <= config.L < E.p:
-        raise ConfigError(
-            f"--L {config.L} out of range 1..{E.p - 1} for retention advice"
+    if args.L >= E.p:
+        raise ValueError(
+            f"--L {args.L} out of range 1..{E.p - 1} for retention advice"
         )
     report = build_switch_report(
         X, spec,
-        candidate_L=config.L,
-        delta=config.delta,
-        pairs=config.pairs,
-        verify=config.mode == MODE_EXACT,
-        hybrid_measure="B" if config.mode == MODE_HYBRID else None,
+        candidate_L=args.L,
+        delta=args.delta,
+        pairs=args.pairs,
+        verify=args.mode == MODE_EXACT,
+        hybrid_measure="B" if args.mode == MODE_HYBRID else None,
         engine=engine,
     )
+    advice = report.recommendation
     flagged = sorted({ev.obs_index for ev in report.events})
-    loo_table = {str(i): engine.table[i - 1].tolist() for i in flagged}
 
-    doc = {
-        "command": "switching",
-        "version": __version__,
-        "estimator": {"kind": spec.kind, "divisor": spec.divisor},
-        "n": X.n,
-        "p": X.p,
-        "mode": config.mode,
+    body = {
+        "mode": args.mode,
         "delta": report.delta,
-        "pairs": None if config.pairs is None
-        else [list(pair) for pair in config.pairs],
-        "candidate_L": config.L,
-        "recommended_L": {"L": report.recommendation.L,
-                          "rationale": report.recommendation.rationale},
+        "pairs": None if args.pairs is None
+        else [list(pair) for pair in args.pairs],
+        "candidate_L": args.L,
+        "recommended_L": {"L": advice.L, "rationale": advice.rationale},
         "eigenvalues": E.values.tolist(),
         "events": [
             {"obs": ev.obs_index, "label": ev.obs_label,
@@ -364,10 +278,10 @@ def cmd_switching(config: RunConfig) -> list[Path]:
              "verified_exact": ev.verified_exact}
             for ev in report.events
         ],
-        "loo_eigenvalues": loo_table,
+        "loo_eigenvalues": {str(i): engine.table[i - 1].tolist() for i in flagged},
         "hybrid": None if report.hybrid_series is None else {
             "measure": "B",
-            "L": config.L,
+            "L": args.L,
             "series": [
                 {"obs": hv.obs_index, "label": hv.obs_label,
                  "value": hv.value, "replaced": hv.replaced}
@@ -375,31 +289,25 @@ def cmd_switching(config: RunConfig) -> list[Path]:
             ],
         },
     }
-    if config.fmt == "json":
-        return _write_json(config, doc)
 
-    comments = [
-        f"delta={report.delta:.{config.precision}g}",
-        f"candidate_L={config.L}",
-        f"recommended_L={report.recommendation.L}",
-        f"rationale={report.recommendation.rationale}",
-    ]
-    tables = [("", _csv_text(
-        ["obs", "label", "pair_low", "pair_high", "approx_lo", "approx_hi",
-         "kind", "verified_exact"],
-        [_cells(ev) for ev in doc["events"]], config.precision, comments))]
-    loo_rows = [
-        [int(i), X.row_labels[int(i) - 1], *values]
-        for i, values in loo_table.items()
-    ]
-    tables.append(("_loo", _csv_text(
-        ["obs", "label", *(f"lambda{j + 1}" for j in range(X.p))],
-        loo_rows, config.precision)))
-    if doc["hybrid"] is not None:
-        tables.append(("_hybrid", _csv_text(
-            ["obs", "label", "value", "replaced"],
-            [_cells(hv) for hv in doc["hybrid"]["series"]], config.precision)))
-    return _write_tables(config, tables)
+    def tables():
+        comments = (
+            f"delta={report.delta:.{args.precision}g}",
+            f"candidate_L={args.L}",
+            f"recommended_L={advice.L}",
+            f"rationale={advice.rationale}",
+        )
+        yield ("", ["obs", "label", "pair_low", "pair_high", "approx_lo",
+                    "approx_hi", "kind", "verified_exact"],
+               [_cells(ev) for ev in body["events"]], comments)
+        yield ("loo", ["obs", "label", *(f"lambda{j + 1}" for j in range(X.p))],
+               [[i, X.row_labels[i - 1], *body["loo_eigenvalues"][str(i)]]
+                for i in flagged])
+        if body["hybrid"] is not None:
+            yield ("hybrid", ["obs", "label", "value", "replaced"],
+                   [_cells(hv) for hv in body["hybrid"]["series"]])
+
+    return body, tables
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -440,46 +348,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kind = COVARIANCE if args.estimator == "cov" else CORRELATION
-    divisor = DIVISOR_N if args.divisor == "n" else DIVISOR_N_MINUS_1
-    config = RunConfig(
-        input=Path(args.input),
-        estimator=EstimatorSpec(kind, divisor),
-        label_col=args.label_col,
-        header=not args.no_header,
-        L=args.L,
-        delta=args.delta,
-        pairs=None if args.pairs is None else _parse_pairs(args.pairs),
-        mode=args.mode,
-        fmt=args.fmt,
-        out=None if args.out is None else Path(args.out),
-        precision=args.precision,
-    )
-    config.validate()
-    return config
-
-
 _COMMANDS = {
-    "analyze": cmd_analyze,
-    "influence": cmd_influence,
-    "switching": cmd_switching,
+    "analyze": _analyze,
+    "influence": _influence,
+    "switching": _switching,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        _COMMANDS[args.command](config)
-    except (ConfigError, ValueError) as exc:
+        if args.L < 1:
+            raise ValueError(f"--L must be at least 1, got {args.L}")
+        if not args.delta > 0.0:
+            raise ValueError(f"--delta must be positive, got {args.delta}")
+        if args.precision < 1:
+            raise ValueError(f"--precision must be at least 1, got {args.precision}")
+        if args.pairs is not None:
+            args.pairs = _parse_pairs(args.pairs)
+        X = load_csv(args.input, header=not args.no_header,
+                     label_col=args.label_col)
+        spec = EstimatorSpec(
+            COVARIANCE if args.estimator == "cov" else CORRELATION,
+            DIVISOR_N if args.divisor == "n" else DIVISOR_N_MINUS_1,
+        )
+        body, tables = _COMMANDS[args.command](args, X, spec)
+        header = {"command": args.command, "version": __version__,
+                  "estimator": {"kind": spec.kind, "divisor": spec.divisor},
+                  "n": X.n, "p": X.p}
+        _emit(args, header | body, tables)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EigenSensError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EigenSensError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -139,11 +139,10 @@ class LooEngine:
     engine never rebuilds what the engine already has.
     """
 
-    def __init__(self, X: DataMatrix, spec: EstimatorSpec = EstimatorSpec(), *,
-                 eigen: EigenSystem | None = None):
+    def __init__(self, X: DataMatrix, spec: EstimatorSpec = EstimatorSpec()):
         self.X = X
         self.spec = spec
-        self.eigen = eigen if eigen is not None else eigh(estimate(X, spec))
+        self.eigen = eigh(estimate(X, spec))
         self.mean = X.values.mean(axis=0)
         self._scatter = _scatter(X.values)
         self._table: np.ndarray | None = None

@@ -32,11 +32,9 @@ from .dataset import (
 )
 from .eigen import (
     EigenSystem,
-    GAP_TOL,
     Subspace,
     _cosines,
     _score_basis,
-    _tie_scale,
     eigh,
 )
 from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
@@ -167,17 +165,6 @@ def sif_b(
     return _SampleMeasures(X, E, L).sif_b(E_loo)
 
 
-def _check_denominators(E: EigenSystem, L: int) -> None:
-    scale = _tie_scale(E.values)
-    for l in range(1, L + 1):
-        for k in range(L + 1, E.p + 1):
-            if abs(E.value(l) - E.value(k)) < GAP_TOL * scale:
-                raise DegenerateEigenvaluesError(
-                    f"eigenvalues {l} and {k} are nearly equal; the empirical "
-                    "influence denominator is degenerate"
-                )
-
-
 def _empirical_pieces(X: DataMatrix, spec: EstimatorSpec, L: int,
                       engine: LooEngine | None):
     if spec.kind != COVARIANCE:
@@ -189,7 +176,11 @@ def _empirical_pieces(X: DataMatrix, spec: EstimatorSpec, L: int,
     E = engine.eigen
     if not 1 <= L < E.p:
         raise ValueError(f"L={L} out of range 1..{E.p - 1} for empirical measures")
-    _check_denominators(E, L)
+    if (L, L + 1) in E.gap_warnings:
+        raise DegenerateEigenvaluesError(
+            f"eigenvalues {L} and {L + 1} are nearly equal; the empirical "
+            "influence denominator is degenerate"
+        )
     scores = (X.values - engine.mean) @ E.vectors
     return E, scores
 

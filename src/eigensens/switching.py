@@ -317,28 +317,16 @@ def recommend_L(
         f"boundary ({candidate_L},{candidate_L + 1}) switches for "
         f"observations {sorted(set(switched[candidate_L]))}"
     ]
-    tried = {candidate_L}
-    current = candidate_L
-    while True:
-        if current + 1 < p and current + 1 not in tried:
-            nxt = current + 1
+    previous = candidate_L
+    for nxt in [*range(candidate_L + 1, p), *range(candidate_L - 1, 0, -1)]:
+        if nxt > candidate_L:
             steps.append(f"trying L={nxt} to keep both eigenvectors of the "
                          f"disrupted pair")
+        elif previous == p - 1:
+            steps.append(f"L={p} would retain every component; "
+                         f"falling back to L={nxt}")
         else:
-            below = [c for c in range(current - 1, 0, -1) if c not in tried]
-            if not below:
-                raise NoValidRetentionError(
-                    "every candidate boundary is disrupted by switching",
-                    list(events),
-                )
-            nxt = below[0]
-            if current + 1 == p:
-                steps.append(f"L={p} would retain every component; "
-                             f"falling back to L={nxt}")
-            else:
-                steps.append(f"no untried boundary above; falling back to "
-                             f"L={nxt}")
-        tried.add(nxt)
+            steps.append(f"no untried boundary above; falling back to L={nxt}")
         if nxt not in switched:
             steps.append(f"boundary ({nxt},{nxt + 1}) is clean")
             return RetentionAdvice(nxt, "; ".join(steps))
@@ -346,7 +334,10 @@ def recommend_L(
             f"boundary ({nxt},{nxt + 1}) also switches for observations "
             f"{sorted(set(switched[nxt]))}"
         )
-        current = nxt
+        previous = nxt
+    raise NoValidRetentionError(
+        "every candidate boundary is disrupted by switching", list(events)
+    )
 
 
 def hybrid_influence(

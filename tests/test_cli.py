@@ -266,23 +266,40 @@ class TestStdout:
         assert run(*argv) == 0
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
-    def test_csv_tables_follow_each_other(self, tmp_path, capsys):
-        argv = ["analyze", "--input", OILS, "--label-col", "oil_type",
-                "--format", "csv"]
-        out = tmp_path / "analysis.csv"
+    @pytest.mark.parametrize("command, flags, first, siblings", [
+        ("analyze", [], "component,", ["scores"]),
+        ("switching", ["--mode", "hybrid"], "# delta=", ["loo", "hybrid"]),
+    ])
+    def test_csv_tables_follow_each_other(self, tmp_path, capsys, command,
+                                          flags, first, siblings):
+        argv = [command, "--input", OILS, "--label-col", "oil_type",
+                *flags, "--format", "csv"]
+        out = tmp_path / "report.csv"
         assert run(*argv, "--out", str(out)) == 0
         capsys.readouterr()
         assert run(*argv) == 0
-        scree = out.read_text()
-        scores = (tmp_path / "analysis_scores.csv").read_text()
-        assert scree.startswith("component,") and scores.startswith("obs,")
-        assert capsys.readouterr().out == scree + "\n# table: scores\n" + scores
+        expected = out.read_text()
+        assert expected.startswith(first)
+        for name in siblings:
+            table = (tmp_path / f"report_{name}.csv").read_text()
+            assert table.startswith("obs,")
+            expected += f"\n# table: {name}\n" + table
+        assert capsys.readouterr().out == expected
 
 
 class TestExitCodesAndConfig:
     def test_missing_input_is_a_data_error(self, tmp_path, capsys):
         assert run("switching", "--input", str(tmp_path / "nope.csv")) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--delta", "-1"], ["--L", "0"], ["--precision", "0"], ["--pairs", "2-3"],
+    ])
+    def test_settings_are_checked_before_the_input_is_read(self, tmp_path,
+                                                           capsys, flags):
+        assert run("switching", "--input", str(tmp_path / "nope.csv"),
+                   *flags) == 2
+        assert "nope.csv" not in capsys.readouterr().err
 
     def test_bad_flag_value_exits_2(self):
         with pytest.raises(SystemExit) as info:

@@ -308,14 +308,13 @@ class TestInfluenceInvariants:
         assert wins >= 18
 
     def test_invariant_to_eigenvector_sign_flips(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        flipped = EigenSystem(
+        a, b = LooEngine(oils, COV_N), LooEngine(oils, COV_N)
+        E = a.eigen
+        b.eigen = EigenSystem(
             E.values.copy(),
             E.vectors * np.where(np.arange(E.p) % 2 == 0, -1.0, 1.0),
             list(E.gap_warnings),
         )
-        a = LooEngine(oils, COV_N, eigen=E)
-        b = LooEngine(oils, COV_N, eigen=flipped)
         np.testing.assert_allclose(a.table, b.table, rtol=0, atol=1e-9)
         for series in (eif_b_series, scia_series):
             np.testing.assert_allclose(series(oils, 2, engine=a),

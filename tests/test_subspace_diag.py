@@ -227,9 +227,10 @@ class TestScia:
 
     def test_zero_eigenvalue_rejected(self):
         X = make_data([[1.0, 0.0], [-1.0, 0.0], [0.5, 1.0], [-0.5, -1.0]])
-        doctored = EigenSystem(np.array([0.0, -1.0]), np.eye(2), [])
+        engine = LooEngine(X, COV_N)
+        engine.eigen = EigenSystem(np.array([0.0, -1.0]), np.eye(2), [])
         with pytest.raises(DegenerateEigenvaluesError, match="zero"):
-            scia_series(X, 1, engine=LooEngine(X, COV_N, eigen=doctored))
+            scia_series(X, 1, engine=engine)
 
 
 class TestSweeps:

@@ -25,7 +25,7 @@ from eigensens import (
 from eigensens import switching
 from eigensens.eigen import EigenSystem
 from eigensens.subspace_diag import eif_b_series, scia_series
-from eigensens.switching import KIND_NEAR, KIND_SWITCH
+from eigensens.switching import KIND_NEAR, KIND_SWITCH, SwitchEvent
 
 from conftest import COV_N, gaussian_data, make_data
 
@@ -238,6 +238,24 @@ class TestRecommendL:
     def test_candidate_out_of_range(self, oils):
         with pytest.raises(ValueError, match="candidate_L"):
             recommend_L(oils, COV_N, 7)
+
+    def test_fallback_walk_rationale(self):
+        X = gaussian_data(2, 40, [10.0, 5.0, 3.0, 1.0, 0.3])
+        fake = [
+            SwitchEvent(i, X.row_labels[i - 1], (j, j + 1), 0.0, 0.0, KIND_SWITCH)
+            for i, j in ((4, 3), (7, 4), (9, 2))
+        ]
+        advice = recommend_L(X, COV_N, 3, events=fake)
+        assert advice.L == 1
+        assert advice.rationale == (
+            "boundary (3,4) switches for observations [4]; "
+            "trying L=4 to keep both eigenvectors of the disrupted pair; "
+            "boundary (4,5) also switches for observations [7]; "
+            "L=5 would retain every component; falling back to L=2; "
+            "boundary (2,3) also switches for observations [9]; "
+            "no untried boundary above; falling back to L=1; "
+            "boundary (1,2) is clean"
+        )
 
     def test_every_boundary_disrupted_reports_failure(self, oils):
         events = detect_switching(oils, COV_N)
