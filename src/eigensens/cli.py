@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,7 @@ from .eigen import eigh, pc_scores, subspace
 from .errors import EigenSensError
 from .influence import LooEngine
 from .subspace_diag import influence_records
-from .switching import (
-    DEFAULT_NEAR_DELTA,
-    build_switch_report,
-)
+from .switching import DEFAULT_NEAR_DELTA, build_switch_report
 
 __all__ = ["main"]
 
@@ -61,15 +59,22 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _round_doc(obj, digits: int):
-    """Round every finite float of a document to ``digits`` significant digits."""
-    if isinstance(obj, dict):
-        return {k: _round_doc(v, digits) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_doc(v, digits) for v in obj]
-    if isinstance(obj, float) and math.isfinite(obj):
-        return float(f"{obj:.{digits}g}")
-    return obj
+def _json_text(obj, digits: int, indent: str = "") -> str:
+    """``obj`` as stdlib ``indent=2`` JSON, floats to ``digits`` significant digits."""
+    kind = type(obj)
+    if kind is float:
+        obj = float(f"{obj:.{digits}g}")  # may round up to inf
+        return repr(obj) if math.isfinite(obj) else json.dumps(obj)
+    if kind is str or kind is int:
+        return encode_basestring_ascii(obj) if kind is str else int.__repr__(obj)
+    if obj is None or kind is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = indent + "  "
+    items = ([f"{encode_basestring_ascii(k)}: {_json_text(v, digits, inner)}"
+              for k, v in obj.items()] if kind is dict
+             else [_json_text(v, digits, inner) for v in obj])
+    body = f"\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}" if items else ""
+    return f"{{{body}}}" if kind is dict else f"[{body}]"
 
 
 def _fmt_cell(x, digits: int) -> str:
@@ -114,7 +119,7 @@ def _emit(args: argparse.Namespace, doc: dict, tables) -> None:
     --out they follow each other on stdout, each after a ``# table:`` line.
     """
     if args.fmt == "json":
-        texts = [("", json.dumps(_round_doc(doc, args.precision), indent=2) + "\n")]
+        texts = [("", _json_text(doc, args.precision) + "\n")]
     else:
         texts = [(name, _csv_text(args.precision, *table))
                  for name, *table in tables()]

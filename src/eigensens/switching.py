@@ -274,7 +274,8 @@ def verify_exact(
         lo = float(aligned[ev.obs_index][j - 1])
         hi = float(aligned[ev.obs_index][k - 1])
         confirmed = lo < hi if ev.kind == KIND_SWITCH else abs(lo - hi) < delta
-        out.append(replace(ev, verified_exact=confirmed))
+        out.append(SwitchEvent(ev.obs_index, ev.obs_label, ev.pair, ev.approx_lo,
+                               ev.approx_hi, ev.kind, confirmed))
     return _sorted_events(out)
 
 

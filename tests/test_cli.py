@@ -1,13 +1,16 @@
 import csv
 import json
+import math
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigensens import bundled_oils_path
-from eigensens.cli import main
+from eigensens.cli import _json_text, main
 
 OILS = str(bundled_oils_path())
 
@@ -222,10 +225,20 @@ class TestSwitching:
         flagged = {s["obs"] for s in series if s["replaced"]}
         assert flagged == {28, 42, 57, 58, 59, 60, 90, 91, 93, 94, 95}
 
-    def test_json_round_trip_is_idempotent(self, tmp_path):
-        out = tmp_path / "sw.json"
-        run("switching", "--input", OILS, "--label-col", "oil_type",
-            "--out", str(out))
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["influence", "--mode", "approx"],
+        ["influence", "--mode", "hybrid"],
+        ["influence", "--mode", "exact"],
+        ["switching", "--mode", "approx"],
+        ["switching", "--mode", "hybrid"],
+        ["switching", "--mode", "exact"],
+        ["switching", "--mode", "exact", "--estimator", "cor"],
+    ], ids=" ".join)
+    def test_json_round_trip_is_idempotent(self, tmp_path, argv):
+        out = tmp_path / "report.json"
+        assert run(*argv, "--input", OILS, "--label-col", "oil_type",
+                   "--out", str(out)) == 0
         text = out.read_text()
         assert json.dumps(json.loads(text), indent=2) + "\n" == text
 
@@ -252,6 +265,67 @@ class TestSwitching:
         assert json.loads((tmp_path / "sw.json").read_text())["delta"] == 0.123456789
         lines = (tmp_path / "sw.csv").read_text().splitlines()
         assert lines[0] == "# delta=0.123456789"
+
+
+def _round_doc(obj, digits: int):
+    """Round every finite float of a document to ``digits`` significant digits."""
+    if isinstance(obj, dict):
+        return {k: _round_doc(v, digits) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_round_doc(v, digits) for v in obj]
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float(f"{obj:.{digits}g}")
+    return obj
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                1e16, 9999999999999998.0, 1e-16, 1e5, 99999.95, 1e-5, 1e-4]
+_NEAR_DECADES = st.builds(
+    lambda mantissa, exponent, sign: sign * mantissa * 10.0 ** exponent,
+    st.floats(0.999, 1.001), st.sampled_from([-16, -5, 5, 16]),
+    st.sampled_from([-1.0, 1.0]))
+_TEXT = st.text() | st.sampled_from(["é", 'a"b', "c\\d", "x,y", "tab\there",
+                                     "\x00\x1f\x7f", "\u2028", "😀", ""])
+_SCALARS = (st.floats() | st.sampled_from(_EDGE_FLOATS) | _NEAR_DECADES
+            | st.integers() | st.sampled_from([0, 1, -1]) | st.booleans()
+            | st.none() | _TEXT)
+_DOCUMENTS = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(_TEXT, children, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    """The one-walk writer keeps the bytes of the stdlib's indented dump of
+    the rounded document."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_DOCUMENTS, digits=st.integers(1, 17))
+    @example(doc=[1.7976931348623157e308, {"é": -0.0}], digits=1)  # rounds to inf
+    def test_matches_the_stdlib_dump_of_the_rounded_document(self, doc, digits):
+        assert _json_text(doc, digits) == json.dumps(_round_doc(doc, digits), indent=2)
+
+    def test_labels_are_escaped_in_json_and_quoted_in_csv(self, tmp_path):
+        labels = ["é", 'a"b', "c\\d", "x,y", "tab\there"]
+        path = tmp_path / "labels.csv"
+        with path.open("w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(["name", "a", "b"])
+            for label, row in zip(labels, [[1, 2], [3, 1], [0, 5], [4, 4], [2, 7]]):
+                writer.writerow([label, *row])
+        argv = ["influence", "--input", str(path), "--label-col", "name", "--L", "1"]
+        assert run(*argv, "--out", str(tmp_path / "inf.json")) == 0
+        text = (tmp_path / "inf.json").read_text(encoding="utf-8")
+        assert [r["label"] for r in json.loads(text)["observations"]] == labels
+        for escaped in ['"\\u00e9"', '"a\\"b"', '"c\\\\d"', '"x,y"', '"tab\\there"']:
+            assert f'"label": {escaped},' in text
+        assert run(*argv, "--format", "csv", "--out", str(tmp_path / "inf.csv")) == 0
+        rows = (tmp_path / "inf.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[2].startswith('2,"a""b",')
+        assert [row[1] for row in csv.reader(rows[1:])] == labels
 
 
 class TestStdout:
