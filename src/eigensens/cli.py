@@ -187,17 +187,17 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
         raise ValueError(f"--L {args.L} out of range 1..{E.p}")
 
     kinds: dict[int, str] = {}
-    exact: bool | list[int] = args.mode == MODE_EXACT
+    exact = range(1, X.n + 1) if args.mode == MODE_EXACT else ()
     if args.mode == MODE_HYBRID:
         if args.L >= E.p:
             raise ValueError("hybrid mode needs L < p to have a boundary pair")
         report = build_switch_report(
-            X, spec, candidate_L=args.L, delta=args.delta,
-            pairs=[(args.L, args.L + 1)], engine=engine,
+            engine, candidate_L=args.L, delta=args.delta,
+            pairs=[(args.L, args.L + 1)],
         )
         kinds = {ev.obs_index: ev.kind for ev in report.events}
-        exact = sorted(kinds)
-    records = influence_records(X, spec, args.L, exact=exact, engine=engine)
+        exact = kinds.keys()
+    records = influence_records(engine, args.L, exact=exact)
 
     hif = -(X.n - 1) * (engine.table - E.values)
     deltas = X.values - engine.mean
@@ -257,13 +257,12 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
             f"--L {args.L} out of range 1..{E.p - 1} for retention advice"
         )
     report = build_switch_report(
-        X, spec,
+        engine,
         candidate_L=args.L,
         delta=args.delta,
         pairs=args.pairs,
         verify=args.mode == MODE_EXACT,
-        hybrid_measure="B" if args.mode == MODE_HYBRID else None,
-        engine=engine,
+        hybrid=args.mode == MODE_HYBRID,
     )
     advice = report.recommendation
     flagged = sorted({ev.obs_index for ev in report.events})

@@ -20,8 +20,9 @@ which is what makes order disruptions visible to the switching detector.
 :class:`LooEngine` holds the leave-one-out state of one run: the full-data
 decomposition, mean and scatter, the rank-one downdates, the approximate table
 (computed once) and the exact reduced decompositions, one per observation
-that needs one.  The sweeps take it as ``engine=``; the per-observation
-functions are references that decompose their own input.
+that needs one.  Every leave-one-out sweep takes an engine as its one data
+argument; the per-observation functions are references that take the data
+and the estimator and decompose their own input.
 """
 
 from __future__ import annotations
@@ -104,25 +105,20 @@ def _chunk_rows(p: int) -> int:
     return max(1, CHUNK_ENTRIES // (p * p))
 
 
-def loo_eigenvalue_table(
-    X: DataMatrix,
-    spec: EstimatorSpec,
-    *,
-    engine: LooEngine | None = None,
-) -> np.ndarray:
+def loo_eigenvalue_table(engine: LooEngine) -> np.ndarray:
     """n x p table of approximated leave-one-out eigenvalues, one row per i.
 
-    The whole sweep reuses a single full-data decomposition and one scatter
-    accumulator: the rows come as stacked rank-one downdates in bounded
-    blocks, each projected onto the full-data eigenvectors in one call.  Every
-    row equals :func:`approx_eigenvalues_loo` for its observation exactly.
+    The whole sweep reuses the engine's full-data decomposition and scatter:
+    the rows come as stacked rank-one downdates in bounded blocks, each
+    projected onto the full-data eigenvectors in one call.  Every row equals
+    :func:`approx_eigenvalues_loo` for its observation exactly.
     """
-    engine = _engine(X, spec, engine)
     V = engine.eigen.vectors
-    table = np.empty((X.n, X.p))
-    step = _chunk_rows(X.p)
-    for first in range(1, X.n + 1, step):
-        last = min(first + step - 1, X.n)
+    n, p = engine.n, engine.p
+    table = np.empty((n, p))
+    step = _chunk_rows(p)
+    for first in range(1, n + 1, step):
+        last = min(first + step - 1, n)
         table[first - 1:last] = np.einsum(
             "jp,ijk,kp->ip", V, engine.loo_block(first, last), V
         )
@@ -148,10 +144,18 @@ class LooEngine:
         self._table: np.ndarray | None = None
 
     @property
+    def n(self) -> int:
+        return self.X.n
+
+    @property
+    def p(self) -> int:
+        return self.X.p
+
+    @property
     def table(self) -> np.ndarray:
         """n x p approximated leave-one-out eigenvalues, in full-data rank order."""
         if self._table is None:
-            self._table = loo_eigenvalue_table(self.X, self.spec, engine=self)
+            self._table = loo_eigenvalue_table(self)
         return self._table
 
     def loo_block(self, first: int, last: int) -> np.ndarray:
@@ -193,16 +197,6 @@ class LooEngine:
                 for i in block
             ])
             yield from zip(block, eigh_stack(mats))
-
-
-def _engine(X: DataMatrix, spec: EstimatorSpec,
-            engine: LooEngine | None) -> LooEngine:
-    if engine is None:
-        return LooEngine(X, spec)
-    if engine.X is not X or engine.spec != spec:
-        raise ValueError("the leave-one-out engine was built for other data "
-                         "or another estimator")
-    return engine
 
 
 def _check_unique(E: EigenSystem, j: int, what: str) -> None:

@@ -38,7 +38,7 @@ from .eigen import (
     eigh,
 )
 from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
-from .influence import LooEngine, _engine, _require_loo
+from .influence import LooEngine, _require_loo
 
 __all__ = [
     "InfluenceRecord",
@@ -165,14 +165,12 @@ def sif_b(
     return _SampleMeasures(X, E, L).sif_b(E_loo)
 
 
-def _empirical_pieces(X: DataMatrix, spec: EstimatorSpec, L: int,
-                      engine: LooEngine | None):
-    if spec.kind != COVARIANCE:
+def _empirical_pieces(engine: LooEngine, L: int):
+    if engine.spec.kind != COVARIANCE:
         raise UnsupportedEstimatorError(
             "empirical subspace influence uses the covariance closed form; "
-            f"got {spec.kind!r} (use the exact measures instead)"
+            f"got {engine.spec.kind!r} (use the exact measures instead)"
         )
-    engine = _engine(X, spec, engine)
     E = engine.eigen
     if not 1 <= L < E.p:
         raise ValueError(f"L={L} out of range 1..{E.p - 1} for empirical measures")
@@ -181,44 +179,32 @@ def _empirical_pieces(X: DataMatrix, spec: EstimatorSpec, L: int,
             f"eigenvalues {L} and {L + 1} are nearly equal; the empirical "
             "influence denominator is degenerate"
         )
-    scores = (X.values - engine.mean) @ E.vectors
+    scores = (engine.X.values - engine.mean) @ E.vectors
     return E, scores
 
 
-def eif_b_series(
-    X: DataMatrix,
-    L: int,
-    spec: EstimatorSpec = EstimatorSpec(),
-    *,
-    engine: LooEngine | None = None,
-) -> np.ndarray:
+def eif_b_series(engine: LooEngine, L: int) -> np.ndarray:
     """Empirical subspace influence for every observation in one pass.
 
-    Uses only the full-data eigenvalues and scores, so the entire series
-    costs a single decomposition, taken from ``engine`` when one is given.
+    Uses only the engine's full-data eigenvalues and scores, so the entire
+    series costs a single decomposition.
     """
-    E, om = _empirical_pieces(X, spec, L, engine)
+    E, om = _empirical_pieces(engine, L)
     lam = E.values
-    total = np.zeros(X.n)
+    total = np.zeros(engine.n)
     for l in range(L):
-        inner = np.zeros(X.n)
+        inner = np.zeros(engine.n)
         for k in range(L, E.p):
             inner += om[:, l] ** 2 * om[:, k] ** 2 / (lam[l] - lam[k]) ** 2
         total += np.sqrt(inner)
     return -total / L
 
 
-def scia_series(
-    X: DataMatrix,
-    L: int,
-    spec: EstimatorSpec = EstimatorSpec(),
-    *,
-    engine: LooEngine | None = None,
-) -> np.ndarray:
+def scia_series(engine: LooEngine, L: int) -> np.ndarray:
     """Empirical score-space influence for every observation in one pass."""
-    E, om = _empirical_pieces(X, spec, L, engine)
+    E, om = _empirical_pieces(engine, L)
     lam = E.values
-    total = np.zeros(X.n)
+    total = np.zeros(engine.n)
     for l in range(L):
         if lam[l] == 0.0:
             raise DegenerateEigenvaluesError(
@@ -239,7 +225,7 @@ def eif_b(
 ) -> float:
     """Empirical counterpart of :func:`sif_b` for observation ``i``."""
     X._check_index(i)
-    return float(eif_b_series(X, L, spec)[i - 1])
+    return float(eif_b_series(LooEngine(X, spec), L)[i - 1])
 
 
 def scia(
@@ -250,7 +236,7 @@ def scia(
 ) -> float:
     """Empirical counterpart of :func:`sci` for observation ``i``."""
     X._check_index(i)
-    return float(scia_series(X, L, spec)[i - 1])
+    return float(scia_series(LooEngine(X, spec), L)[i - 1])
 
 
 def sci(
@@ -271,31 +257,28 @@ def sci(
 
 
 def influence_records(
-    X: DataMatrix,
-    spec: EstimatorSpec,
+    engine: LooEngine,
     L: int,
     *,
-    exact: bool | Iterable[int] = False,
-    engine: LooEngine | None = None,
+    exact: Iterable[int] = (),
 ) -> list[InfluenceRecord]:
     """Subspace influence values for every observation.
 
-    The empirical columns are filled in one pass from a single full-data
+    The empirical columns are filled in one pass from the engine's full-data
     decomposition; when the denominators are degenerate they are left unset
     and the reason is recorded on each record instead of aborting the sweep.
-    ``exact=True`` adds the sample columns (``sif_b``, ``sci`` and
-    ``sif_eigen``) for every observation, and an iterable of 1-based indices
-    adds them for those observations only.  Each such observation costs one
-    reduced decomposition, taken from ``engine`` when one is given.
+    The 1-based indices in ``exact`` also get the sample columns (``sif_b``,
+    ``sci`` and ``sif_eigen``), each at the cost of one reduced
+    decomposition.
     """
+    X = engine.X
     _require_loo(X)
-    engine = _engine(X, spec, engine)
     E = engine.eigen
     note = _boundary_note(E, L, "full-data")
     empirical_b = empirical_c = None
     try:
-        empirical_b = eif_b_series(X, L, spec, engine=engine)
-        empirical_c = scia_series(X, L, spec, engine=engine)
+        empirical_b = eif_b_series(engine, L)
+        empirical_c = scia_series(engine, L)
     except (DegenerateEigenvaluesError, UnsupportedEstimatorError) as exc:
         note = str(exc) if note is None else f"{note}; {exc}"
 
@@ -310,10 +293,7 @@ def influence_records(
         )
         for i in range(1, X.n + 1)
     ]
-    if isinstance(exact, bool):
-        rows = range(1, X.n + 1) if exact else range(0)
-    else:
-        rows = sorted({int(i) for i in exact})
+    rows = sorted({int(i) for i in exact})
     if rows:
         measures = _SampleMeasures(X, E, L)
         for i, E_loo in engine.reduced(rows):

@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import DataMatrix, EstimatorSpec
 from .eigen import EigenSystem
 from .errors import CascadeUnderflowError, DataError, NoValidRetentionError
-from .influence import LooEngine, _engine
+from .influence import LooEngine
 from .subspace_diag import (
     _SampleMeasures,
     _warn_boundaries,
@@ -111,15 +111,16 @@ def _sorted_events(events: Iterable[SwitchEvent]) -> list[SwitchEvent]:
     return sorted(events, key=lambda e: (e.pair, e.obs_index))
 
 
-def _scan(X: DataMatrix, table: np.ndarray, wanted: list[tuple[int, int]], *,
+def _scan(engine: LooEngine, wanted: list[tuple[int, int]], *,
           reversed_pairs: bool, delta: float | None) -> list[SwitchEvent]:
-    """Events over the table, one masked comparison per pair.
+    """Events over the engine's table, one masked comparison per pair.
 
     Flags reversed pairs when ``reversed_pairs`` is set and pairs within
     ``delta`` when it is given.  A flagged pair is a ``switch`` when
     reversed and a ``near_switch`` otherwise.  ``wanted`` is sorted, so the
     events come out sorted by pair, then observation.
     """
+    table, labels = engine.table, engine.X.row_labels
     events = []
     for j, k in wanted:
         lo, hi = table[:, j - 1], table[:, k - 1]
@@ -131,36 +132,29 @@ def _scan(X: DataMatrix, table: np.ndarray, wanted: list[tuple[int, int]], *,
         for r, a, b, switch in zip(rows.tolist(), lo[rows].tolist(),
                                    hi[rows].tolist(), reversed_[rows].tolist()):
             events.append(SwitchEvent(
-                r + 1, X.row_labels[r], (j, k), a, b,
+                r + 1, labels[r], (j, k), a, b,
                 KIND_SWITCH if switch else KIND_NEAR,
             ))
     return events
 
 
 def detect_switching(
-    X: DataMatrix,
-    spec: EstimatorSpec,
+    engine: LooEngine,
     pairs: Sequence[tuple[int, int]] | None = None,
-    *,
-    engine: LooEngine | None = None,
 ) -> list[SwitchEvent]:
     """Flag every (i, pair) where removal reverses the approximated order.
 
-    One full-data decomposition covers the entire sweep; no reduced matrix
-    is decomposed.  The table is taken from ``engine`` when one is given.
+    The engine's full-data decomposition covers the entire sweep; no reduced
+    matrix is decomposed.
     """
-    wanted = _normalise_pairs(pairs, X.p)
-    table = _engine(X, spec, engine).table
-    return _scan(X, table, wanted, reversed_pairs=True, delta=None)
+    wanted = _normalise_pairs(pairs, engine.p)
+    return _scan(engine, wanted, reversed_pairs=True, delta=None)
 
 
 def detect_near_switch(
-    X: DataMatrix,
-    spec: EstimatorSpec,
+    engine: LooEngine,
     delta: float = DEFAULT_NEAR_DELTA,
     pairs: Sequence[tuple[int, int]] | None = None,
-    *,
-    engine: LooEngine | None = None,
 ) -> list[SwitchEvent]:
     """Flag every (i, pair) whose approximated eigenvalues sit within delta.
 
@@ -169,9 +163,8 @@ def detect_near_switch(
     of the bundled example; it is a tuning knob, not a universal constant.
     """
     _check_delta(delta)
-    wanted = _normalise_pairs(pairs, X.p)
-    table = _engine(X, spec, engine).table
-    return _scan(X, table, wanted, reversed_pairs=False, delta=delta)
+    wanted = _normalise_pairs(pairs, engine.p)
+    return _scan(engine, wanted, reversed_pairs=False, delta=delta)
 
 
 def _check_delta(delta: float) -> None:
@@ -247,11 +240,9 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
 
 def verify_exact(
     events: Sequence[SwitchEvent],
-    X: DataMatrix,
-    spec: EstimatorSpec,
+    engine: LooEngine,
     *,
     delta: float = DEFAULT_NEAR_DELTA,
-    engine: LooEngine | None = None,
 ) -> list[SwitchEvent]:
     """Confirm approximation-flagged events with true re-decompositions.
 
@@ -262,7 +253,6 @@ def verify_exact(
     """
     if not events:
         return []
-    engine = _engine(X, spec, engine)
     E = engine.eigen
     aligned = {
         i: reduced.values[_align_ranks(E, reduced)]
@@ -280,11 +270,9 @@ def verify_exact(
 
 
 def recommend_L(
-    X: DataMatrix,
-    spec: EstimatorSpec,
+    engine: LooEngine,
     candidate_L: int,
     *,
-    engine: LooEngine | None = None,
     events: Sequence[SwitchEvent] | None = None,
 ) -> RetentionAdvice:
     """Adjust a candidate retained count away from switching boundaries.
@@ -296,12 +284,11 @@ def recommend_L(
     continues while the new boundary is also disrupted.  Without ``events``,
     switching is detected on the table of ``engine``.
     """
-    engine = _engine(X, spec, engine)
-    p = X.p
+    p = engine.p
     if not 1 <= candidate_L < p:
         raise ValueError(f"candidate_L={candidate_L} out of range 1..{p - 1}")
     if events is None:
-        events = detect_switching(X, spec, engine=engine)
+        events = detect_switching(engine)
     switched: dict[int, list[int]] = {}
     for ev in events:
         if ev.kind == KIND_SWITCH:
@@ -342,29 +329,26 @@ def recommend_L(
 
 
 def hybrid_influence(
-    X: DataMatrix,
-    spec: EstimatorSpec,
+    engine: LooEngine,
     L: int,
     flagged: Iterable[int],
     measure: str = MEASURE_B,
-    *,
-    engine: LooEngine | None = None,
 ) -> list[HybridValue]:
     """Empirical influence series with exact values at the flagged indices.
 
-    Costs one full-data decomposition plus one reduced decomposition per
-    flagged observation, so a handful of exact replacements keeps the sweep
-    cheap while fixing the entries the empirical formulas get wrong.
+    Costs the engine's full-data decomposition plus one reduced decomposition
+    per flagged observation, so a handful of exact replacements keeps the
+    sweep cheap while fixing the entries the empirical formulas get wrong.
     """
+    X = engine.X
     flagged_set = set(int(i) for i in flagged)
     for i in flagged_set:
         X._check_index(i)
     if measure not in (MEASURE_B, MEASURE_C):
         raise ValueError(f"measure must be 'B' or 'C', got {measure!r}")
-    engine = _engine(X, spec, engine)
     E = engine.eigen
     series_of = eif_b_series if measure == MEASURE_B else scia_series
-    series = series_of(X, L, spec, engine=engine)
+    series = series_of(engine, L)
     exact = {}
     if flagged_set:
         measures = _SampleMeasures(X, E, L)
@@ -382,40 +366,38 @@ def hybrid_influence(
 
 
 def build_switch_report(
-    X: DataMatrix,
-    spec: EstimatorSpec,
+    engine: LooEngine,
     *,
     candidate_L: int,
     delta: float = DEFAULT_NEAR_DELTA,
     pairs: Sequence[tuple[int, int]] | None = None,
     verify: bool = False,
-    hybrid_measure: str | None = None,
-    engine: LooEngine | None = None,
+    hybrid: bool = False,
 ) -> SwitchReport:
     """Run detection, recommendation and (optionally) a hybrid sweep.
 
     Detection flags reversed pairs and pairs within ``delta`` in one pass
-    over the approximate table.  Verification and the hybrid sweep take
-    their reduced decompositions from the same engine.
+    over the approximate table.  ``hybrid`` adds the measure-B series with
+    exact values at the observations flagged on the candidate boundary.
+    Verification and the hybrid sweep take their reduced decompositions from
+    the same engine.
     """
     _check_delta(delta)
-    engine = _engine(X, spec, engine)
-    wanted = _normalise_pairs(pairs, X.p)
-    detected = _scan(X, engine.table, wanted, reversed_pairs=True, delta=delta)
+    wanted = _normalise_pairs(pairs, engine.p)
+    detected = _scan(engine, wanted, reversed_pairs=True, delta=delta)
     events = detected
     if verify:
-        events = verify_exact(events, X, spec, delta=delta, engine=engine)
+        events = verify_exact(events, engine, delta=delta)
     try:
-        advice = recommend_L(X, spec, candidate_L, engine=engine, events=detected)
+        advice = recommend_L(engine, candidate_L, events=detected)
     except NoValidRetentionError as exc:
         advice = RetentionAdvice(candidate_L, f"retention advice failed: {exc}")
-    hybrid = None
-    if hybrid_measure is not None:
+    series = None
+    if hybrid:
         boundary = {ev.obs_index for ev in events if ev.pair == (candidate_L,
                                                                  candidate_L + 1)}
-        hybrid = hybrid_influence(X, spec, candidate_L, boundary,
-                                  hybrid_measure, engine=engine)
-    return SwitchReport(events, advice, delta, hybrid)
+        series = hybrid_influence(engine, candidate_L, boundary)
+    return SwitchReport(events, advice, delta, series)
 
 
 def cascade_scan(
@@ -446,7 +428,8 @@ def cascade_scan(
                 "deletion cascade"
             )
         report = build_switch_report(
-            current, spec, candidate_L=candidate_L, delta=delta, pairs=pairs,
+            LooEngine(current, spec), candidate_L=candidate_L, delta=delta,
+            pairs=pairs,
         )
         report.events = [
             replace(ev, obs_index=original_pos[ev.obs_index - 1])

@@ -76,8 +76,8 @@ def test_criterion_2_golden_approximations(oils):
 def test_criterion_3_detection_sets(oils):
     with criterion(3, "switching and near-switch sets on the oils data"):
         started = time.perf_counter()
-        events = detect_switching(oils, COV_N)
-        nears = detect_near_switch(oils, COV_N, 0.1, pairs=[(2, 3)])
+        events = detect_switching(LooEngine(oils, COV_N))
+        nears = detect_near_switch(LooEngine(oils, COV_N), 0.1, pairs=[(2, 3)])
         elapsed = time.perf_counter() - started
 
         by_pair = {}
@@ -94,7 +94,7 @@ def test_criterion_3_detection_sets(oils):
 
 def test_criterion_4_recommendation(oils):
     with criterion(4, "candidate L=2 is escalated to L=3"):
-        advice = recommend_L(oils, COV_N, 2)
+        advice = recommend_L(LooEngine(oils, COV_N), 2)
         assert advice.L == 3
 
 
@@ -105,10 +105,11 @@ def test_criterion_5_underestimation_property(oils):
         switching[np.array(flagged) - 1] = True
 
         every = range(1, oils.n + 1)
+        engine = LooEngine(oils, COV_N)
         ratios = {
-            "|EIF_B|/|SIF_B|": np.abs(eif_b_series(oils, 2)) / np.abs(
+            "|EIF_B|/|SIF_B|": np.abs(eif_b_series(engine, 2)) / np.abs(
                 [sif_b(oils, COV_N, 2, i) for i in every]),
-            "|SCIA|/|SCI|": np.abs(scia_series(oils, 2)) / np.abs(
+            "|SCIA|/|SCI|": np.abs(scia_series(engine, 2)) / np.abs(
                 [sci(oils, COV_N, 2, i) for i in every]),
         }
         # The paper gives no size for the shortfall at switching points.
@@ -149,8 +150,8 @@ def test_criterion_5_underestimation_property(oils):
                 sci(oils, COV_N, L, i) for i in range(1, 97)
             ])
             assert np.max(np.abs(sample_b)) < 1.0
-            emp_b = eif_b_series(oils, L)
-            emp_c = scia_series(oils, L)
+            emp_b = eif_b_series(engine, L)
+            emp_c = scia_series(engine, L)
             assert spearmanr(np.abs(emp_b), np.abs(sample_b)).statistic > 0.9
             assert spearmanr(np.abs(emp_c), np.abs(sample_c)).statistic > 0.9
 
@@ -246,15 +247,15 @@ def test_criterion_8_gradient_check():
 def test_criterion_9_cost_contract(oils):
     with criterion(9, "hybrid sweep spends exactly 1 + |flagged| "
                       "decompositions"):
-        events = detect_near_switch(oils, COV_N, 0.1, pairs=[(2, 3)])
+        engine = LooEngine(oils, COV_N)
+        events = detect_near_switch(engine, 0.1, pairs=[(2, 3)])
         flagged = sorted({ev.obs_index for ev in events}
                          | {ev.obs_index
-                            for ev in detect_switching(oils, COV_N,
-                                                       pairs=[(2, 3)])})
+                            for ev in detect_switching(engine, pairs=[(2, 3)])})
         assert len(flagged) == 11
         for measure in ("B", "C"):
             with count_decompositions() as window:
-                hybrid_influence(oils, COV_N, 2, flagged, measure)
+                hybrid_influence(LooEngine(oils, COV_N), 2, flagged, measure)
             assert window.total == 1 + len(flagged), (
                 f"measure {measure}: {window.total} decompositions"
             )

@@ -13,6 +13,7 @@ from eigensens import bundled_oils_path
 from eigensens.cli import _json_text, main
 
 OILS = str(bundled_oils_path())
+CLOSED_FORM = "empirical subspace influence uses the covariance closed form"
 
 
 def run(*argv):
@@ -122,6 +123,17 @@ class TestInfluence:
         assert rows[42]["flag"] == "switch"
         assert rows[28]["flag"] == "near_switch"
 
+    def test_hybrid_mode_under_correlation_notes_the_missing_closed_form(
+            self, tmp_path):
+        out = tmp_path / "inf.json"
+        assert run("influence", "--input", OILS, "--label-col", "oil_type",
+                   "--L", "2", "--mode", "hybrid", "--estimator", "cor",
+                   "--out", str(out)) == 0
+        for r in json.loads(out.read_text())["observations"]:
+            assert CLOSED_FORM in r["note"]
+            assert r["eif_b"] is None and r["scia"] is None
+            assert r["hybrid_b"] == (r["sif_b"] if r["replaced"] else None)
+
     @pytest.mark.parametrize("L", ["1", "3"])
     def test_stable_retention_counts_have_small_influence(self, tmp_path, L):
         out = tmp_path / "inf.json"
@@ -224,6 +236,17 @@ class TestSwitching:
         assert len(series) == 96
         flagged = {s["obs"] for s in series if s["replaced"]}
         assert flagged == {28, 42, 57, 58, 59, 60, 90, 91, 93, 94, 95}
+
+    def test_hybrid_mode_refuses_the_correlation_estimator(self, tmp_path,
+                                                           capsys):
+        # the switching report's hybrid series is the empirical measure B,
+        # whose closed form exists only for covariance
+        out = tmp_path / "sw.json"
+        assert run("switching", "--input", OILS, "--label-col", "oil_type",
+                   "--mode", "hybrid", "--estimator", "cor",
+                   "--out", str(out)) == 1
+        assert CLOSED_FORM in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["analyze"],

@@ -16,15 +16,10 @@ from eigensens import (
     DataMatrix,
     EstimatorSpec,
     LooEngine,
-    SwitchEvent,
     approx_eigenvalues_loo,
-    build_switch_report,
     bundled_oils_path,
     count_decompositions,
-    detect_near_switch,
-    detect_switching,
     eif_b,
-    eif_b_series,
     eif_eigenvalue,
     eigen_influence,
     eigh,
@@ -32,17 +27,13 @@ from eigensens import (
     estimate,
     estimate_loo,
     hif_eigenvalue,
-    hybrid_influence,
     influence_records,
     load_oils,
     loo_eigenvalue_table,
-    recommend_L,
     sci,
     scia,
-    scia_series,
     sif_b,
     sif_eigenvalue,
-    verify_exact,
 )
 from eigensens.cli import main
 from eigensens.errors import DataError, ZeroVarianceError
@@ -54,28 +45,6 @@ SPECS = [COV_N, COV_N1, COR_N, COR_N1]
 # 400 rows of 30 columns: blocks of _chunk_rows(30) rows leave a partial one
 SEEDED = gaussian_data(3, 400, np.linspace(3.0, 1.0, 30))
 
-
-# every function that takes engine=, called on (X, spec) with that engine
-ENGINE_TAKERS = {
-    "loo_eigenvalue_table":
-        lambda X, spec, engine: loo_eigenvalue_table(X, spec, engine=engine),
-    "eif_b_series": lambda X, spec, engine: eif_b_series(X, 2, spec, engine=engine),
-    "scia_series": lambda X, spec, engine: scia_series(X, 2, spec, engine=engine),
-    "detect_switching":
-        lambda X, spec, engine: detect_switching(X, spec, engine=engine),
-    "detect_near_switch":
-        lambda X, spec, engine: detect_near_switch(X, spec, engine=engine),
-    "recommend_L": lambda X, spec, engine: recommend_L(X, spec, 2, engine=engine),
-    "influence_records":
-        lambda X, spec, engine: influence_records(X, spec, 2, engine=engine),
-    "verify_exact": lambda X, spec, engine: verify_exact(
-        [SwitchEvent(1, X.row_labels[0], (2, 3), 0.0, 0.0, "switch")], X, spec,
-        engine=engine),
-    "hybrid_influence":
-        lambda X, spec, engine: hybrid_influence(X, spec, 2, [1], engine=engine),
-    "build_switch_report": lambda X, spec, engine: build_switch_report(
-        X, spec, candidate_L=2, engine=engine),
-}
 
 # every per-observation reference, on observation 58 of oils under COV_N, with
 # the decompositions it costs: its own full-data one, and for the sample
@@ -106,7 +75,7 @@ def test_seeded_rows_are_not_a_multiple_of_the_block():
 @pytest.mark.parametrize("X", _datasets())
 class TestAgainstReference:
     def test_table_rows_equal_per_row_approximation(self, X, spec):
-        table = loo_eigenvalue_table(X, spec)
+        table = loo_eigenvalue_table(LooEngine(X, spec))
         for i in range(1, X.n + 1):
             ref = approx_eigenvalues_loo(X, spec, i)
             assert np.array_equal(table[i - 1], ref), f"row {i}"
@@ -146,15 +115,6 @@ class TestEngine:
         with pytest.raises(DataError, match="out of range"):
             list(LooEngine(oils, COV_N).reduced([97]))
 
-    @pytest.mark.parametrize("call", ENGINE_TAKERS.values(), ids=ENGINE_TAKERS.keys())
-    def test_engine_for_other_data_is_refused(self, oils, call):
-        with pytest.raises(ValueError, match="engine"):
-            call(oils, COV_N, LooEngine(SEEDED, COV_N))
-        # another estimator's state must not reach a sweep: on oils, the
-        # correlation decomposition hides all seven covariance (2,3) switches
-        with pytest.raises(ValueError, match="engine"):
-            call(oils, COV_N, LooEngine(oils, COR_N))
-
     @pytest.mark.parametrize("call, cost", PER_ROW_COST.values(), ids=PER_ROW_COST.keys())
     def test_per_row_reference_decomposes_its_own_input(self, oils, call, cost):
         with count_decompositions() as window:
@@ -167,11 +127,12 @@ class TestEngine:
             col_labels=["a", "b"],
         )
         with pytest.raises(ZeroVarianceError, match="'b'"):
-            loo_eigenvalue_table(X, COR_N)
+            loo_eigenvalue_table(LooEngine(X, COR_N))
 
     def test_records_take_exact_columns_for_chosen_rows(self, oils):
-        every = influence_records(oils, COV_N, 2, exact=True)
-        some = influence_records(oils, COV_N, 2, exact=[58, 42])
+        engine = LooEngine(oils, COV_N)
+        every = influence_records(engine, 2, exact=range(1, oils.n + 1))
+        some = influence_records(engine, 2, exact=[58, 42])
         for a, b in zip(every, some):
             if a.obs_index in (42, 58):
                 assert (a.sif_b, a.sci) == (b.sif_b, b.sci)

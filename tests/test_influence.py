@@ -85,7 +85,7 @@ class TestApproxEigenvaluesLoo:
         assert medians[30] > medians[60] > medians[120]
 
     def test_table_matches_single_calls(self, oils):
-        table = loo_eigenvalue_table(oils, COV_N)
+        table = loo_eigenvalue_table(LooEngine(oils, COV_N))
         for i in (1, 42, 96):
             np.testing.assert_array_equal(
                 table[i - 1], approx_eigenvalues_loo(oils, COV_N, i)
@@ -282,7 +282,7 @@ class TestInfluenceInvariants:
             )
 
     def test_rayleigh_dominance(self, oils):
-        table = loo_eigenvalue_table(oils, COV_N)
+        table = loo_eigenvalue_table(LooEngine(oils, COV_N))
         for i in range(1, oils.n + 1):
             exact_top = eigh(estimate_loo(oils, COV_N, i)).values[0]
             assert exact_top >= table[i - 1, 0] - 1e-10
@@ -317,5 +317,4 @@ class TestInfluenceInvariants:
         )
         np.testing.assert_allclose(a.table, b.table, rtol=0, atol=1e-9)
         for series in (eif_b_series, scia_series):
-            np.testing.assert_allclose(series(oils, 2, engine=a),
-                                       series(oils, 2, engine=b), rtol=0, atol=1e-9)
+            np.testing.assert_allclose(series(a, 2), series(b, 2), rtol=0, atol=1e-9)

@@ -230,45 +230,46 @@ class TestScia:
         engine = LooEngine(X, COV_N)
         engine.eigen = EigenSystem(np.array([0.0, -1.0]), np.eye(2), [])
         with pytest.raises(DegenerateEigenvaluesError, match="zero"):
-            scia_series(X, 1, engine=engine)
+            scia_series(engine, 1)
 
 
 class TestSweeps:
     def test_empirical_series_use_one_decomposition(self, oils):
         with count_decompositions() as window:
             engine = LooEngine(oils, COV_N)
-            b = eif_b_series(oils, 2, engine=engine)
-            c = scia_series(oils, 2, engine=engine)
+            b = eif_b_series(engine, 2)
+            c = scia_series(engine, 2)
         assert window.total == 1
         assert b.shape == c.shape == (oils.n,)
 
     def test_series_match_single_calls(self, oils):
         engine = LooEngine(oils, COV_N)
-        b = eif_b_series(oils, 2, engine=engine)
-        c = scia_series(oils, 2, engine=engine)
+        b = eif_b_series(engine, 2)
+        c = scia_series(engine, 2)
         for i in (1, 42, 96):
             assert b[i - 1] == eif_b(oils, 2, i)
             assert c[i - 1] == scia(oils, 2, i)
 
     def test_series_sign_conventions(self, oils):
         engine = LooEngine(oils, COV_N)
-        assert np.all(eif_b_series(oils, 2, engine=engine) <= 0.0)
-        assert np.all(scia_series(oils, 2, engine=engine) >= 0.0)
+        assert np.all(eif_b_series(engine, 2) <= 0.0)
+        assert np.all(scia_series(engine, 2) >= 0.0)
 
     def test_records_empirical_only(self, oils):
-        records = influence_records(oils, COV_N, 2)
+        records = influence_records(LooEngine(oils, COV_N), 2)
         assert len(records) == oils.n
         assert records[41].sif_b is None
         assert records[41].eif_b == pytest.approx(eif_b(oils, 2, 42))
         assert records[41].obs_label == oils.row_labels[41]
 
     def test_records_exact_mode(self, oils):
-        records = influence_records(oils, COV_N, 2, exact=True)
+        records = influence_records(LooEngine(oils, COV_N), 2,
+                                    exact=range(1, oils.n + 1))
         assert records[56].sif_b == pytest.approx(sif_b(oils, COV_N, 2, 57))
         assert records[56].sci == pytest.approx(sci(oils, COV_N, 2, 57))
 
     def test_records_note_on_degenerate_spectrum(self):
-        records = influence_records(tied_spectrum_data(), COV_N, 1)
+        records = influence_records(LooEngine(tied_spectrum_data(), COV_N), 1)
         assert all(r.eif_b is None and r.scia is None for r in records)
         assert all("nearly equal" in r.note for r in records)
 
@@ -277,5 +278,5 @@ class TestSweeps:
 def test_tolerances_do_not_depend_on_units(oils, s):
     sX = DataMatrix(oils.values * s, oils.row_labels, oils.col_labels)
     assert eigh(estimate(sX, COV_N)).gap_warnings == []
-    records = influence_records(sX, COV_N, 2)
+    records = influence_records(LooEngine(sX, COV_N), 2)
     assert all(r.eif_b is not None for r in records)

@@ -40,66 +40,66 @@ def switch_set(events, pair=None):
 
 class TestDetectSwitching:
     def test_oils_pair_2_3(self, oils):
-        events = detect_switching(oils, COV_N)
+        events = detect_switching(LooEngine(oils, COV_N))
         assert switch_set(events, (2, 3)) == [42, 57, 58, 59, 60, 91, 93]
         assert switch_set(events, (1, 2)) == []
         assert switch_set(events, (3, 4)) == []
 
     def test_events_store_the_values_they_compared(self, oils):
-        for ev in detect_switching(oils, COV_N):
+        for ev in detect_switching(LooEngine(oils, COV_N)):
             assert ev.approx_lo < ev.approx_hi
             assert ev.kind == KIND_SWITCH
 
     def test_well_separated_spectrum_is_quiet(self):
         X = gaussian_data(2, 40, [10.0, 3.0, 1.0, 0.3])
-        assert detect_switching(X, COV_N) == []
+        assert detect_switching(LooEngine(X, COV_N)) == []
 
     def test_planted_leverage_point(self, planted_switch):
         X, planted = planted_switch
-        events = detect_switching(X, COV_N)
+        events = detect_switching(LooEngine(X, COV_N))
         assert [(ev.obs_index, ev.pair) for ev in events] == [(planted, (2, 3))]
-        verified = verify_exact(events, X, COV_N)
+        verified = verify_exact(events, LooEngine(X, COV_N))
         assert verified[0].verified_exact is True
 
     def test_pair_restriction_matches_full_scan(self, oils):
-        full = detect_switching(oils, COV_N)
-        only = detect_switching(oils, COV_N, pairs=[(2, 3)])
+        full = detect_switching(LooEngine(oils, COV_N))
+        only = detect_switching(LooEngine(oils, COV_N), pairs=[(2, 3)])
         assert [ev for ev in full if ev.pair == (2, 3)] == only
 
     def test_invalid_pair_rejected(self, oils):
         with pytest.raises(ValueError, match="consecutive"):
-            detect_switching(oils, COV_N, pairs=[(2, 4)])
+            detect_switching(LooEngine(oils, COV_N), pairs=[(2, 4)])
 
     def test_events_sorted_by_pair_then_observation(self, oils):
-        events = detect_switching(oils, COV_N)
+        events = detect_switching(LooEngine(oils, COV_N))
         keys = [(ev.pair, ev.obs_index) for ev in events]
         assert keys == sorted(keys)
 
 
 class TestDetectNearSwitch:
     def test_oils_near_set_includes_known_observations(self, oils):
-        events = detect_near_switch(oils, COV_N, 0.1, pairs=[(2, 3)])
+        events = detect_near_switch(LooEngine(oils, COV_N), 0.1, pairs=[(2, 3)])
         nears = sorted({
             ev.obs_index for ev in events if ev.kind == KIND_NEAR
         })
         assert nears == [28, 90, 94, 95]
 
     def test_switching_observations_keep_the_stronger_kind(self, oils):
-        events = detect_near_switch(oils, COV_N, 0.1, pairs=[(2, 3)])
+        events = detect_near_switch(LooEngine(oils, COV_N), 0.1, pairs=[(2, 3)])
         kinds = {ev.obs_index: ev.kind for ev in events}
         for i in (42, 58, 60):
             assert kinds[i] == KIND_SWITCH
 
     def test_zero_delta_rejected(self, oils):
         with pytest.raises(ValueError, match="positive"):
-            detect_near_switch(oils, COV_N, 0.0)
+            detect_near_switch(LooEngine(oils, COV_N), 0.0)
 
     def test_infinite_delta_flags_everything(self, oils):
-        events = detect_near_switch(oils, COV_N, np.inf)
+        events = detect_near_switch(LooEngine(oils, COV_N), np.inf)
         assert len(events) == oils.n * (oils.p - 1)
 
     def test_near_events_satisfy_their_inequality(self, oils):
-        for ev in detect_near_switch(oils, COV_N, 0.1):
+        for ev in detect_near_switch(LooEngine(oils, COV_N), 0.1):
             assert abs(ev.approx_lo - ev.approx_hi) < 0.1
 
     @given(seed=st.integers(0, 10**6))
@@ -109,11 +109,11 @@ class TestDetectNearSwitch:
         n = int(rng.integers(8, 30))
         p = int(rng.integers(2, 5))
         X = make_data(rng.normal(size=(n, p)) * rng.uniform(0.5, 2.0, size=p))
-        for ev in detect_switching(X, COV_N):
+        for ev in detect_switching(LooEngine(X, COV_N)):
             assert ev.kind == KIND_SWITCH
             assert ev.approx_lo < ev.approx_hi
         delta = float(rng.uniform(0.01, 0.5))
-        for ev in detect_near_switch(X, COV_N, delta):
+        for ev in detect_near_switch(LooEngine(X, COV_N), delta):
             assert abs(ev.approx_lo - ev.approx_hi) < delta
             if ev.kind == KIND_NEAR:
                 assert ev.approx_lo >= ev.approx_hi
@@ -121,17 +121,18 @@ class TestDetectNearSwitch:
 
 class TestVerifyExact:
     def test_oils_obs57_confirmed(self, oils):
-        events = detect_switching(oils, COV_N, pairs=[(2, 3)])
-        verified = verify_exact(events, X=oils, spec=COV_N)
+        events = detect_switching(LooEngine(oils, COV_N), pairs=[(2, 3)])
+        verified = verify_exact(events, LooEngine(oils, COV_N))
         status = {ev.obs_index: ev.verified_exact for ev in verified}
         assert status[57] is True
 
     def test_empty_in_empty_out(self, oils):
-        assert verify_exact([], oils, COV_N) == []
+        assert verify_exact([], LooEngine(oils, COV_N)) == []
 
     def test_all_oils_events_confirmed(self, oils):
-        events = detect_switching(oils, COV_N)
-        assert all(ev.verified_exact for ev in verify_exact(events, oils, COV_N))
+        events = detect_switching(LooEngine(oils, COV_N))
+        verified = verify_exact(events, LooEngine(oils, COV_N))
+        assert all(ev.verified_exact for ev in verified)
 
 
 def _system(vectors) -> EigenSystem:
@@ -214,30 +215,30 @@ class TestAlignRanks:
 
 class TestRecommendL:
     def test_oils_candidate_two_becomes_three(self, oils):
-        advice = recommend_L(oils, COV_N, 2)
+        advice = recommend_L(LooEngine(oils, COV_N), 2)
         assert advice.L == 3
         assert "(2,3)" in advice.rationale
         assert "42" in advice.rationale
 
     def test_no_events_keeps_candidate(self):
         X = gaussian_data(2, 40, [10.0, 3.0, 1.0, 0.3])
-        advice = recommend_L(X, COV_N, 2)
+        advice = recommend_L(LooEngine(X, COV_N), 2)
         assert advice.L == 2
         assert "no switching" in advice.rationale
 
     def test_multi_pair_escalation(self, planted_multipair):
-        advice = recommend_L(planted_multipair, COV_N, 2)
+        advice = recommend_L(LooEngine(planted_multipair, COV_N), 2)
         assert advice.L == 4
 
     def test_never_recommends_a_switching_boundary(self, planted_multipair):
-        events = detect_switching(planted_multipair, COV_N)
+        events = detect_switching(LooEngine(planted_multipair, COV_N))
         switched_boundaries = {ev.pair[0] for ev in events}
-        advice = recommend_L(planted_multipair, COV_N, 2)
+        advice = recommend_L(LooEngine(planted_multipair, COV_N), 2)
         assert advice.L not in switched_boundaries
 
     def test_candidate_out_of_range(self, oils):
         with pytest.raises(ValueError, match="candidate_L"):
-            recommend_L(oils, COV_N, 7)
+            recommend_L(LooEngine(oils, COV_N), 7)
 
     def test_fallback_walk_rationale(self):
         X = gaussian_data(2, 40, [10.0, 5.0, 3.0, 1.0, 0.3])
@@ -245,7 +246,7 @@ class TestRecommendL:
             SwitchEvent(i, X.row_labels[i - 1], (j, j + 1), 0.0, 0.0, KIND_SWITCH)
             for i, j in ((4, 3), (7, 4), (9, 2))
         ]
-        advice = recommend_L(X, COV_N, 3, events=fake)
+        advice = recommend_L(LooEngine(X, COV_N), 3, events=fake)
         assert advice.L == 1
         assert advice.rationale == (
             "boundary (3,4) switches for observations [4]; "
@@ -258,28 +259,28 @@ class TestRecommendL:
         )
 
     def test_every_boundary_disrupted_reports_failure(self, oils):
-        events = detect_switching(oils, COV_N)
+        events = detect_switching(LooEngine(oils, COV_N))
         fake = [
             dataclasses.replace(events[0], pair=(j, j + 1))
             for j in range(1, oils.p)
         ]
         with pytest.raises(NoValidRetentionError) as info:
-            recommend_L(oils, COV_N, 2, events=fake)
+            recommend_L(LooEngine(oils, COV_N), 2, events=fake)
         assert len(info.value.events) == len(fake)
 
 
 class TestHybridInfluence:
     def test_empty_flagged_equals_empirical_series(self, oils):
         engine = LooEngine(oils, COV_N)
-        series = hybrid_influence(oils, COV_N, 2, [], "B", engine=engine)
-        pure = eif_b_series(oils, 2, engine=engine)
+        series = hybrid_influence(engine, 2, [], "B")
+        pure = eif_b_series(engine, 2)
         assert all(not hv.replaced for hv in series)
         np.testing.assert_array_equal([hv.value for hv in series], pure)
 
     def test_all_flagged_equals_sample_series(self):
         X = gaussian_data(3, 15, [2.0, 1.0, 0.4])
         engine = LooEngine(X, COV_N)
-        series = hybrid_influence(X, COV_N, 2, range(1, 16), "B", engine=engine)
+        series = hybrid_influence(engine, 2, range(1, 16), "B")
         assert all(hv.replaced for hv in series)
         for hv in series:
             assert hv.value == sif_b(X, COV_N, 2, hv.obs_index)
@@ -287,8 +288,8 @@ class TestHybridInfluence:
     def test_oils_flagged_entries_match_exact_oracle(self, oils):
         flagged = [28, 42, 57, 58, 59, 60, 90, 91, 93, 94, 95]
         engine = LooEngine(oils, COV_N)
-        series = hybrid_influence(oils, COV_N, 2, flagged, "B", engine=engine)
-        empirical = eif_b_series(oils, 2, engine=engine)
+        series = hybrid_influence(engine, 2, flagged, "B")
+        empirical = eif_b_series(engine, 2)
         for hv in series:
             if hv.obs_index in flagged:
                 assert hv.replaced
@@ -299,16 +300,16 @@ class TestHybridInfluence:
 
     def test_measure_c_uses_score_diagnostics(self, oils):
         engine = LooEngine(oils, COV_N)
-        series = hybrid_influence(oils, COV_N, 2, [42], "C", engine=engine)
-        empirical = scia_series(oils, 2, engine=engine)
+        series = hybrid_influence(engine, 2, [42], "C")
+        empirical = scia_series(engine, 2)
         assert series[41].value == sci(oils, COV_N, 2, 42)
         assert series[0].value == empirical[0]
 
     def test_differs_from_empirical_exactly_on_flagged(self, oils):
         engine = LooEngine(oils, COV_N)
         flagged = {42, 57}
-        series = hybrid_influence(oils, COV_N, 2, flagged, "B", engine=engine)
-        pure = eif_b_series(oils, 2, engine=engine)
+        series = hybrid_influence(engine, 2, flagged, "B")
+        pure = eif_b_series(engine, 2)
         differing = {
             hv.obs_index for hv in series if hv.value != pure[hv.obs_index - 1]
         }
@@ -316,22 +317,22 @@ class TestHybridInfluence:
 
     def test_flagged_out_of_range(self, oils):
         with pytest.raises(Exception, match="out of range"):
-            hybrid_influence(oils, COV_N, 2, [97], "B")
+            hybrid_influence(LooEngine(oils, COV_N), 2, [97], "B")
 
     def test_unknown_measure(self, oils):
         with pytest.raises(ValueError, match="measure"):
-            hybrid_influence(oils, COV_N, 2, [], "Z")
+            hybrid_influence(LooEngine(oils, COV_N), 2, [], "Z")
 
     def test_cost_is_one_plus_flagged(self, oils):
         flagged = [42, 57, 58]
         with count_decompositions() as window:
-            hybrid_influence(oils, COV_N, 2, flagged, "B")
+            hybrid_influence(LooEngine(oils, COV_N), 2, flagged, "B")
         assert window.total == 1 + len(flagged)
 
 
 class TestSwitchReport:
     def test_oils_report_contents(self, oils):
-        report = build_switch_report(oils, COV_N, candidate_L=2)
+        report = build_switch_report(LooEngine(oils, COV_N), candidate_L=2)
         assert report.recommendation.L == 3
         assert report.delta == 0.1
         assert switch_set(report.events, (2, 3)) == [42, 57, 58, 59, 60, 91, 93]
@@ -345,7 +346,7 @@ class TestSwitchReport:
     def test_deterministic_byte_for_byte(self, oils):
         def dump():
             report = build_switch_report(
-                oils, COV_N, candidate_L=2, verify=True, hybrid_measure="B"
+                LooEngine(oils, COV_N), candidate_L=2, verify=True, hybrid=True
             )
             return json.dumps({
                 "events": [dataclasses.asdict(ev) for ev in report.events],
@@ -373,7 +374,7 @@ class TestCascadeScan:
         flagged = switch_set(rounds[0].events)
         reduced = oils.drop_rows(flagged)
         assert reduced.n == oils.n - len(flagged)
-        rerun = detect_switching(reduced, COV_N)
+        rerun = detect_switching(LooEngine(reduced, COV_N))
         if len(rounds) > 1:
             # map the rerun's positional indices back to original positions
             survivors = [i for i in range(1, oils.n + 1) if i not in flagged]
@@ -406,7 +407,7 @@ class TestCascadeScan:
     def test_underflow_raises(self):
         rng = np.random.default_rng(15)
         X = make_data(rng.normal(size=(4, 2)))
-        assert len(switch_set(detect_switching(X, COV_N))) >= 2
+        assert len(switch_set(detect_switching(LooEngine(X, COV_N)))) >= 2
         with pytest.raises(CascadeUnderflowError):
             cascade_scan(X, COV_N, 5, candidate_L=1)
 
