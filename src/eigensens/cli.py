@@ -59,12 +59,26 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _rounded(x: float, digits: int) -> str:
+    """``x`` to ``digits`` significant digits, the one rounding rule of both
+    writers.  A finite ``x`` that would round past the largest float, and so
+    read back as inf, is written in full instead."""
+    text = f"{x:.{digits}g}"
+    if 1e308 <= abs(x) < math.inf and math.isinf(float(text)):
+        return repr(x)
+    return text
+
+
 def _json_text(obj, digits: int, indent: str = "") -> str:
-    """``obj`` as stdlib ``indent=2`` JSON, floats to ``digits`` significant digits."""
+    """``obj`` as stdlib ``indent=2`` JSON, floats rounded by :func:`_rounded`."""
     kind = type(obj)
     if kind is float:
-        obj = float(f"{obj:.{digits}g}")  # may round up to inf
-        return repr(obj) if math.isfinite(obj) else json.dumps(obj)
+        # _rounded, inlined for the common case: one call per float is a
+        # measurable share of a large report
+        rounded = float(f"{obj:.{digits}g}")
+        if not math.isfinite(rounded):
+            rounded = float(_rounded(obj, digits))
+        return repr(rounded) if math.isfinite(rounded) else json.dumps(rounded)
     if kind is str or kind is int:
         return encode_basestring_ascii(obj) if kind is str else int.__repr__(obj)
     if obj is None or kind is bool:
@@ -83,7 +97,7 @@ def _fmt_cell(x, digits: int) -> str:
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, float):
-        return f"{x:.{digits}g}"
+        return _rounded(x, digits)
     return str(x)
 
 
@@ -282,7 +296,8 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
              "verified_exact": ev.verified_exact}
             for ev in report.events
         ],
-        "loo_eigenvalues": {str(i): engine.table[i - 1].tolist() for i in flagged},
+        "loo_eigenvalues": {str(i): row.tolist()
+                            for i, row in zip(flagged, engine.table_rows(flagged))},
         "hybrid": None if report.hybrid_series is None else {
             "measure": "B",
             "L": args.L,

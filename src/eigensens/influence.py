@@ -19,10 +19,11 @@ which is what makes order disruptions visible to the switching detector.
 
 :class:`LooEngine` holds the leave-one-out state of one run: the full-data
 decomposition, mean and scatter, the rank-one downdates, the approximate table
-(computed once) and the exact reduced decompositions, one per observation
-that needs one.  Every leave-one-out sweep takes an engine as its one data
-argument; the per-observation functions are references that take the data
-and the estimator and decompose their own input.
+(each column computed once, when first needed) and the exact reduced
+decompositions, one per observation that needs one.  Every leave-one-out
+sweep takes an engine as its one data argument; the per-observation
+functions are references that take the data and the estimator and decompose
+their own input.
 """
 
 from __future__ import annotations
@@ -108,31 +109,41 @@ def _chunk_rows(p: int) -> int:
 def loo_eigenvalue_table(engine: LooEngine) -> np.ndarray:
     """n x p table of approximated leave-one-out eigenvalues, one row per i.
 
-    The whole sweep reuses the engine's full-data decomposition and scatter:
-    the rows come as stacked rank-one downdates in bounded blocks, each
-    projected onto the full-data eigenvectors in one call.  Every row equals
+    The engine's table with every column filled: the sweep reuses the
+    engine's full-data decomposition and scatter, and each column is
+    computed once per engine.  Every row equals
     :func:`approx_eigenvalues_loo` for its observation exactly.
     """
-    V = engine.eigen.vectors
-    n, p = engine.n, engine.p
-    table = np.empty((n, p))
-    step = _chunk_rows(p)
-    for first in range(1, n + 1, step):
-        last = min(first + step - 1, n)
-        table[first - 1:last] = np.einsum(
-            "jp,ijk,kp->ip", V, engine.loo_block(first, last), V
+    return engine._columns(range(1, engine.p + 1))
+
+
+def _rayleigh_block(engine: LooEngine, rows: np.ndarray, cols: np.ndarray
+                    ) -> np.ndarray:
+    """Approximated eigenvalues at 0-based ``rows`` and ``cols`` of the table.
+
+    The rows come as stacked rank-one downdates in bounded blocks, each
+    projected onto the chosen full-data eigenvectors in one call; an entry
+    does not depend on which other rows or columns are asked for.
+    """
+    _require_loo(engine.X)
+    V = engine.eigen.vectors[:, cols]
+    out = np.empty((len(rows), len(cols)))
+    step = _chunk_rows(engine.p)
+    for start in range(0, len(rows), step):
+        out[start:start + step] = np.einsum(
+            "jp,ijk,kp->ip", V, engine._loo_stack(rows[start:start + step]), V
         )
-    return table
+    return out
 
 
 class LooEngine:
     """The full-data and leave-one-out state of one run, shared by all diagnostics.
 
     Holds the full-data decomposition, mean and scatter; produces each
-    leave-one-out estimate as a rank-one downdate in O(p^2); computes the
-    approximate table of :func:`loo_eigenvalue_table` once on first use; and
-    decomposes reduced estimates in stacked blocks.  A diagnostic handed an
-    engine never rebuilds what the engine already has.
+    leave-one-out estimate as a rank-one downdate in O(p^2); computes each
+    column of the approximate table of :func:`loo_eigenvalue_table` once,
+    when first needed; and decomposes reduced estimates in stacked blocks.
+    A diagnostic handed an engine never rebuilds what the engine already has.
     """
 
     def __init__(self, X: DataMatrix, spec: EstimatorSpec = EstimatorSpec()):
@@ -141,7 +152,8 @@ class LooEngine:
         self.eigen = eigh(estimate(X, spec))
         self.mean = X.values.mean(axis=0)
         self._scatter = _scatter(X.values)
-        self._table: np.ndarray | None = None
+        self._table = np.full((X.n, X.p), np.nan)
+        self._filled = np.zeros(X.p, dtype=bool)
 
     @property
     def n(self) -> int:
@@ -153,10 +165,40 @@ class LooEngine:
 
     @property
     def table(self) -> np.ndarray:
-        """n x p approximated leave-one-out eigenvalues, in full-data rank order."""
-        if self._table is None:
-            self._table = loo_eigenvalue_table(self)
+        """n x p approximated leave-one-out eigenvalues, in full-data rank order.
+
+        Computes whichever columns are still missing; the same array on
+        every call.
+        """
+        return loo_eigenvalue_table(self)
+
+    def _columns(self, ranks: Iterable[int]) -> np.ndarray:
+        """The table with at least the columns of 1-based ``ranks`` computed.
+
+        Each column is computed once, over all rows; a column not yet asked
+        for holds NaN.
+        """
+        missing = np.array(sorted({j - 1 for j in ranks if not self._filled[j - 1]}),
+                           dtype=int)
+        if missing.size:
+            self._table[:, missing] = _rayleigh_block(self, np.arange(self.n), missing)
+            self._filled[missing] = True
         return self._table
+
+    def table_rows(self, rows: Iterable[int]) -> np.ndarray:
+        """Full rows of the approximate table for 1-based ``rows``, in order.
+
+        Read from the table once every column is computed; otherwise only
+        these rows' downdates are projected, with the same values the table
+        rows will hold.
+        """
+        rows = [int(i) for i in rows]
+        for i in rows:
+            self.X._check_index(i)
+        index = np.array(rows, dtype=int) - 1
+        if self._filled.all():
+            return self._table[index]
+        return _rayleigh_block(self, index, np.arange(self.p))
 
     def loo_block(self, first: int, last: int) -> np.ndarray:
         """Stacked estimates without each of observations ``first..last``.
@@ -166,11 +208,15 @@ class LooEngine:
         rank-one downdate of the full-data scatter that agrees with
         :func:`eigensens.dataset.estimate_loo` to floating-point accuracy.
         """
+        _require_loo(self.X)
+        self.X._check_index(first)
+        self.X._check_index(last)
+        return self._loo_stack(np.arange(first - 1, last))
+
+    def _loo_stack(self, index: np.ndarray) -> np.ndarray:
+        """Stacked estimates without each observation of 0-based ``index``."""
         X = self.X
-        _require_loo(X)
-        X._check_index(first)
-        X._check_index(last)
-        delta = X.values[first - 1:last] - self.mean
+        delta = X.values[index] - self.mean
         outer = delta[:, :, None] * delta[:, None, :]
         scatters = self._scatter - (X.n / (X.n - 1.0)) * outer
         return _finish(scatters, self.spec, X.n - 1, X.col_labels)

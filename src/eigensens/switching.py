@@ -115,12 +115,15 @@ def _scan(engine: LooEngine, wanted: list[tuple[int, int]], *,
           reversed_pairs: bool, delta: float | None) -> list[SwitchEvent]:
     """Events over the engine's table, one masked comparison per pair.
 
-    Flags reversed pairs when ``reversed_pairs`` is set and pairs within
-    ``delta`` when it is given.  A flagged pair is a ``switch`` when
+    Only the table columns of the ``wanted`` pairs are computed, so a scan
+    of a few pairs pays for a few columns; the engine keeps them for later
+    use.  Flags reversed pairs when ``reversed_pairs`` is set and pairs
+    within ``delta`` when it is given.  A flagged pair is a ``switch`` when
     reversed and a ``near_switch`` otherwise.  ``wanted`` is sorted, so the
     events come out sorted by pair, then observation.
     """
-    table, labels = engine.table, engine.X.row_labels
+    table = engine._columns(j for pair in wanted for j in pair)
+    labels = engine.X.row_labels
     events = []
     for j, k in wanted:
         lo, hi = table[:, j - 1], table[:, k - 1]
@@ -145,7 +148,8 @@ def detect_switching(
     """Flag every (i, pair) where removal reverses the approximated order.
 
     The engine's full-data decomposition covers the entire sweep; no reduced
-    matrix is decomposed.
+    matrix is decomposed.  Only the approximate-table columns of ``pairs``
+    are computed (all of them when ``pairs`` is None).
     """
     wanted = _normalise_pairs(pairs, engine.p)
     return _scan(engine, wanted, reversed_pairs=True, delta=None)

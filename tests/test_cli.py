@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensens import bundled_oils_path
-from eigensens.cli import _json_text, main
+from eigensens.cli import _fmt_cell, _json_text, main
 
 OILS = str(bundled_oils_path())
 CLOSED_FORM = "empirical subspace influence uses the covariance closed form"
@@ -297,7 +297,9 @@ def _round_doc(obj, digits: int):
     if isinstance(obj, list):
         return [_round_doc(v, digits) for v in obj]
     if isinstance(obj, float) and math.isfinite(obj):
-        return float(f"{obj:.{digits}g}")
+        rounded = float(f"{obj:.{digits}g}")
+        # a finite value that would round past the largest float stays whole
+        return rounded if math.isfinite(rounded) else obj
     return obj
 
 
@@ -327,9 +329,19 @@ class TestJsonWriter:
 
     @settings(max_examples=400, deadline=None)
     @given(doc=_DOCUMENTS, digits=st.integers(1, 17))
-    @example(doc=[1.7976931348623157e308, {"é": -0.0}], digits=1)  # rounds to inf
+    @example(doc=[1.7976931348623157e308, {"é": -0.0}], digits=1)  # would round to inf
     def test_matches_the_stdlib_dump_of_the_rounded_document(self, doc, digits):
         assert _json_text(doc, digits) == json.dumps(_round_doc(doc, digits), indent=2)
+
+    @pytest.mark.parametrize("x", [1.7976931348623157e308, -1.7976931348623157e308,
+                                   1.5e308])
+    def test_values_that_round_past_the_largest_float_stay_finite(self, x):
+        def refuse(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        assert json.loads(_json_text([x], 1), parse_constant=refuse) == [x]
+        assert float(_fmt_cell(x, 1)) == x
+        assert _fmt_cell(x, 1) == _json_text(x, 1)
 
     def test_labels_are_escaped_in_json_and_quoted_in_csv(self, tmp_path):
         labels = ["é", 'a"b', "c\\d", "x,y", "tab\there"]

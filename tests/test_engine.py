@@ -19,6 +19,8 @@ from eigensens import (
     approx_eigenvalues_loo,
     bundled_oils_path,
     count_decompositions,
+    detect_near_switch,
+    detect_switching,
     eif_b,
     eif_eigenvalue,
     eigen_influence,
@@ -35,6 +37,7 @@ from eigensens import (
     sif_b,
     sif_eigenvalue,
 )
+from eigensens import influence
 from eigensens.cli import main
 from eigensens.errors import DataError, ZeroVarianceError
 from eigensens.influence import _chunk_rows
@@ -80,6 +83,29 @@ class TestAgainstReference:
             ref = approx_eigenvalues_loo(X, spec, i)
             assert np.array_equal(table[i - 1], ref), f"row {i}"
 
+    @pytest.mark.parametrize("pairs", [[(1, 2), (2, 3)], [(2, 3), (5, 6)]],
+                             ids=["contiguous", "scattered"])
+    def test_pair_columns_equal_full_table_columns(self, X, spec, pairs):
+        full = LooEngine(X, spec).table
+        engine = LooEngine(X, spec)
+        detect_switching(engine, pairs=pairs)
+        cols = sorted({j - 1 for pair in pairs for j in pair})
+        assert np.array_equal(engine._table[:, cols], full[:, cols])
+        # the partly filled engine completes to the same table
+        assert np.array_equal(engine.table, full)
+
+    def test_rows_read_before_the_table_equal_table_rows(self, X, spec):
+        # first, middle and last rows: at 400 rows they fall in both blocks
+        rows = [X.n, 1, X.n // 2, 2]
+        engine = LooEngine(X, spec)
+        before = engine.table_rows(rows)
+        detect_switching(engine, pairs=[(2, 3)])
+        partial = engine.table_rows(rows)
+        table = engine.table
+        assert np.array_equal(before, table[np.array(rows) - 1])
+        assert np.array_equal(partial, table[np.array(rows) - 1])
+        assert np.array_equal(engine.table_rows(rows), table[np.array(rows) - 1])
+
     def test_reduced_systems_equal_reference_decompositions(self, X, spec):
         engine = LooEngine(X, spec)
         seen = []
@@ -90,6 +116,20 @@ class TestAgainstReference:
             assert system.gap_warnings == ref.gap_warnings
             seen.append(i)
         assert seen == list(range(1, X.n + 1))
+
+
+@pytest.fixture
+def projected(monkeypatch) -> list[tuple[int, list[int]]]:
+    """(row count, 0-based columns) of every block of the table projected."""
+    calls = []
+    project = influence._rayleigh_block
+
+    def spy(engine, rows, cols):
+        calls.append((len(rows), sorted(cols.tolist())))
+        return project(engine, rows, cols)
+
+    monkeypatch.setattr(influence, "_rayleigh_block", spy)
+    return calls
 
 
 class TestEngine:
@@ -110,6 +150,29 @@ class TestEngine:
     def test_table_is_computed_once(self, oils):
         engine = LooEngine(oils, COV_N)
         assert engine.table is engine.table
+
+    def test_pair_scan_computes_only_its_columns(self, oils, projected):
+        engine = LooEngine(oils, COV_N)
+        detect_switching(engine, pairs=[(2, 3)])
+        assert projected == [(96, [1, 2])]
+        engine.table
+        assert projected == [(96, [1, 2]), (96, [0, 3, 4, 5, 6])]
+        detect_switching(engine, pairs=[(2, 3)])
+        detect_near_switch(engine, pairs=[(1, 2)])
+        engine.table
+        assert len(projected) == 2
+
+    def test_table_rows_project_only_the_rows_asked_for(self, oils, projected):
+        engine = LooEngine(oils, COV_N)
+        engine.table_rows([58, 3])
+        assert projected == [(2, list(range(7)))]
+        engine.table
+        engine.table_rows([58, 3])
+        assert projected == [(2, list(range(7))), (96, list(range(7)))]
+
+    def test_table_rows_reject_out_of_range_rows(self, oils):
+        with pytest.raises(DataError, match="out of range"):
+            LooEngine(oils, COV_N).table_rows([0])
 
     def test_reduced_rejects_out_of_range_rows(self, oils):
         with pytest.raises(DataError, match="out of range"):
@@ -156,6 +219,14 @@ class TestCliCost:
     def test_hybrid_mode_decomposes_only_flagged_rows(self, tmp_path):
         # the (2,3) boundary flags 7 switches and 4 near switches
         assert self._spent(tmp_path, "hybrid") == 1 + 11
+
+    def test_pair_report_projects_its_columns_and_flagged_rows(self, tmp_path,
+                                                               projected):
+        assert main(["switching", "--input", str(bundled_oils_path()),
+                     "--label-col", "oil_type", "--pairs", "2:3",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        flagged = json.loads((tmp_path / "report.json").read_text())["loo_eigenvalues"]
+        assert projected == [(96, [1, 2]), (len(flagged), list(range(7)))]
 
 
 # Runs in a fresh interpreter: the report of an exact switching run needs

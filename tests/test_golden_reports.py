@@ -1,6 +1,6 @@
 """Byte guard: benchmark invocations reproduce their recorded reports.
 
-Replays the ``oils-cli`` invocations of ``bench/workloads.py``, six
+Replays the ``oils-cli`` invocations of ``bench/workloads.py``, seven
 pool-0 synthetic invocations and one pool-7 run whose rank alignment needs
 the exact assignment solve, in-process, and compares every file written
 with its SHA-256 in ``bench/golden.json``, so a change in any printed digit
@@ -62,11 +62,14 @@ def _replay(workload, pool, name, tmp_path):
 
 # Oils fits in one stacked block of 7 x 7 matrices; these runs at p = 30
 # sweep 291-row blocks, so the table and the reduced systems cross block
-# boundaries.  The last three also hold the largest JSON document (5.6 MB,
+# boundaries.  The first two scan only the columns of their --pairs and
+# project the flagged rows on their own, into CSV and into JSON with the
+# verify path.  The last three also hold the largest JSON document (5.6 MB,
 # mostly floats), the longest CSV tables flattened from document records, and
 # the JSON document of 23,046 event records, mostly str, bool and int scalars.
 ACROSS_BLOCKS = [
     ("approx-sparse-4000x30", "switching-hybrid-csv"),
+    ("approx-sparse-4000x30", "switching-exact"),
     ("exact-dense-1000x30", "switching-hybrid-L20"),
     ("exact-dense-1000x30", "influence-exact"),
     ("approx-sparse-4000x30", "influence-approx"),
