@@ -50,25 +50,20 @@ from .errors import (
     ZeroVarianceError,
 )
 from .influence import (
-    EigenInfluence,
     LooEngine,
-    approx_eigenvalues_loo,
     component_score,
     eif_covariance,
     eif_eigenvalue,
     eigen_influence,
     eigenvalue_gradient_check,
-    hif_eigenvalue,
     loo_eigenvalue_table,
     sif_eigenvalue,
 )
 from .subspace_diag import (
     InfluenceRecord,
-    eif_b,
     eif_b_series,
     influence_records,
     sci,
-    scia,
     scia_series,
     sif_b,
     subspace_alignment,

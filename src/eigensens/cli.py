@@ -33,7 +33,7 @@ from .dataset import (
 )
 from .eigen import eigh, pc_scores, subspace
 from .errors import EigenSensError
-from .influence import LooEngine
+from .influence import LooEngine, eigen_influence
 from .subspace_diag import influence_records
 from .switching import DEFAULT_NEAR_DELTA, build_switch_report
 
@@ -212,16 +212,11 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
         kinds = {ev.obs_index: ev.kind for ev in report.events}
         exact = kinds.keys()
     records = influence_records(engine, args.L, exact=exact)
+    eif, hif = eigen_influence(engine)
 
-    hif = -(X.n - 1) * (engine.table - E.values)
-    deltas = X.values - engine.mean
     rows = []
     for record in records:
         i = record.obs_index
-        eif = None
-        if spec.kind == COVARIANCE:
-            w = E.vectors.T @ deltas[i - 1]
-            eif = (w * w - E.values).tolist()
         row = {
             "obs": i,
             "label": record.obs_label,
@@ -233,7 +228,7 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
             "hybrid_c": None,
             "replaced": None,
             "flag": kinds.get(i),
-            "eif_eigen": eif,
+            "eif_eigen": None if eif is None else eif[i - 1].tolist(),
             "hif_eigen": hif[i - 1].tolist(),
             "sif_eigen": record.sif_eigen.tolist()
             if args.mode == MODE_EXACT else None,

@@ -251,6 +251,11 @@ def estimate(X: DataMatrix, spec: EstimatorSpec = EstimatorSpec()) -> SymmetricE
                              spec, X.n)
 
 
+def _require_loo(X: DataMatrix) -> None:
+    if X.n < 3:
+        raise DataError(f"leave-one-out needs at least 3 observations, got {X.n}")
+
+
 def estimate_loo(X: DataMatrix, spec: EstimatorSpec, i: int) -> SymmetricEstimate:
     """Estimate over the n-1 observations that remain when ``i`` is removed.
 
@@ -258,6 +263,5 @@ def estimate_loo(X: DataMatrix, spec: EstimatorSpec, i: int) -> SymmetricEstimat
     the reference semantics that the downdates of
     :meth:`eigensens.influence.LooEngine.loo_block` must reproduce.
     """
-    if X.n < 3:
-        raise DataError(f"leave-one-out needs at least 3 observations, got {X.n}")
+    _require_loo(X)
     return estimate(X.drop_rows([i]), spec)

@@ -2,20 +2,21 @@
 
 Three flavours are provided for each eigenvalue:
 
-* ``sif_eigenvalue`` -- the sample influence, -(n-1) times the change in the
+* the sample influence, ``sif_eigenvalue``: -(n-1) times the change in the
   eigenvalue when the observation is actually removed and the reduced matrix
   is re-decomposed;
-* ``eif_eigenvalue`` -- the closed-form empirical influence available for the
-  covariance estimator, computed from full-data quantities only;
-* ``hif_eigenvalue`` -- the hybrid influence, which plugs the exact influence
-  of the *matrix* into the eigenvalue formula and therefore works for any
-  symmetric estimator, closed form or not.
+* the empirical influence, ``eif_eigenvalue``: the closed form available for
+  the covariance estimator, computed from full-data quantities only;
+* the hybrid influence: -(n-1) times the shift of the approximated
+  leave-one-out eigenvalue, which works for any symmetric estimator, closed
+  form or not.
 
-The hybrid form is what yields the cheap post-removal eigenvalue
-approximation ``approx_eigenvalues_loo``: the Rayleigh quotient of the
-leave-one-out estimate at the full-data eigenvectors.  Crucially those
-approximations are *not* re-sorted; they stay indexed by the full-data ranks,
-which is what makes order disruptions visible to the switching detector.
+:func:`eigen_influence` sweeps the empirical and hybrid influence of every
+observation on every eigenvalue.  The approximation behind the hybrid form is
+the Rayleigh quotient of the leave-one-out estimate at the full-data
+eigenvectors (:func:`loo_eigenvalue_table`).  Crucially those approximations
+are *not* re-sorted; they stay indexed by the full-data ranks, which is what
+makes order disruptions visible to the switching detector.
 
 :class:`LooEngine` holds the leave-one-out state of one run: the full-data
 decomposition, mean and scatter, the rank-one downdates, the approximate table
@@ -28,7 +29,6 @@ their own input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -39,25 +39,23 @@ from .dataset import (
     EstimatorSpec,
     SymmetricEstimate,
     _finish,
+    _require_loo,
     _scatter,
     estimate,
     estimate_loo,
     mean_vector,
 )
 from .eigen import EigenSystem, eigh, eigh_stack
-from .errors import DataError, DegenerateEigenvaluesError, UnsupportedEstimatorError
+from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
 
 __all__ = [
     "LooEngine",
-    "EigenInfluence",
     "component_score",
-    "approx_eigenvalues_loo",
     "loo_eigenvalue_table",
+    "eigen_influence",
     "sif_eigenvalue",
     "eif_covariance",
     "eif_eigenvalue",
-    "hif_eigenvalue",
-    "eigen_influence",
     "eigenvalue_gradient_check",
 ]
 
@@ -66,39 +64,9 @@ __all__ = [
 CHUNK_ENTRIES = 1 << 18
 
 
-@dataclass
-class EigenInfluence:
-    """Per-eigenvalue influence values for one observation."""
-
-    obs_index: int
-    eif: np.ndarray | None
-    hif: np.ndarray
-
-
 def component_score(E: EigenSystem, xbar: np.ndarray, x_i: np.ndarray, l: int) -> float:
     """Score of a point on the l-th eigenvector (1-based): eta_l . (x_i - xbar)."""
     return float(E.vector(l) @ (np.asarray(x_i, float) - np.asarray(xbar, float)))
-
-
-def _require_loo(X: DataMatrix) -> None:
-    if X.n < 3:
-        raise DataError(f"leave-one-out needs at least 3 observations, got {X.n}")
-
-
-def approx_eigenvalues_loo(X: DataMatrix, spec: EstimatorSpec, i: int) -> np.ndarray:
-    """Approximate all eigenvalues of the estimate with observation ``i`` removed.
-
-    Entry j-1 is the Rayleigh quotient of the leave-one-out estimate at the
-    j-th full-data eigenvector, kept in full-data rank order.  Uses the
-    full-data eigenvectors as fixed directions, so the full-data
-    decomposition is the only one required.
-    """
-    return _rayleigh_row(LooEngine(X, spec), i)
-
-
-def _rayleigh_row(engine: LooEngine, i: int) -> np.ndarray:
-    V = engine.eigen.vectors
-    return np.einsum("jp,jk,kp->p", V, engine.loo_block(i, i)[0], V)
 
 
 def _chunk_rows(p: int) -> int:
@@ -111,10 +79,28 @@ def loo_eigenvalue_table(engine: LooEngine) -> np.ndarray:
 
     The engine's table with every column filled: the sweep reuses the
     engine's full-data decomposition and scatter, and each column is
-    computed once per engine.  Every row equals
-    :func:`approx_eigenvalues_loo` for its observation exactly.
+    computed once per engine.
     """
     return engine._columns(range(1, engine.p + 1))
+
+
+def _scores(engine: LooEngine) -> np.ndarray:
+    """n x p scores (x_i - xbar)^T V of every observation on every eigenvector."""
+    return (engine.X.values - engine.mean) @ engine.eigen.vectors
+
+
+def eigen_influence(engine: LooEngine) -> tuple[np.ndarray | None, np.ndarray]:
+    """Empirical and hybrid influence of every observation on every eigenvalue.
+
+    Returns ``(eif, hif)``, two n x p arrays in full-data rank order.  ``hif``
+    is -(n-1) times the approximated eigenvalue shift of the engine's table,
+    for any estimator; ``eif`` is the squared score minus the eigenvalue, the
+    closed form of the covariance estimator, and None for any other.
+    """
+    lam = engine.eigen.values
+    hif = -(engine.n - 1) * (engine.table - lam)
+    eif = _scores(engine) ** 2 - lam if engine.spec.kind == COVARIANCE else None
+    return eif, hif
 
 
 def _rayleigh_block(engine: LooEngine, rows: np.ndarray, cols: np.ndarray
@@ -305,47 +291,12 @@ def eif_eigenvalue(
     if spec.kind != COVARIANCE:
         raise UnsupportedEstimatorError(
             "no closed-form eigenvalue influence is shipped for "
-            f"{spec.kind!r} estimates; use hif_eigenvalue, which works for "
-            "any symmetric estimator"
+            f"{spec.kind!r} estimates; use the hybrid influence of "
+            "eigen_influence(engine), which works for any symmetric estimator"
         )
     E = eigh(estimate(X, spec))
     w = component_score(E, mean_vector(X), X.row(i), j)
     return w * w - E.value(j)
-
-
-def hif_eigenvalue(
-    X: DataMatrix,
-    spec: EstimatorSpec,
-    j: int,
-    i: int,
-) -> float:
-    """Hybrid influence on the j-th eigenvalue, valid for any estimator kind.
-
-    Equals -(n-1) times the approximated eigenvalue shift of
-    :func:`approx_eigenvalues_loo`, by construction exactly.
-    """
-    engine = LooEngine(X, spec)
-    approx = _rayleigh_row(engine, i)
-    return -(X.n - 1) * (float(approx[j - 1]) - engine.eigen.value(j))
-
-
-def eigen_influence(
-    X: DataMatrix,
-    spec: EstimatorSpec,
-    i: int,
-) -> EigenInfluence:
-    """Empirical and hybrid per-eigenvalue influence for one observation.
-
-    The empirical column is present only for covariance estimates.
-    """
-    engine = LooEngine(X, spec)
-    E = engine.eigen
-    hif = -(X.n - 1) * (_rayleigh_row(engine, i) - E.values)
-    eif = None
-    if spec.kind == COVARIANCE:
-        w = E.vectors.T @ (X.row(i) - engine.mean)
-        eif = w * w - E.values
-    return EigenInfluence(i, eif, hif)
 
 
 def eigenvalue_gradient_check(

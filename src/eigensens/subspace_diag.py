@@ -3,10 +3,12 @@
 Two families of diagnostics, each with an exact (leave-one-out) and an
 empirical (full-data-only) member:
 
-* ``sif_b`` / ``eif_b`` -- based on the sines of the angles between the
-  retained eigenvectors and their projections onto the perturbed subspace;
-* ``sci`` / ``scia`` -- based on the average squared canonical correlation
-  between the retained score sets with and without the observation.
+* ``sif_b`` / ``eif_b_series`` -- based on the sines of the angles between
+  the retained eigenvectors and their projections onto the perturbed
+  subspace;
+* ``sci`` / ``scia_series`` -- based on the average squared canonical
+  correlation between the retained score sets with and without the
+  observation.
 
 The exact members cost one extra decomposition per observation, shared by
 both of them in a sweep; the empirical members are computed for every
@@ -27,6 +29,7 @@ from .dataset import (
     COVARIANCE,
     DataMatrix,
     EstimatorSpec,
+    _require_loo,
     estimate,
     estimate_loo,
 )
@@ -38,15 +41,13 @@ from .eigen import (
     eigh,
 )
 from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
-from .influence import LooEngine, _require_loo
+from .influence import LooEngine, _scores
 
 __all__ = [
     "InfluenceRecord",
     "subspace_alignment",
     "sif_b",
-    "eif_b",
     "sci",
-    "scia",
     "eif_b_series",
     "scia_series",
     "influence_records",
@@ -172,22 +173,21 @@ def _empirical_pieces(engine: LooEngine, L: int):
             f"got {engine.spec.kind!r} (use the exact measures instead)"
         )
     E = engine.eigen
-    if not 1 <= L < E.p:
-        raise ValueError(f"L={L} out of range 1..{E.p - 1} for empirical measures")
+    if not 1 <= L <= E.p:
+        raise ValueError(f"L={L} out of range 1..{E.p} for empirical measures")
     if (L, L + 1) in E.gap_warnings:
         raise DegenerateEigenvaluesError(
             f"eigenvalues {L} and {L + 1} are nearly equal; the empirical "
             "influence denominator is degenerate"
         )
-    scores = (engine.X.values - engine.mean) @ E.vectors
-    return E, scores
+    return E, _scores(engine)
 
 
 def eif_b_series(engine: LooEngine, L: int) -> np.ndarray:
     """Empirical subspace influence for every observation in one pass.
 
     Uses only the engine's full-data eigenvalues and scores, so the entire
-    series costs a single decomposition.
+    series costs a single decomposition.  At L = p every value is 0.
     """
     E, om = _empirical_pieces(engine, L)
     lam = E.values
@@ -197,7 +197,8 @@ def eif_b_series(engine: LooEngine, L: int) -> np.ndarray:
         for k in range(L, E.p):
             inner += om[:, l] ** 2 * om[:, k] ** 2 / (lam[l] - lam[k]) ** 2
         total += np.sqrt(inner)
-    return -total / L
+    # 0.0 - x rather than -x, so that a zero influence is written as 0.0
+    return 0.0 - total / L
 
 
 def scia_series(engine: LooEngine, L: int) -> np.ndarray:
@@ -215,28 +216,6 @@ def scia_series(engine: LooEngine, L: int) -> np.ndarray:
             total += (lam[k] / lam[l]) * om[:, l] ** 2 * om[:, k] ** 2 \
                 / (lam[l] - lam[k]) ** 2
     return total / L
-
-
-def eif_b(
-    X: DataMatrix,
-    L: int,
-    i: int,
-    spec: EstimatorSpec = EstimatorSpec(),
-) -> float:
-    """Empirical counterpart of :func:`sif_b` for observation ``i``."""
-    X._check_index(i)
-    return float(eif_b_series(LooEngine(X, spec), L)[i - 1])
-
-
-def scia(
-    X: DataMatrix,
-    L: int,
-    i: int,
-    spec: EstimatorSpec = EstimatorSpec(),
-) -> float:
-    """Empirical counterpart of :func:`sci` for observation ``i``."""
-    X._check_index(i)
-    return float(scia_series(LooEngine(X, spec), L)[i - 1])
 
 
 def sci(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import eigensens
 from eigensens import influence, subspace_diag, switching
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -15,6 +16,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # the leave-one-out sweeps: each takes a LooEngine as its one data argument
 SWEEPS = [
     "loo_eigenvalue_table",
+    "eigen_influence",
     "eif_b_series",
     "scia_series",
     "influence_records",
@@ -47,6 +49,27 @@ def test_sweeps_take_the_engine_first(name):
     assert "X" not in params and "spec" not in params
     # verify_exact takes the events it checks ahead of everything else
     assert [p for p in params if p != "events"][0] == "engine"
+
+
+def _key_operations():
+    """Backticked names in the first column of the README's API table."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("Key operations", 1)[1].split("\n\n", 2)[1]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    return [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+
+
+def test_readme_api_table_names_resolve():
+    names = _key_operations()
+    assert "eigen_influence" in names
+    assert [n for n in names if not hasattr(eigensens, n)] == []
+
+
+def test_every_public_function_is_in_the_readme():
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name, _ in _public_parameters()
+               if not re.search(rf"`{name}[`(]", text)]
+    assert missing == []
 
 
 def test_readme_quick_start_runs():

@@ -143,6 +143,19 @@ class TestInfluence:
         values = [abs(r["sif_b"]) for r in doc["observations"]]
         assert max(values) < 1.0
 
+    @pytest.mark.parametrize("estimator", ["cov", "cor"])
+    def test_full_dimension_runs_under_both_estimators(self, tmp_path, estimator):
+        # at L = p the retained subspace is the whole space, under any estimator
+        out = tmp_path / "inf.json"
+        assert run("influence", "--input", OILS, "--label-col", "oil_type",
+                   "--L", "7", "--mode", "exact", "--estimator", estimator,
+                   "--out", str(out)) == 0
+        rows = json.loads(out.read_text())["observations"]
+        assert all(r["sif_b"] == 0.0 for r in rows)
+        if estimator == "cov":
+            assert all(r["eif_b"] == r["scia"] == 0.0 for r in rows)
+            assert '"eif_b": -0.0' not in out.read_text()
+
     def test_exact_sif_vector_recovers_loo_eigenvalues(self, tmp_path):
         out = tmp_path / "inf.json"
         assert run("influence", "--input", OILS, "--label-col", "oil_type",

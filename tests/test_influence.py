@@ -6,7 +6,6 @@ from eigensens import (
     EigenSystem,
     LooEngine,
     UnsupportedEstimatorError,
-    approx_eigenvalues_loo,
     eif_b_series,
     eif_covariance,
     eif_eigenvalue,
@@ -14,7 +13,6 @@ from eigensens import (
     eigh,
     estimate,
     estimate_loo,
-    hif_eigenvalue,
     eigenvalue_gradient_check,
     loo_eigenvalue_table,
     mean_vector,
@@ -54,42 +52,34 @@ class TestComponentScore:
             assert component_score(E, xbar, X.row(i), l) == direct
 
 
-class TestApproxEigenvaluesLoo:
+class TestLooApproximation:
     def test_oils_obs57(self, oils):
-        approx = approx_eigenvalues_loo(oils, COV_N, 57)
+        approx = LooEngine(oils, COV_N).table_rows([57])[0]
         expected = [452.727, 9.599, 9.816, 0.647, 0.369, 0.059, 0.036]
         np.testing.assert_allclose(np.round(approx, 3), expected, atol=1e-12)
         assert approx[1] < approx[2]
 
     def test_scalar_case_is_exact(self):
         X = make_data([[1.0], [4.0], [2.5], [0.5], [6.0]])
+        table = LooEngine(X, COV_N).table
         for i in range(1, 6):
-            approx = approx_eigenvalues_loo(X, COV_N, i)[0]
             exact = estimate_loo(X, COV_N, i).matrix[0, 0]
-            assert approx == pytest.approx(exact, abs=1e-14)
+            assert table[i - 1, 0] == pytest.approx(exact, abs=1e-14)
 
     def test_error_bounded_and_shrinking_with_n(self):
         medians = {}
         for n in (30, 60, 120):
             X = gaussian_data(5, n, [2.0, 1.3, 0.8, 0.4])
-            E = eigh(estimate(X, COV_N))
-            spread = E.values[0] - E.values[-1]
+            engine = LooEngine(X, COV_N)
+            spread = engine.eigen.values[0] - engine.eigen.values[-1]
             errors = []
             for i in range(1, n + 1):
-                approx = approx_eigenvalues_loo(X, COV_N, i)
                 exact = eigh(estimate_loo(X, COV_N, i)).values
-                err = np.max(np.abs(approx - exact))
+                err = np.max(np.abs(engine.table[i - 1] - exact))
                 assert err <= 0.15 * spread
                 errors.append(err)
             medians[n] = np.median(errors)
         assert medians[30] > medians[60] > medians[120]
-
-    def test_table_matches_single_calls(self, oils):
-        table = loo_eigenvalue_table(LooEngine(oils, COV_N))
-        for i in (1, 42, 96):
-            np.testing.assert_array_equal(
-                table[i - 1], approx_eigenvalues_loo(oils, COV_N, i)
-            )
 
 
 class TestSifEigenvalue:
@@ -182,37 +172,47 @@ class TestEifEigenvalue:
         assert checked >= 10
 
     def test_correlation_spec_points_to_hybrid(self, oils):
-        with pytest.raises(UnsupportedEstimatorError, match="hif_eigenvalue"):
+        with pytest.raises(UnsupportedEstimatorError,
+                           match=r"eigen_influence\(engine\)"):
             eif_eigenvalue(oils, 1, 1, COR_N)
 
 
-class TestHifEigenvalue:
+class TestEigenInfluence:
     def test_constant_data_gives_zero(self):
         X = make_data([[2.0, 5.0]] * 6)
-        assert hif_eigenvalue(X, COV_N, 1, 3) == 0.0
+        eif, hif = eigen_influence(LooEngine(X, COV_N))
+        assert np.all(hif == 0.0)
+        assert np.all(eif == 0.0)
 
     def test_identity_with_approximation(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        for i in (1, 42, 57):
-            approx = approx_eigenvalues_loo(oils, COV_N, i)
-            for j in (1, 2, 7):
-                h = hif_eigenvalue(oils, COV_N, j, i)
-                assert h + 95.0 * (approx[j - 1] - E.values[j - 1]) == 0.0
+        engine = LooEngine(oils, COV_N)
+        _, hif = eigen_influence(engine)
+        assert hif.shape == (oils.n, oils.p)
+        assert np.all(hif + 95.0 * (engine.table - engine.eigen.values) == 0.0)
 
     def test_oils_obs57_second_eigenvalue(self, oils):
-        E = eigh(estimate(oils, COV_N))
-        approx2 = approx_eigenvalues_loo(oils, COV_N, 57)[1]
-        h = hif_eigenvalue(oils, COV_N, 2, 57)
-        assert h == pytest.approx(-95.0 * (approx2 - E.values[1]), abs=1e-9)
+        engine = LooEngine(oils, COV_N)
+        approx2 = engine.table_rows([57])[0][1]
+        h = eigen_influence(engine)[1][56, 1]
+        assert h == pytest.approx(-95.0 * (approx2 - engine.eigen.values[1]), abs=1e-9)
         assert round(approx2, 3) == pytest.approx(9.599)
 
+    def test_empirical_matches_the_closed_form(self, oils):
+        eif, _ = eigen_influence(LooEngine(oils, COV_N))
+        for i in (1, 42, 57):
+            for j in (1, 2, 7):
+                assert eif[i - 1, j - 1] == pytest.approx(
+                    eif_eigenvalue(oils, j, i), rel=1e-12, abs=1e-10
+                )
+
     def test_supports_correlation_estimates(self, oils):
-        h = hif_eigenvalue(oils, COR_N, 2, 57)
-        assert np.isfinite(h)
+        eif, hif = eigen_influence(LooEngine(oils, COR_N))
+        assert eif is None
+        assert np.all(np.isfinite(hif))
 
     def test_supports_both_divisors(self, oils):
-        a = hif_eigenvalue(oils, COV_N, 2, 57)
-        b = hif_eigenvalue(oils, COV_N1, 2, 57)
+        a = eigen_influence(LooEngine(oils, COV_N))[1][56, 1]
+        b = eigen_influence(LooEngine(oils, COV_N1))[1][56, 1]
         assert a != b
         assert np.isfinite(a) and np.isfinite(b)
 
@@ -265,15 +265,6 @@ class TestEigenvalueGradientCheck:
 
 
 class TestInfluenceInvariants:
-    def test_exactness_identity_everywhere(self, oils):
-        engine = LooEngine(oils, COV_N)
-        E, table = engine.eigen, engine.table
-        n = oils.n
-        for i in range(1, n + 1):
-            info = eigen_influence(oils, COV_N, i)
-            residual = info.hif + (n - 1) * (table[i - 1] - E.values)
-            assert np.max(np.abs(residual)) <= 1e-12
-
     def test_basis_completeness(self, oils):
         engine = LooEngine(oils, COV_N)
         for i in range(1, oils.n + 1):

@@ -11,13 +11,11 @@ from eigensens import (
     Subspace,
     UnsupportedEstimatorError,
     count_decompositions,
-    eif_b,
     eif_b_series,
     eigh,
     estimate,
     subspace_alignment,
     sci,
-    scia,
     scia_series,
     sif_b,
     subspace,
@@ -145,14 +143,16 @@ class TestSifB:
 class TestEifB:
     def test_zero_at_the_mean(self, centered_with_mean_row):
         X, i = centered_with_mean_row
-        assert eif_b(X, 2, i) == pytest.approx(0.0, abs=1e-12)
+        series = eif_b_series(LooEngine(X, COV_N), 2)
+        assert series[i - 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_formula_arithmetic(self):
         X = spectrum_planted_data(3.0)
-        assert eif_b(X, 1, 1) == pytest.approx(-0.5, abs=1e-9)
+        series = eif_b_series(LooEngine(X, COV_N), 1)
+        assert series[0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_oils_obs42_underestimates_badly(self, oils):
-        empirical = eif_b(oils, 2, i=42)
+        empirical = eif_b_series(LooEngine(oils, COV_N), 2)[41]
         sample = sif_b(oils, COV_N, 2, 42)
         assert abs(empirical) < 0.1 * abs(sample)
 
@@ -167,15 +167,16 @@ class TestEifB:
         full = leading_vectors(cov, 2)
         contaminated = (1.0 - eps) * cov + eps * (1.0 - eps) * np.outer(delta, delta)
         slope = mean_sine(full, contaminated) / eps
-        assert -eif_b(oils, 2, 58) == pytest.approx(slope, rel=1e-2)
+        empirical = eif_b_series(LooEngine(oils, COV_N), 2)[57]
+        assert -empirical == pytest.approx(slope, rel=1e-2)
 
     def test_degenerate_pair_reported(self):
         with pytest.raises(DegenerateEigenvaluesError, match="1 and 2"):
-            eif_b(tied_spectrum_data(), 1, 1)
+            eif_b_series(LooEngine(tied_spectrum_data(), COV_N), 1)
 
     def test_rejects_correlation_spec(self, oils):
         with pytest.raises(UnsupportedEstimatorError):
-            eif_b(oils, 2, 1, COR_N)
+            eif_b_series(LooEngine(oils, COR_N), 2)
 
 
 class TestSci:
@@ -204,23 +205,26 @@ class TestSci:
 class TestScia:
     def test_zero_at_the_mean(self, centered_with_mean_row):
         X, i = centered_with_mean_row
-        assert scia(X, 2, i) == pytest.approx(0.0, abs=1e-12)
+        series = scia_series(LooEngine(X, COV_N), 2)
+        assert series[i - 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_formula_arithmetic(self):
         X = spectrum_planted_data(4.0)
-        assert scia(X, 1, 1) == pytest.approx(1.0 / 36.0, abs=1e-9)
+        series = scia_series(LooEngine(X, COV_N), 1)
+        assert series[0] == pytest.approx(1.0 / 36.0, abs=1e-9)
 
     def test_tracks_sci_for_non_extreme_observations(self):
         X = gaussian_data(13, 60, [3.0, 1.5, 0.6, 0.25])
         E = eigh(estimate(X, COV_N))
         scores = (X.values - X.values.mean(axis=0)) @ E.vectors
         inside = np.all(np.abs(scores) <= 2.0 * np.sqrt(E.values), axis=1)
+        series = scia_series(LooEngine(X, COV_N), 2)
         checked = 0
         for i in range(1, X.n + 1):
             if not inside[i - 1]:
                 continue
             sample = sci(X, COV_N, 2, i)
-            empirical = scia(X, 2, i)
+            empirical = series[i - 1]
             assert abs(empirical - sample) <= 0.25 * max(sample, 1e-12)
             checked += 1
         assert checked >= 40
@@ -242,13 +246,11 @@ class TestSweeps:
         assert window.total == 1
         assert b.shape == c.shape == (oils.n,)
 
-    def test_series_match_single_calls(self, oils):
+    def test_full_dimension_gives_positive_zero(self, oils):
         engine = LooEngine(oils, COV_N)
-        b = eif_b_series(engine, 2)
-        c = scia_series(engine, 2)
-        for i in (1, 42, 96):
-            assert b[i - 1] == eif_b(oils, 2, i)
-            assert c[i - 1] == scia(oils, 2, i)
+        for series in (eif_b_series(engine, oils.p), scia_series(engine, oils.p)):
+            assert np.all(series == 0.0)
+            assert not np.any(np.signbit(series))
 
     def test_series_sign_conventions(self, oils):
         engine = LooEngine(oils, COV_N)
@@ -259,7 +261,7 @@ class TestSweeps:
         records = influence_records(LooEngine(oils, COV_N), 2)
         assert len(records) == oils.n
         assert records[41].sif_b is None
-        assert records[41].eif_b == pytest.approx(eif_b(oils, 2, 42))
+        assert records[41].eif_b == eif_b_series(LooEngine(oils, COV_N), 2)[41]
         assert records[41].obs_label == oils.row_labels[41]
 
     def test_records_exact_mode(self, oils):
