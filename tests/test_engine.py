@@ -68,6 +68,15 @@ def test_seeded_rows_are_not_a_multiple_of_the_block():
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.divisor}")
 @pytest.mark.parametrize("X", _datasets())
 class TestAgainstReference:
+    def test_table_rows_equal_per_row_approximation(self, X, spec):
+        engine = LooEngine(X, spec)
+        table = loo_eigenvalue_table(engine)
+        V = engine.eigen.vectors
+        for i in range(1, X.n + 1):
+            # Rayleigh quotients of one downdate at the full-data eigenvectors
+            ref = np.einsum("jp,jk,kp->p", V, engine.loo_block(i, i)[0], V)
+            assert np.array_equal(table[i - 1], ref), f"row {i}"
+
     @pytest.mark.parametrize("pairs", [[(1, 2), (2, 3)], [(2, 3), (5, 6)]],
                              ids=["contiguous", "scattered"])
     def test_pair_columns_equal_full_table_columns(self, X, spec, pairs):
