@@ -32,10 +32,15 @@ from .dataset import (
     load_csv,
 )
 from .eigen import eigh, pc_scores, subspace
-from .errors import EigenSensError
+from .errors import EigenSensError, UnsupportedEstimatorError
 from .influence import LooEngine, eigen_influence
 from .subspace_diag import influence_records
-from .switching import DEFAULT_NEAR_DELTA, build_switch_report
+from .switching import (
+    DEFAULT_NEAR_DELTA,
+    build_switch_report,
+    hybrid_influence,
+    verify_exact,
+)
 
 __all__ = ["main"]
 
@@ -258,23 +263,33 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
 
 
 def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
-    """Switching detection report with retention advice."""
+    """Switching detection report with retention advice, plus the exact
+    verdicts (exact mode) or the measure-B hybrid series (hybrid mode)."""
     engine = LooEngine(X, spec)
     E = engine.eigen
     if args.L >= E.p:
         raise ValueError(
             f"--L {args.L} out of range 1..{E.p - 1} for retention advice"
         )
-    report = build_switch_report(
-        engine,
-        candidate_L=args.L,
-        delta=args.delta,
-        pairs=args.pairs,
-        verify=args.mode == MODE_EXACT,
-        hybrid=args.mode == MODE_HYBRID,
-    )
+    report = build_switch_report(engine, candidate_L=args.L, delta=args.delta,
+                                 pairs=args.pairs)
     advice = report.recommendation
+    if args.mode == MODE_EXACT:
+        report.events = verify_exact(report.events, engine, delta=args.delta)
     flagged = sorted({ev.obs_index for ev in report.events})
+    hybrid = None
+    if args.mode == MODE_HYBRID:
+        hybrid = {"measure": "B", "L": args.L}
+        boundary = {ev.obs_index for ev in report.events
+                    if ev.pair == (args.L, args.L + 1)}
+        try:
+            hybrid["series"] = [
+                {"obs": hv.obs_index, "label": hv.obs_label,
+                 "value": hv.value, "replaced": hv.replaced}
+                for hv in hybrid_influence(engine, args.L, boundary)
+            ]
+        except UnsupportedEstimatorError as exc:
+            hybrid["note"] = str(exc)
 
     body = {
         "mode": args.mode,
@@ -293,15 +308,7 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
         ],
         "loo_eigenvalues": {str(i): row.tolist()
                             for i, row in zip(flagged, engine.table_rows(flagged))},
-        "hybrid": None if report.hybrid_series is None else {
-            "measure": "B",
-            "L": args.L,
-            "series": [
-                {"obs": hv.obs_index, "label": hv.obs_label,
-                 "value": hv.value, "replaced": hv.replaced}
-                for hv in report.hybrid_series
-            ],
-        },
+        "hybrid": hybrid,
     }
 
     def tables():
@@ -311,15 +318,17 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
             f"recommended_L={advice.L}",
             f"rationale={advice.rationale}",
         )
+        if hybrid and "note" in hybrid:
+            comments += (f"hybrid_note={hybrid['note']}",)
         yield ("", ["obs", "label", "pair_low", "pair_high", "approx_lo",
                     "approx_hi", "kind", "verified_exact"],
                [_cells(ev) for ev in body["events"]], comments)
         yield ("loo", ["obs", "label", *(f"lambda{j + 1}" for j in range(X.p))],
                [[i, X.row_labels[i - 1], *body["loo_eigenvalues"][str(i)]]
                 for i in flagged])
-        if body["hybrid"] is not None:
+        if hybrid and "series" in hybrid:
             yield ("hybrid", ["obs", "label", "value", "replaced"],
-                   [_cells(hv) for hv in body["hybrid"]["series"]])
+                   [_cells(hv) for hv in hybrid["series"]])
 
     return body, tables
 

@@ -20,7 +20,6 @@ workflow actually spent.
 
 from __future__ import annotations
 
-import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -46,7 +45,6 @@ __all__ = [
 GAP_TOL = 1e-10
 NEGATIVE_CLAMP = -1e-10
 
-_counter_lock = threading.Lock()
 _decompositions = 0
 
 
@@ -157,8 +155,7 @@ def eigh_stack(mats: np.ndarray) -> list[EigenSystem]:
     """
     global _decompositions
     mats = np.asarray(mats, dtype=float)
-    with _counter_lock:
-        _decompositions += mats.shape[0]
+    _decompositions += mats.shape[0]
     try:
         stacked_values, stacked_vectors = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:

@@ -111,7 +111,6 @@ def _rayleigh_block(engine: LooEngine, rows: np.ndarray, cols: np.ndarray
     projected onto the chosen full-data eigenvectors in one call; an entry
     does not depend on which other rows or columns are asked for.
     """
-    _require_loo(engine.X)
     V = engine.eigen.vectors[:, cols]
     out = np.empty((len(rows), len(cols)))
     step = _chunk_rows(engine.p)
@@ -133,6 +132,7 @@ class LooEngine:
     """
 
     def __init__(self, X: DataMatrix, spec: EstimatorSpec = EstimatorSpec()):
+        _require_loo(X)
         self.X = X
         self.spec = spec
         self.eigen = eigh(estimate(X, spec))
@@ -194,7 +194,6 @@ class LooEngine:
         rank-one downdate of the full-data scatter that agrees with
         :func:`eigensens.dataset.estimate_loo` to floating-point accuracy.
         """
-        _require_loo(self.X)
         self.X._check_index(first)
         self.X._check_index(last)
         return self._loo_stack(np.arange(first - 1, last))
@@ -216,7 +215,6 @@ class LooEngine:
         decomposed in one stacked call.
         """
         X = self.X
-        _require_loo(X)
         rows = [int(i) for i in rows]
         for i in rows:
             X._check_index(i)

@@ -129,6 +129,8 @@ class _SampleMeasures:
         return (self.n - 1) * (subspace_alignment(self.full, s_loo) - 1.0)
 
     def sci(self, E_loo: EigenSystem) -> float:
+        if self.L == E_loo.p:
+            return 0.0
         if self._full_scores is None:
             self._full_scores = _score_basis(self._centered @ self.full.basis, "first")
         s_loo = Subspace(E_loo.vectors[:, :self.L].copy(), self.L)
@@ -251,7 +253,6 @@ def influence_records(
     decomposition.
     """
     X = engine.X
-    _require_loo(X)
     E = engine.eigen
     note = _boundary_note(E, L, "full-data")
     empirical_b = empirical_c = None

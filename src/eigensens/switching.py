@@ -5,10 +5,10 @@ eigenvalues.  The re-sorted eigenvalues of the reduced estimate carry no
 trace of this, but the rank-indexed approximations of
 :func:`eigensens.influence.loo_eigenvalue_table` do: a switch shows up as
 ``approx[j] < approx[j+1]``.  This module sweeps those approximations,
-optionally confirms flagged events against true re-decompositions, adjusts
-the retained component count away from disrupted boundaries, and builds
-series in which only the flagged observations pay for an exact influence
-value.
+adjusts the retained component count away from disrupted boundaries, and,
+as separate stages, confirms flagged events against true re-decompositions
+and builds series in which only the flagged observations pay for an exact
+influence value.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class SwitchReport:
     events: list[SwitchEvent]
     recommendation: RetentionAdvice
     delta: float
-    hybrid_series: list[HybridValue] | None = None
 
 
 def _normalise_pairs(pairs: Sequence[tuple[int, int]] | None, p: int
@@ -346,8 +345,6 @@ def hybrid_influence(
     """
     X = engine.X
     flagged_set = set(int(i) for i in flagged)
-    for i in flagged_set:
-        X._check_index(i)
     if measure not in (MEASURE_B, MEASURE_C):
         raise ValueError(f"measure must be 'B' or 'C', got {measure!r}")
     E = engine.eigen
@@ -375,33 +372,23 @@ def build_switch_report(
     candidate_L: int,
     delta: float = DEFAULT_NEAR_DELTA,
     pairs: Sequence[tuple[int, int]] | None = None,
-    verify: bool = False,
-    hybrid: bool = False,
 ) -> SwitchReport:
-    """Run detection, recommendation and (optionally) a hybrid sweep.
+    """Detect switching and near switching, and advise on the retained count.
 
     Detection flags reversed pairs and pairs within ``delta`` in one pass
-    over the approximate table.  ``hybrid`` adds the measure-B series with
-    exact values at the observations flagged on the candidate boundary.
-    Verification and the hybrid sweep take their reduced decompositions from
-    the same engine.
+    over the approximate table; the advice walks away from the boundaries
+    those switches disrupt.  Confirming the events (:func:`verify_exact`) and
+    repairing an influence series at them (:func:`hybrid_influence`) are
+    separate stages on the same engine.
     """
     _check_delta(delta)
     wanted = _normalise_pairs(pairs, engine.p)
-    detected = _scan(engine, wanted, reversed_pairs=True, delta=delta)
-    events = detected
-    if verify:
-        events = verify_exact(events, engine, delta=delta)
+    events = _scan(engine, wanted, reversed_pairs=True, delta=delta)
     try:
-        advice = recommend_L(engine, candidate_L, events=detected)
+        advice = recommend_L(engine, candidate_L, events=events)
     except NoValidRetentionError as exc:
         advice = RetentionAdvice(candidate_L, f"retention advice failed: {exc}")
-    series = None
-    if hybrid:
-        boundary = {ev.obs_index for ev in events if ev.pair == (candidate_L,
-                                                                 candidate_L + 1)}
-        series = hybrid_influence(engine, candidate_L, boundary)
-    return SwitchReport(events, advice, delta, series)
+    return SwitchReport(events, advice, delta)
 
 
 def cascade_scan(

@@ -51,6 +51,13 @@ def test_sweeps_take_the_engine_first(name):
     assert [p for p in params if p != "events"][0] == "engine"
 
 
+@pytest.mark.parametrize("name", SWEEPS)
+def test_sweeps_take_no_bool_switches(name):
+    # a stage that a caller may skip is a separate call, not a flag
+    signature = inspect.signature(getattr(eigensens, name), eval_str=True)
+    assert [p for p, v in signature.parameters.items() if v.annotation is bool] == []
+
+
 def _key_operations():
     """Backticked names in the first column of the README's API table."""
     text = README.read_text(encoding="utf-8")

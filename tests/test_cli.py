@@ -151,7 +151,7 @@ class TestInfluence:
                    "--L", "7", "--mode", "exact", "--estimator", estimator,
                    "--out", str(out)) == 0
         rows = json.loads(out.read_text())["observations"]
-        assert all(r["sif_b"] == 0.0 for r in rows)
+        assert all(r["sif_b"] == r["sci"] == 0.0 for r in rows)
         if estimator == "cov":
             assert all(r["eif_b"] == r["scia"] == 0.0 for r in rows)
             assert '"eif_b": -0.0' not in out.read_text()
@@ -250,16 +250,32 @@ class TestSwitching:
         flagged = {s["obs"] for s in series if s["replaced"]}
         assert flagged == {28, 42, 57, 58, 59, 60, 90, 91, 93, 94, 95}
 
-    def test_hybrid_mode_refuses_the_correlation_estimator(self, tmp_path,
-                                                           capsys):
-        # the switching report's hybrid series is the empirical measure B,
-        # whose closed form exists only for covariance
-        out = tmp_path / "sw.json"
-        assert run("switching", "--input", OILS, "--label-col", "oil_type",
-                   "--mode", "hybrid", "--estimator", "cor",
-                   "--out", str(out)) == 1
-        assert CLOSED_FORM in capsys.readouterr().err
-        assert not out.exists()
+    def test_hybrid_mode_under_correlation_notes_the_missing_closed_form(
+            self, tmp_path):
+        # the hybrid series is the empirical measure B, whose closed form
+        # exists only for covariance; detection and advice are still written
+        argv = ["switching", "--input", OILS, "--label-col", "oil_type",
+                "--estimator", "cor"]
+        assert run(*argv, "--out", str(tmp_path / "approx.json")) == 0
+        assert run(*argv, "--mode", "hybrid",
+                   "--out", str(tmp_path / "hybrid.json")) == 0
+        approx, hybrid = (json.loads((tmp_path / f"{name}.json").read_text())
+                          for name in ("approx", "hybrid"))
+        assert hybrid["events"]
+        for key in ("events", "recommended_L", "loo_eigenvalues"):
+            assert hybrid[key] == approx[key]
+        assert set(hybrid["hybrid"]) == {"measure", "L", "note"}
+        assert CLOSED_FORM in hybrid["hybrid"]["note"]
+
+        out = tmp_path / "sw.csv"
+        assert run(*argv, "--mode", "hybrid", "--format", "csv",
+                   "--out", str(out)) == 0
+        comments = [ln for ln in out.read_text().splitlines()
+                    if ln.startswith("#")]
+        assert comments[-1].startswith("# hybrid_note=")
+        assert CLOSED_FORM in comments[-1]
+        assert (tmp_path / "sw_loo.csv").exists()
+        assert not (tmp_path / "sw_hybrid.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["analyze"],
@@ -416,12 +432,24 @@ class TestExitCodesAndConfig:
 
     @pytest.mark.parametrize("flags", [
         ["--delta", "-1"], ["--L", "0"], ["--precision", "0"], ["--pairs", "2-3"],
+        ["--pairs", "2:4"],
     ])
     def test_settings_are_checked_before_the_input_is_read(self, tmp_path,
                                                            capsys, flags):
         assert run("switching", "--input", str(tmp_path / "nope.csv"),
                    *flags) == 2
         assert "nope.csv" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["influence", "--L", "8"], "--L 8 out of range 1..7"),
+        (["influence", "--mode", "hybrid", "--L", "7"],
+         "hybrid mode needs L < p"),
+        (["switching", "--L", "7"], "out of range 1..6 for retention advice"),
+    ], ids=["influence", "influence-hybrid", "switching"])
+    def test_L_beyond_the_command_range_is_config_error(self, capsys, argv,
+                                                        message):
+        assert run(*argv, "--input", OILS, "--label-col", "oil_type") == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_flag_value_exits_2(self):
         with pytest.raises(SystemExit) as info:

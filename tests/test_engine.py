@@ -178,6 +178,11 @@ class TestEngine:
         with pytest.raises(DataError, match="out of range"):
             list(LooEngine(oils, COV_N).reduced([97]))
 
+    def test_fewer_than_three_rows_are_refused(self):
+        X = DataMatrix(np.array([[1.0, 2.0], [3.0, 5.0]]))
+        with pytest.raises(DataError, match="at least 3"):
+            LooEngine(X, COV_N)
+
     @pytest.mark.parametrize("call, cost", PER_ROW_COST.values(), ids=PER_ROW_COST.keys())
     def test_per_row_reference_decomposes_its_own_input(self, oils, call, cost):
         with count_decompositions() as window:

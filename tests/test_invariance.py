@@ -10,7 +10,13 @@ stays put for correlation, whose entries have no units.
 import numpy as np
 import pytest
 
-from eigensens import DataMatrix, LooEngine, build_switch_report, load_oils
+from eigensens import (
+    DataMatrix,
+    LooEngine,
+    build_switch_report,
+    load_oils,
+    verify_exact,
+)
 
 from conftest import COR_N, COV_N, make_data
 
@@ -50,11 +56,11 @@ def outcome(X, spec, delta, rows=None):
     ``rows[r]`` is the original 1-based index of row r+1 when rows were moved.
     """
     engine = LooEngine(X, spec)
-    report = build_switch_report(engine, candidate_L=2, delta=delta, verify=True)
+    report = build_switch_report(engine, candidate_L=2, delta=delta)
     original = (lambda i: i) if rows is None else (lambda i: int(rows[i - 1]))
     events = sorted(
         (original(ev.obs_index), ev.obs_label, ev.pair, ev.kind, ev.verified_exact)
-        for ev in report.events
+        for ev in verify_exact(report.events, engine, delta=delta)
     )
     return events, engine.eigen.gap_warnings, report.recommendation.L
 

@@ -116,6 +116,15 @@ class TestSifB:
         with pytest.warns(RuntimeWarning, match="identically zero"):
             assert sif_b(oils, COV_N, 7, 4) == 0.0
 
+    def test_tied_boundary_warns(self, oils):
+        # two copies of the first column make eigenvalues 8 and 9 both zero
+        first = oils.values[:, :1]
+        X = DataMatrix(np.hstack([oils.values, first, first]), oils.row_labels)
+        with pytest.warns(RuntimeWarning) as caught:
+            sif_b(X, COV_N, 8, 1)
+        assert any("eigenvalues 8 and 9 of the full-data estimate are nearly "
+                   "tied" in str(w.message) for w in caught)
+
     def test_oils_top_spikes_are_the_switching_observations(self, oils):
         magnitudes = {
             i: abs(sif_b(oils, COV_N, 2, i))

@@ -345,13 +345,15 @@ class TestSwitchReport:
 
     def test_deterministic_byte_for_byte(self, oils):
         def dump():
-            report = build_switch_report(
-                LooEngine(oils, COV_N), candidate_L=2, verify=True, hybrid=True
-            )
+            engine = LooEngine(oils, COV_N)
+            report = build_switch_report(engine, candidate_L=2)
+            events = verify_exact(report.events, engine)
+            boundary = {ev.obs_index for ev in events if ev.pair == (2, 3)}
+            series = hybrid_influence(engine, 2, boundary)
             return json.dumps({
-                "events": [dataclasses.asdict(ev) for ev in report.events],
+                "events": [dataclasses.asdict(ev) for ev in events],
                 "advice": dataclasses.asdict(report.recommendation),
-                "hybrid": [dataclasses.asdict(hv) for hv in report.hybrid_series],
+                "hybrid": [dataclasses.asdict(hv) for hv in series],
                 "delta": report.delta,
             }, sort_keys=True)
 
