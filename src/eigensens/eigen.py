@@ -133,14 +133,6 @@ class Subspace:
         return self.basis.shape[0]
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # np.argmax returns the first maximiser, which is the tie-break we want.
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
-
-
 def eigh(W: SymmetricEstimate | np.ndarray) -> EigenSystem:
     """Full decomposition of a symmetric matrix, deterministic conventions."""
     mat = W.matrix if isinstance(W, SymmetricEstimate) else np.asarray(W, dtype=float)
@@ -150,42 +142,42 @@ def eigh(W: SymmetricEstimate | np.ndarray) -> EigenSystem:
 def eigh_stack(mats: np.ndarray) -> list[EigenSystem]:
     """Decompose a stack of symmetric matrices (m x p x p) in one LAPACK call.
 
-    Counts as m decompositions.  Each system is bit for bit what :func:`eigh`
-    returns for its matrix alone.
+    Counts as m decompositions.  The conventions (stable descending order,
+    sign rule, clamp of tiny negatives, relative gap test) are applied to
+    the whole stack with array operations, so each system is bit for bit
+    what :func:`eigh` returns for its matrix alone.  The systems' values and
+    vectors are rows of two stacked arrays.
     """
     global _decompositions
     mats = np.asarray(mats, dtype=float)
     _decompositions += mats.shape[0]
     try:
-        stacked_values, stacked_vectors = np.linalg.eigh(mats)
+        values, vectors = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
             f"eigendecomposition failed to converge for a {mats.shape[-1]}x"
             f"{mats.shape[-1]} matrix: {exc}"
         ) from exc
-    return [_ordered(values, vectors)
-            for values, vectors in zip(stacked_values, stacked_vectors)]
-
-
-def _tie_scale(values: np.ndarray) -> float:
-    """Scale of the relative tolerances: max |lambda|, or 1 for a zero matrix."""
-    top = float(np.max(np.abs(values))) if values.size else 0.0
-    return top if top > 0.0 else 1.0
-
-
-def _ordered(values: np.ndarray, vectors: np.ndarray) -> EigenSystem:
-    order = np.argsort(values, kind="stable")[::-1]
-    values = values[order]
-    vectors = _fix_signs(vectors[:, order])
-    scale = _tie_scale(values)
+    # LAPACK returns each spectrum in ascending order, so reversing it is the
+    # stable descending order
+    values = values[:, ::-1].copy()
+    vectors = vectors[:, :, ::-1]
+    # np.argmax returns the first maximiser, which is the tie-break we want
+    lead = np.argmax(np.abs(vectors), axis=-2)
+    signs = np.sign(np.take_along_axis(vectors, lead[:, np.newaxis, :], axis=-2))
+    signs[signs == 0] = 1.0
+    vectors = vectors * signs
+    # scale of the relative tolerances: max |lambda|, or 1 for a zero matrix
+    scale = np.max(np.abs(values), axis=-1, initial=0.0)
+    scale[scale == 0.0] = 1.0
+    scale = scale[:, np.newaxis]
     # remove floating-point negatives on estimates that are PSD in theory
     values[(values < 0.0) & (values >= NEGATIVE_CLAMP * scale)] = 0.0
-    gaps = [
-        (j + 1, j + 2)
-        for j in range(values.size - 1)
-        if (values[j] - values[j + 1]) / scale < GAP_TOL
-    ]
-    return EigenSystem(values, vectors, gaps)
+    gaps: list[list[tuple[int, int]]] = [[] for _ in range(len(values))]
+    tied = (values[:, :-1] - values[:, 1:]) / scale < GAP_TOL
+    for k, j in zip(*np.nonzero(tied)):
+        gaps[k].append((int(j) + 1, int(j) + 2))
+    return [EigenSystem(v, w, g) for v, w, g in zip(values, vectors, gaps)]
 
 
 def subspace(E: EigenSystem, L: int) -> Subspace:
@@ -235,18 +227,24 @@ def canonical_correlations(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _score_basis(scores: np.ndarray, name: str) -> np.ndarray:
-    """Orthonormal basis of the column-centred scores; refuses rank deficiency."""
-    centered = scores - scores.mean(axis=0)
-    if np.linalg.matrix_rank(centered) < centered.shape[1]:
+    """Orthonormal basis of the column-centred scores; refuses rank deficiency.
+
+    ``scores`` is one n x L matrix or a stack of them (m x n x L).
+    """
+    centered = scores - scores.mean(axis=-2, keepdims=True)
+    if np.any(np.linalg.matrix_rank(centered) < centered.shape[-1]):
         raise RankDeficiencyError(
             f"{name} score matrix is rank deficient after centering "
-            f"(shape {centered.shape})"
+            f"(shape {centered.shape[-2:]})"
         )
     q, _ = np.linalg.qr(centered)
     return q
 
 
 def _cosines(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
-    """Cosines of the principal angles between two orthonormal bases."""
-    cosines = np.linalg.svd(qa.T @ qb, compute_uv=False)
-    return np.clip(np.sort(cosines)[::-1], 0.0, 1.0)
+    """Cosines of the principal angles between orthonormal bases, descending.
+
+    Either basis may be a stack; the result has one row per pair.
+    """
+    cosines = np.linalg.svd(np.swapaxes(qa, -1, -2) @ qb, compute_uv=False)
+    return np.clip(np.sort(cosines, axis=-1)[..., ::-1], 0.0, 1.0)

@@ -59,8 +59,8 @@ __all__ = [
     "eigenvalue_gradient_check",
 ]
 
-# float64 entries per stacked block of p x p matrices (2 MiB), so that the
-# leave-one-out sweeps hold a few MB whatever n is
+# float64 entries per stacked block (2 MiB), so that the leave-one-out sweeps
+# hold a few MB whatever n is
 CHUNK_ENTRIES = 1 << 18
 
 
@@ -69,9 +69,10 @@ def component_score(E: EigenSystem, xbar: np.ndarray, x_i: np.ndarray, l: int) -
     return float(E.vector(l) @ (np.asarray(x_i, float) - np.asarray(xbar, float)))
 
 
-def _chunk_rows(p: int) -> int:
-    """Rows per stacked block, so that a block of p x p matrices stays small."""
-    return max(1, CHUNK_ENTRIES // (p * p))
+def _chunk_rows(p: int, width: int | None = None) -> int:
+    """Rows per stacked block of p x ``width`` matrices (p x p by default),
+    so that a block stays small."""
+    return max(1, CHUNK_ENTRIES // (p * (p if width is None else width)))
 
 
 def loo_eigenvalue_table(engine: LooEngine) -> np.ndarray:
@@ -206,27 +207,36 @@ class LooEngine:
         scatters = self._scatter - (X.n / (X.n - 1.0)) * outer
         return _finish(scatters, self.spec, X.n - 1, X.col_labels)
 
-    def reduced(self, rows: Iterable[int]) -> Iterator[tuple[int, EigenSystem]]:
-        """Exact decomposition of the estimate without each of ``rows``.
+    def reduced(self, rows: Iterable[int]
+                ) -> Iterator[tuple[list[int], list[EigenSystem]]]:
+        """Exact decompositions of the estimate without each of ``rows``, by block.
 
-        Yields ``(i, system)`` in the order given, one decomposition per row.
-        Each reduced matrix is re-estimated from the deleted data, exactly as
-        :func:`eigensens.dataset.estimate_loo` does, and each block of them is
-        decomposed in one stacked call.
+        Yields ``(block, systems)`` one block at a time: the next 1-based
+        rows, in the order given, and their systems from one
+        :func:`eigh_stack` call, one decomposition per row.  A block holds
+        at most ``CHUNK_ENTRIES`` matrix entries, so the reduced systems of
+        all rows are never held at once.  Each reduced matrix is
+        re-estimated from the deleted data in one reused (n-1) x p buffer,
+        with the bits of :func:`eigensens.dataset.estimate_loo`.
         """
         X = self.X
         rows = [int(i) for i in rows]
         for i in rows:
             X._check_index(i)
+        rest = np.empty((X.n - 1, X.p))
         step = _chunk_rows(X.p)
         for start in range(0, len(rows), step):
             block = rows[start:start + step]
-            mats = np.stack([
-                _finish(_scatter(np.delete(X.values, i - 1, axis=0)), self.spec,
-                        X.n - 1, X.col_labels)
-                for i in block
-            ])
-            yield from zip(block, eigh_stack(mats))
+            scatters = np.empty((len(block), X.p, X.p))
+            for k, i in enumerate(block):
+                rest[:i - 1] = X.values[:i - 1]
+                rest[i - 1:] = X.values[i:]
+                rest -= rest.mean(axis=0)
+                t = rest.T @ rest
+                scatters[k] = t + t.T
+            scatters /= 2.0
+            yield block, eigh_stack(
+                _finish(scatters, self.spec, X.n - 1, X.col_labels))
 
 
 def _check_unique(E: EigenSystem, j: int, what: str) -> None:

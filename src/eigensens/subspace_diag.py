@@ -41,7 +41,7 @@ from .eigen import (
     eigh,
 )
 from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
-from .influence import LooEngine, _scores
+from .influence import LooEngine, _chunk_rows, _scores
 
 __all__ = [
     "InfluenceRecord",
@@ -106,37 +106,55 @@ def _warn_boundaries(E: EigenSystem, E_loo: EigenSystem, L: int) -> None:
 
 
 class _SampleMeasures:
-    """``sif_b`` and ``sci`` of reduced systems against one full-data system.
+    """``sif_b`` and ``sci`` of a block of reduced systems against one full-data system.
 
     The full-data side (retained basis, centred data and, on first use, the
-    orthonormal basis of its scores) is built once, so a sweep pays only for
-    the reduced side of each observation.
+    orthonormal basis of its scores) is built once.  Each measure takes the
+    m x p x L stack of reduced retained bases from :meth:`bases` and returns
+    m values, computed by stacked ``matmul``, ``norm``, ``matrix_rank``,
+    ``qr`` and ``svd``, which run the same kernel on each matrix as on one
+    alone.  The n x L score stacks of ``sci`` go in sub-blocks of at most
+    ``CHUNK_ENTRIES`` entries, so memory stays bounded whatever n and L are.
     """
 
     def __init__(self, X: DataMatrix, E: EigenSystem, L: int):
         if not 1 <= L <= E.p:
             raise ValueError(f"L={L} out of range 1..{E.p}")
         self.n = X.n
+        self.p = E.p
         self.L = L
-        self.full = Subspace(E.vectors[:, :L].copy(), L)
+        self.full = Subspace(E.vectors[:, :L].copy(), L).basis
         self._centered = X.values - X.values.mean(axis=0)
         self._full_scores: np.ndarray | None = None
 
-    def sif_b(self, E_loo: EigenSystem) -> float:
-        if self.L == E_loo.p:
-            return 0.0
-        s_loo = Subspace(E_loo.vectors[:, :self.L].copy(), self.L)
-        return (self.n - 1) * (subspace_alignment(self.full, s_loo) - 1.0)
+    def bases(self, systems: list[EigenSystem]) -> np.ndarray:
+        """The m x p x L stack of the systems' retained bases.
 
-    def sci(self, E_loo: EigenSystem) -> float:
-        if self.L == E_loo.p:
-            return 0.0
+        A fresh contiguous array: ``matmul`` on a strided view of the full
+        vectors can round differently.
+        """
+        return np.stack([system.vectors[:, :self.L] for system in systems])
+
+    def sif_b(self, W: np.ndarray) -> np.ndarray:
+        if self.L == self.p:
+            return np.zeros(len(W))
+        V = self.full
+        residual = V - W @ (W.transpose(0, 2, 1) @ V)
+        alignment = 1.0 - np.mean(np.linalg.norm(residual, axis=1), axis=1)
+        return (self.n - 1) * (alignment - 1.0)
+
+    def sci(self, W: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(W))
+        if self.L == self.p:
+            return out
         if self._full_scores is None:
-            self._full_scores = _score_basis(self._centered @ self.full.basis, "first")
-        s_loo = Subspace(E_loo.vectors[:, :self.L].copy(), self.L)
-        scores = self._centered @ s_loo.basis
-        r = _cosines(self._full_scores, _score_basis(scores, "second"))
-        return (self.n - 1) ** 2 * float(1.0 - np.mean(r**2))
+            self._full_scores = _score_basis(self._centered @ self.full, "first")
+        step = _chunk_rows(self.n, self.L)
+        for start in range(0, len(W), step):
+            scores = self._centered @ W[start:start + step]
+            r = _cosines(self._full_scores, _score_basis(scores, "second"))
+            out[start:start + step] = (self.n - 1) ** 2 * (1.0 - np.mean(r**2, axis=1))
+        return out
 
 
 def sif_b(
@@ -165,7 +183,8 @@ def sif_b(
         return 0.0
     E_loo = eigh(estimate_loo(X, spec, i))
     _warn_boundaries(E, E_loo, L)
-    return _SampleMeasures(X, E, L).sif_b(E_loo)
+    measures = _SampleMeasures(X, E, L)
+    return float(measures.sif_b(measures.bases([E_loo]))[0])
 
 
 def _empirical_pieces(engine: LooEngine, L: int):
@@ -234,7 +253,7 @@ def sci(
     """
     _require_loo(X)
     measures = _SampleMeasures(X, eigh(estimate(X, spec)), L)
-    return measures.sci(eigh(estimate_loo(X, spec, i)))
+    return float(measures.sci(measures.bases([eigh(estimate_loo(X, spec, i))]))[0])
 
 
 def influence_records(
@@ -276,9 +295,12 @@ def influence_records(
     rows = sorted({int(i) for i in exact})
     if rows:
         measures = _SampleMeasures(X, E, L)
-        for i, E_loo in engine.reduced(rows):
-            record = records[i - 1]
-            record.sif_b = measures.sif_b(E_loo)
-            record.sci = measures.sci(E_loo)
-            record.sif_eigen = -(X.n - 1) * (E_loo.values - E.values)
+        for block, systems in engine.reduced(rows):
+            W = measures.bases(systems)
+            values = np.stack([system.values for system in systems])
+            sif_eigen = -(X.n - 1) * (values - E.values)
+            for i, b, c, eig in zip(block, measures.sif_b(W).tolist(),
+                                    measures.sci(W).tolist(), sif_eigen):
+                record = records[i - 1]
+                record.sif_b, record.sci, record.sif_eigen = b, c, eig
     return records

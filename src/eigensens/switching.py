@@ -175,28 +175,31 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be positive, got {delta}")
 
 
-def _align_ranks(full: EigenSystem, reduced: EigenSystem) -> np.ndarray:
+def _align_ranks(full: EigenSystem, vectors: np.ndarray) -> np.ndarray:
     """Match reduced-data eigenvectors to full-data ranks, one to one.
 
-    Returns ``where[j]`` = 0-based position, in the reduced spectrum, of the
-    eigenvector best aligned with full-data rank j+1: the assignment of
-    greatest total absolute overlap, so that strongly rotated pairs cannot
-    both claim the same reduced vector.
+    ``vectors`` is a stack of m reduced eigenvector matrices (m x p x p).
+    Returns ``where`` (m x p): ``where[k, j]`` = 0-based position, in the
+    k-th reduced spectrum, of the eigenvector best aligned with full-data
+    rank j+1: the assignment of greatest total absolute overlap, so that
+    strongly rotated pairs cannot both claim the same reduced vector.
 
-    Certificate: when every row of the overlap matrix has a strict maximum
-    and the row argmaxes fall in distinct columns, the argmax permutation
-    is the unique optimal assignment, since no assignment can beat the sum
-    of the row maxima.  Otherwise (ties, or two ranks drawn to one reduced
-    vector, as in a pair rotated by about 45 degrees) the exact solve of
-    :func:`_min_cost_assignment` decides.
+    Certificate, tested on the whole stack at once: when every row of an
+    overlap matrix has a strict maximum and the row argmaxes fall in
+    distinct columns, the argmax permutation is the unique optimal
+    assignment, since no assignment can beat the sum of the row maxima.
+    Otherwise (ties, or two ranks drawn to one reduced vector, as in a pair
+    rotated by about 45 degrees) the exact solve of
+    :func:`_min_cost_assignment` decides for that matrix.
     """
-    overlap = np.abs(full.vectors.T @ reduced.vectors)
-    where = overlap.argmax(axis=1)
-    best = overlap.max(axis=1)
-    strict = np.count_nonzero(overlap < best[:, None], axis=1) == full.p - 1
-    if strict.all() and np.unique(where).size == full.p:
-        return where
-    return _min_cost_assignment(-overlap)
+    overlap = np.abs(full.vectors.T @ vectors)
+    where = overlap.argmax(axis=-1)
+    best = overlap.max(axis=-1)
+    strict = np.count_nonzero(overlap < best[..., None], axis=-1) == full.p - 1
+    distinct = np.diff(np.sort(where, axis=-1), axis=-1) != 0
+    for k in np.flatnonzero(~(strict.all(axis=-1) & distinct.all(axis=-1))):
+        where[k] = _min_cost_assignment(-overlap[k])
+    return where
 
 
 def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
@@ -256,16 +259,17 @@ def verify_exact(
     """
     if not events:
         return []
-    E = engine.eigen
-    aligned = {
-        i: reduced.values[_align_ranks(E, reduced)]
-        for i, reduced in engine.reduced(sorted({ev.obs_index for ev in events}))
-    }
+    aligned = {}
+    for block, systems in engine.reduced(sorted({ev.obs_index for ev in events})):
+        values = np.stack([system.values for system in systems])
+        where = _align_ranks(engine.eigen,
+                             np.stack([system.vectors for system in systems]))
+        aligned.update(zip(block, np.take_along_axis(values, where, axis=1).tolist()))
     out = []
     for ev in events:
         j, k = ev.pair
-        lo = float(aligned[ev.obs_index][j - 1])
-        hi = float(aligned[ev.obs_index][k - 1])
+        lo = aligned[ev.obs_index][j - 1]
+        hi = aligned[ev.obs_index][k - 1]
         confirmed = lo < hi if ev.kind == KIND_SWITCH else abs(lo - hi) < delta
         out.append(SwitchEvent(ev.obs_index, ev.obs_label, ev.pair, ev.approx_lo,
                                ev.approx_hi, ev.kind, confirmed))
@@ -353,12 +357,14 @@ def hybrid_influence(
     exact = {}
     if flagged_set:
         measures = _SampleMeasures(X, E, L)
-        for i, E_loo in engine.reduced(sorted(flagged_set)):
+        for block, systems in engine.reduced(sorted(flagged_set)):
+            W = measures.bases(systems)
             if measure == MEASURE_B:
-                _warn_boundaries(E, E_loo, L)
-                exact[i] = measures.sif_b(E_loo)
+                for E_loo in systems:
+                    _warn_boundaries(E, E_loo, L)
+                exact.update(zip(block, measures.sif_b(W).tolist()))
             else:
-                exact[i] = measures.sci(E_loo)
+                exact.update(zip(block, measures.sci(W).tolist()))
     return [
         HybridValue(i, X.row_labels[i - 1],
                     exact[i] if i in exact else float(series[i - 1]), i in exact)

@@ -9,12 +9,13 @@ from eigensens import (
     count_decompositions,
     decomposition_count,
     eigh,
+    eigh_stack,
     estimate,
     pc_scores,
     projector,
     subspace,
 )
-from eigensens.eigen import Subspace
+from eigensens.eigen import GAP_TOL, NEGATIVE_CLAMP, Subspace
 
 from conftest import COV_N, gaussian_data, make_data
 
@@ -102,6 +103,73 @@ class TestEigh:
         E = eigh(estimate(oils, COV_N))
         assert E.p == 7
         assert E.values[0] > E.values[1]
+
+
+def reference_system(mat):
+    """The decomposition conventions, one matrix and one column at a time."""
+    values, vectors = np.linalg.eigh(mat)
+    order = np.argsort(values, kind="stable")[::-1]
+    values, vectors = values[order], vectors[:, order]
+    for c in range(vectors.shape[1]):
+        column = np.abs(vectors[:, c])
+        lead = next(r for r in range(len(column)) if column[r] == column.max())
+        if vectors[lead, c] < 0.0:
+            vectors[:, c] = -vectors[:, c]
+    top = max(abs(v) for v in values)
+    scale = top if top > 0.0 else 1.0
+    for j, v in enumerate(values):
+        if NEGATIVE_CLAMP * scale <= v < 0.0:
+            values[j] = 0.0
+    gaps = [(j + 1, j + 2) for j in range(len(values) - 1)
+            if (values[j] - values[j + 1]) / scale < GAP_TOL]
+    return values, vectors, gaps
+
+
+def mixed_stack():
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(2, 20))
+    # columns a, b, a, a: an exact zero eigenvalue of multiplicity two
+    duplicated = np.cov(np.c_[a, b, a, a].T)
+    # symmetric orthogonal, exact in binary
+    H = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+    inside = H @ np.diag([2.0, 1.0, 0.5, 0.9 * NEGATIVE_CLAMP * 2.0]) @ H
+    outside = H @ np.diag([2.0, 1.0, 0.5, 1.1 * NEGATIVE_CLAMP * 2.0]) @ H
+    # the eigenvector of eigenvalue 1 is (-1, 1)/sqrt(2): equal magnitudes
+    tied_lead = np.array([[2.0, 1, 0, 0], [1, 2, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.25]])
+    return np.stack([duplicated, np.zeros((4, 4)), inside, outside, tied_lead])
+
+
+class TestEighStack:
+    def test_mixed_stack_follows_the_conventions(self):
+        mats = mixed_stack()
+        with count_decompositions() as window:
+            systems = eigh_stack(mats)
+        assert window.total == len(mats)
+        for mat, system in zip(mats, systems):
+            values, vectors, gaps = reference_system(mat)
+            assert np.array_equal(system.values, values)
+            assert np.array_equal(system.vectors, vectors)
+            assert system.gap_warnings == gaps
+            alone = eigh(mat)
+            assert np.array_equal(alone.values, values)
+            assert np.array_equal(alone.vectors, vectors)
+            assert alone.gap_warnings == gaps
+
+    def test_mixed_stack_hits_every_branch(self):
+        duplicated, zero, inside, outside, tied_lead = eigh_stack(mixed_stack())
+        assert (3, 4) in duplicated.gap_warnings
+        assert zero.gap_warnings == [(1, 2), (2, 3), (3, 4)]
+        assert inside.values[3] == 0.0
+        assert outside.values[3] < 0.0
+        raw = np.linalg.eigh(mixed_stack()[4])[1][:2, 2]
+        assert abs(raw[0]) == abs(raw[1]) and raw[0] == -raw[1]
+        # the first of the tied entries is made positive
+        assert tied_lead.vectors[0, 1] > 0.0 > tied_lead.vectors[1, 1]
+
+    def test_empty_stack(self):
+        with count_decompositions() as window:
+            assert eigh_stack(np.zeros((0, 3, 3))) == []
+        assert window.total == 0
 
 
 class TestSubspaceAndProjector:

@@ -17,6 +17,7 @@ from eigensens import (
     EstimatorSpec,
     LooEngine,
     bundled_oils_path,
+    canonical_correlations,
     count_decompositions,
     detect_near_switch,
     detect_switching,
@@ -26,17 +27,22 @@ from eigensens import (
     eigh_stack,
     estimate,
     estimate_loo,
+    hybrid_influence,
     influence_records,
     load_oils,
     loo_eigenvalue_table,
     sci,
     sif_b,
     sif_eigenvalue,
+    subspace_alignment,
+    verify_exact,
 )
-from eigensens import influence
+from eigensens import influence, switching
 from eigensens.cli import main
+from eigensens.eigen import Subspace
 from eigensens.errors import DataError, ZeroVarianceError
 from eigensens.influence import _chunk_rows
+from eigensens.switching import DEFAULT_NEAR_DELTA, KIND_NEAR, KIND_SWITCH, SwitchEvent
 
 COR_N1 = EstimatorSpec("correlation", "n-1")
 SPECS = [COV_N, COV_N1, COR_N, COR_N1]
@@ -103,13 +109,58 @@ class TestAgainstReference:
     def test_reduced_systems_equal_reference_decompositions(self, X, spec):
         engine = LooEngine(X, spec)
         seen = []
-        for i, system in engine.reduced(range(1, X.n + 1)):
-            ref = eigh(estimate_loo(X, spec, i))
-            assert np.array_equal(system.values, ref.values), f"obs {i}"
-            assert np.array_equal(system.vectors, ref.vectors), f"obs {i}"
-            assert system.gap_warnings == ref.gap_warnings
-            seen.append(i)
+        for block, systems in engine.reduced(range(1, X.n + 1)):
+            assert len(block) == len(systems) <= _chunk_rows(X.p)
+            for i, system in zip(block, systems):
+                ref = eigh(estimate_loo(X, spec, i))
+                assert np.array_equal(system.values, ref.values), f"obs {i}"
+                assert np.array_equal(system.vectors, ref.vectors), f"obs {i}"
+                assert system.gap_warnings == ref.gap_warnings
+            seen.extend(block)
         assert seen == list(range(1, X.n + 1))
+
+    def test_exact_sweep_equals_per_row_references(self, X, spec):
+        engine = LooEngine(X, spec)
+        E, n, p = engine.eigen, X.n, X.p
+        centered = X.values - X.values.mean(axis=0)
+        reduced = [eigh(estimate_loo(X, spec, i)) for i in range(1, n + 1)]
+        for L in sorted({1, 2, p - 1, p}):
+            records = influence_records(engine, L, exact=range(1, n + 1))
+            V = E.vectors[:, :L].copy()
+            for record, E_loo in zip(records, reduced):
+                i = record.obs_index
+                assert np.array_equal(record.sif_eigen,
+                                      -(n - 1) * (E_loo.values - E.values)), f"obs {i}"
+                assert type(record.sif_b) is float and type(record.sci) is float
+                if L == p:
+                    assert record.sif_b == record.sci == 0.0
+                    continue
+                W = E_loo.vectors[:, :L].copy()
+                ref_b = (n - 1) * (subspace_alignment(Subspace(V, L), Subspace(W, L)) - 1.0)
+                r = canonical_correlations(centered @ V, centered @ W)
+                ref_c = (n - 1) ** 2 * (1.0 - np.mean(r**2))
+                assert record.sif_b == ref_b, f"L={L} obs {i}"
+                assert record.sci == ref_c, f"L={L} obs {i}"
+
+    def test_verify_exact_verdicts_equal_per_row_alignment(self, X, spec):
+        engine = LooEngine(X, spec)
+        events = [
+            SwitchEvent(i, X.row_labels[i - 1], pair, 0.0, 0.0, kind)
+            for i in range(1, X.n + 1)
+            for pair in [(1, 2), (2, 3), (X.p - 1, X.p)]
+            for kind in (KIND_SWITCH, KIND_NEAR)
+        ]
+        aligned = {}
+        for i in range(1, X.n + 1):
+            E_loo = eigh(estimate_loo(X, spec, i))
+            where = switching._align_ranks(engine.eigen, E_loo.vectors[np.newaxis])[0]
+            aligned[i] = E_loo.values[where]
+        verified = verify_exact(events, engine)
+        assert len(verified) == len(events)
+        for ev in verified:
+            lo, hi = aligned[ev.obs_index][[ev.pair[0] - 1, ev.pair[1] - 1]]
+            want = lo < hi if ev.kind == KIND_SWITCH else abs(lo - hi) < DEFAULT_NEAR_DELTA
+            assert ev.verified_exact == want, f"obs {ev.obs_index} pair {ev.pair}"
 
 
 @pytest.fixture
@@ -137,9 +188,37 @@ class TestEngine:
     def test_reduced_costs_one_decomposition_per_row(self, oils):
         engine = LooEngine(oils, COV_N)
         with count_decompositions() as window:
-            rows = [i for i, _ in engine.reduced([58, 3, 42])]
+            blocks = [block for block, _ in engine.reduced([58, 3, 42])]
         assert window.total == 3
-        assert rows == [58, 3, 42]
+        assert blocks == [[58, 3, 42]]
+
+    def test_results_do_not_depend_on_block_size(self, oils, monkeypatch):
+        rows = range(1, oils.n + 1)
+
+        def sweep():
+            engine = LooEngine(oils, COV_N)
+            with count_decompositions() as window:
+                records = [
+                    (r.sif_b, r.sci, r.sif_eigen.tolist())
+                    for L in (2, 3)
+                    for r in influence_records(engine, L, exact=rows)
+                ]
+                events = verify_exact(detect_near_switch(engine), engine)
+                hybrid = [hybrid_influence(engine, 2, rows, measure=m) for m in "BC"]
+            return records, events, hybrid, window.total
+
+        default = sweep()
+        monkeypatch.setattr(influence, "CHUNK_ENTRIES", 1 << 10)
+        # blocks of 20 reduced matrices, the last one partial, and score
+        # sub-blocks of 5 (L = 2) and 3 (L = 3) rows within them
+        blocks = [len(b) for b, _ in LooEngine(oils, COV_N).reduced(rows)]
+        assert blocks == [20, 20, 20, 20, 16]
+        assert (_chunk_rows(oils.n, 2), _chunk_rows(oils.n, 3)) == (5, 3)
+        small = sweep()
+        assert small == default
+        # one reduced decomposition per row for each of the five sweeps
+        flagged = {ev.obs_index for ev in default[1]}
+        assert default[3] == 2 * oils.n + len(flagged) + 2 * oils.n
 
     def test_eigen_influence_costs_only_the_engine_decomposition(self, oils):
         with count_decompositions() as window:

@@ -159,7 +159,7 @@ class TestAlignRanks:
     def _check_optimal(full, reduced):
         overlap = np.abs(full.vectors.T @ reduced.vectors)
         p = overlap.shape[0]
-        where = switching._align_ranks(full, reduced)
+        where = switching._align_ranks(full, reduced.vectors[np.newaxis])[0]
         assert sorted(where.tolist()) == list(range(p))
         best = max(overlap[np.arange(p), list(perm)].sum()
                    for perm in itertools.permutations(range(p)))
@@ -211,6 +211,21 @@ class TestAlignRanks:
         where = self._check_optimal(_system(V), reduced)
         assert where.tolist() == np.argsort(order).tolist()
         assert alignment_solves == []
+
+    def test_stack_solves_only_the_uncertified_matrices(self, alignment_solves):
+        # certified, rotated near-tied pair, exactly tied row maximum, certified
+        stack = np.stack([
+            np.eye(3)[:, [2, 0, 1]],
+            _rotation(3, 0, 1, np.arccos(0.708)) @ _rotation(3, 1, 2, 0.08),
+            np.array([[-5, -2, 14], [10, -11, 2], [10, 10, 5]]) / 15.0,
+            -np.eye(3),
+        ])
+        full = _system(np.eye(3))
+        where = switching._align_ranks(full, stack)
+        assert alignment_solves == [3, 3]
+        alone = [switching._align_ranks(full, W[np.newaxis])[0] for W in stack]
+        assert np.array_equal(where, np.stack(alone))
+        assert where.tolist() == [[1, 2, 0], [0, 1, 2], [2, 1, 0], [0, 1, 2]]
 
 
 class TestRecommendL:
