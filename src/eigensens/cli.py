@@ -387,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--delta must be positive, got {args.delta}")
         if args.precision < 1:
             raise ValueError(f"--precision must be at least 1, got {args.precision}")
+        if args.no_header and args.label_col is not None:
+            raise ValueError("--label-col needs a header row to resolve the name; "
+                             "drop --no-header")
         if args.pairs is not None:
             args.pairs = _parse_pairs(args.pairs)
         X = load_csv(args.input, header=not args.no_header,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,18 +153,93 @@ def load_csv(path, *, header: bool = True, label_col: str | None = None) -> Data
     ``label_col`` names one of those columns, its cells become the row labels
     and it is excluded from the numeric values; otherwise rows are labeled by
     their 1-based position.  A leading byte-order mark, which spreadsheet
-    "CSV UTF-8" exports write, is skipped.
+    "CSV UTF-8" exports write, is skipped.  A cell holds any number that
+    ``float`` reads, padded with whitespace and optionally quoted; a file that
+    is not UTF-8 is a :class:`DataError` naming the path.
+
+    A well-formed file is parsed by one ``np.loadtxt`` call.  Whatever numpy
+    refuses, or reads as a non-finite value, goes through the checked
+    per-cell loop, which accepts what ``float`` and ``csv`` accept beyond
+    numpy and names the first bad cell in row-major order.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+            X = _parse_bulk(fh, header, label_col)
+            if X is None:
+                fh.seek(0)
+                X = _parse_checked(fh, path, header, label_col)
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    return X
+
+
+def _parse_bulk(fh, header: bool, label_col: str | None) -> DataMatrix | None:
+    """Parse the text of ``fh`` as :func:`_parse_checked` would, or return None.
+
+    numpy's text reader splits rows and fields as ``csv`` does, skips the
+    empty lines that the loop drops, strips the same whitespace and parses
+    each field with ``PyOS_string_to_double``, the parser behind ``float``.
+    Every text it accepts with finite values therefore gives the loop's
+    array bit for bit.  None means the loop must decide: numpy refuses the
+    text (an undecodable byte included), or it is one that the loop rejects
+    or reads differently (a blank first line, a missing label column, fewer
+    than 3 rows, a non-finite value, a ragged row that ``usecols`` would
+    hide).  ``fh`` is read in place, never copied whole: a freed multi-MB
+    copy raises glibc's mmap threshold and with it the process's later peak
+    memory.
+    """
+    names: list[str] | None = None
+    label_idx: int | None = None
+    if header:
+        names = [c.strip() for c in next(csv.reader(fh), [])]
+        if not any(names) or (label_col is not None and label_col not in names):
+            return None
+        if label_col is not None:
+            label_idx = names.index(label_col)
+    elif label_col is not None:
+        return None
+    usecols = None if label_idx is None else [
+        k for k in range(len(names)) if k != label_idx]
+    try:
+        with warnings.catch_warnings(action="error"):
+            values = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                ndmin=2, usecols=usecols)
+    except (ValueError, UserWarning):
+        return None
+    n, p = values.shape
+    if (n < 3 or p == 0 or (usecols is None and names is not None and p != len(names))
+            or not np.isfinite(values).all()):
+        return None
+    if label_idx is None:
+        row_labels = [str(r) for r in range(1, n + 1)]
+    else:
+        fh.seek(0)
+        rows = csv.reader(fh)
+        next(rows)
+        row_labels = []
+        for row in rows:
+            if row and any(c.strip() for c in row):
+                if len(row) != len(names):
+                    return None
+                row_labels.append(row[label_idx].strip())
+    col_labels = ([nm for k, nm in enumerate(names) if k != label_idx]
+                  if names is not None else [f"x{j}" for j in range(1, p + 1)])
+    return DataMatrix(values, row_labels, col_labels)
+
+
+def _parse_checked(fh, path: Path, header: bool,
+                   label_col: str | None) -> DataMatrix:
+    """The per-cell loop: ``csv`` rows, ``float`` per cell, checked in order.
+
+    This is the reference that :func:`_parse_bulk` must reproduce, and the
+    path for every file numpy refuses; its :class:`DataError` names the first
+    bad cell in row-major order.
+    """
+    rows = list(csv.reader(fh))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise DataError(f"{path} is empty")
-
     if header:
         names = [c.strip() for c in rows[0]]
         body = rows[1:]
@@ -191,12 +267,12 @@ def load_csv(path, *, header: bool = True, label_col: str | None = None) -> Data
         for c, cell in enumerate(row):
             if c == label_idx:
                 continue
-            text = cell.strip()
+            stripped = cell.strip()
             try:
-                x = float(text)
+                x = float(stripped)
             except ValueError:
                 raise DataError(
-                    f"cannot parse {text!r} at row {r}, column {names[c]!r}"
+                    f"cannot parse {stripped!r} at row {r}, column {names[c]!r}"
                 ) from None
             if not math.isfinite(x):
                 raise DataError(f"non-finite value at row {r}, column {names[c]!r}")

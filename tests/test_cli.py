@@ -430,9 +430,16 @@ class TestExitCodesAndConfig:
         assert run("switching", "--input", str(tmp_path / "nope.csv")) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_utf8_input_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\ncaf\xe9,2\n3,4\n5,6\n")
+        assert run("analyze", "--input", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and "latin1.csv" in err
+
     @pytest.mark.parametrize("flags", [
         ["--delta", "-1"], ["--L", "0"], ["--precision", "0"], ["--pairs", "2-3"],
-        ["--pairs", "2:4"],
+        ["--pairs", "2:4"], ["--no-header", "--label-col", "id"],
     ])
     def test_settings_are_checked_before_the_input_is_read(self, tmp_path,
                                                            capsys, flags):

@@ -1,4 +1,6 @@
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,11 +18,13 @@ from eigensens import (
     load_csv,
     mean_vector,
 )
+from eigensens.dataset import _parse_bulk, _parse_checked
 from eigensens.eigen import eigh
 
 from conftest import COV_N, COV_N1, COR_N, gaussian_data, make_data
 
 
+@pytest.mark.filterwarnings("error")
 class TestLoadCsv:
     def test_oils_shape_and_labels(self, oils):
         assert (oils.n, oils.p) == (96, 7)
@@ -120,6 +124,117 @@ class TestLoadCsv:
         path.write_text("1,2\n3,4\n5,6\n")
         with pytest.raises(DataError, match="header"):
             load_csv(path, header=False, label_col="id")
+
+    @pytest.mark.parametrize("text, options, message", [
+        ("a,b\n", {}, "{path} has a header but no data rows"),
+        ("a,b\n\n\n", {}, "{path} has a header but no data rows"),
+        ("", {}, "{path} is empty"),
+        ("\n\n", {"header": False}, "{path} is empty"),
+        ("a,b\n1,2\n3,nan\n5,6\n", {}, "non-finite value at row 2, column 'b'"),
+        ("a,b\ninf,2\n3,4\n5,6\n", {}, "non-finite value at row 1, column 'a'"),
+        ("a,b\n1,2\n3,4\n5,1e999\n", {}, "non-finite value at row 3, column 'b'"),
+        ("a,b\n1,2,3\n4,5,6\n7,8,9\n", {}, "row 1 has 3 fields, expected 2"),
+        ("id,a\nr1,1,9\nr2,2\nr3,3\n", {"label_col": "id"},
+         "row 1 has 3 fields, expected 2"),
+    ], ids=["header-only", "header-and-blank-lines", "empty", "blank-lines",
+            "nan", "inf", "overflow", "wider-than-header", "labelled-ragged"])
+    def test_exact_message(self, tmp_path, text, options, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        # record rather than raise, so a warning cannot steer the parse
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError) as info:
+                load_csv(path, **options)
+        assert str(info.value) == message.format(path=path)
+        assert caught == []
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\ncaf\xe9,2\n3,4\n5,6\n")
+        with pytest.raises(DataError, match=r"cannot read .*latin1\.csv: 'utf-8'"):
+            load_csv(path)
+
+
+def _lines(text: str) -> io.StringIO:
+    """``text`` as the loaders read a file opened with ``newline=""``."""
+    return io.StringIO(text, newline="")
+
+
+_PAD = st.text(" \t", max_size=2)
+
+
+@st.composite
+def _cells(draw):
+    """A finite float as %.17g, short repr, exponent or -0; padded, maybe quoted."""
+    spelling = draw(st.sampled_from(["%.17g", "%r", "%.6e", "-0"]))
+    x = draw(st.floats(-1e300, 1e300, allow_nan=False))
+    text = draw(_PAD) + ("-0" if spelling == "-0" else spelling % x) + draw(_PAD)
+    return f'"{text}"' if draw(st.booleans()) else text
+
+
+@st.composite
+def _csv_texts(draw):
+    """A well-formed CSV text, its byte-order mark flag and ``load_csv`` options.
+
+    A label column can sit at any position; blank lines fall between rows.
+    """
+    n = draw(st.integers(3, 7))
+    p = draw(st.integers(1, 4))
+    header = draw(st.booleans())
+    label_at = draw(st.none() | st.integers(0, p)) if header else None
+    rows = [[draw(_cells()) for _ in range(p)] for _ in range(n)]
+    names = [f"c{j}" for j in range(1, p + 1)]
+    if label_at is not None:
+        names.insert(label_at, "id")
+        for r, row in enumerate(rows, start=1):
+            row.insert(label_at, draw(_PAD) + f"r{r}" + draw(_PAD))
+    lines = [",".join(draw(_PAD) + nm + draw(_PAD) for nm in names)] if header else []
+    for row in rows:
+        lines.extend([""] * draw(st.integers(0, 2)))
+        lines.append(",".join(row))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + draw(st.sampled_from(["", eol]))
+    label_col = None if label_at is None else "id"
+    return text, draw(st.booleans()), {"header": header, "label_col": label_col}
+
+
+@pytest.mark.filterwarnings("error")
+class TestBulkParse:
+    """The one-call numpy parse against the checked per-cell loop."""
+
+    @given(case=_csv_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_checked_loop(self, tmp_path_factory, case):
+        text, bom, options = case
+        path = tmp_path_factory.mktemp("bulk") / "in.csv"
+        path.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
+        assert _parse_bulk(_lines(text), options["header"],
+                           options["label_col"]) is not None
+        got = load_csv(path, **options)
+        ref = _parse_checked(_lines(text), path, options["header"],
+                             options["label_col"])
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.row_labels == ref.row_labels
+        assert got.col_labels == ref.col_labels
+
+    @pytest.mark.parametrize("text, first, header", [
+        ("a,b\n1_000,2\n3,4\n5,6\n", [1000.0, 2.0], "a,b"),
+        ("a,b\n\u0661\u0662,2\n3,4\n5,6\n", [12.0, 2.0], "a,b"),
+        ("a,b\n1,2\n,,\n3,4\n5,6\n", [1.0, 2.0], "a,b"),
+        ("\na,b\n1,2\n3,4\n5,6\n", [1.0, 2.0], "a,b"),
+        # a blank first row is no header: the numeric one after it is
+        (",\n-1,-2\n1,2\n3,4\n5,6\n", [1.0, 2.0], "-1,-2"),
+    ], ids=["underscore", "arabic-indic-digits", "blank-cells-row",
+            "blank-line-before-header", "blank-cells-before-header"])
+    def test_loop_accepts_what_numpy_refuses(self, tmp_path, text, first, header):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        assert _parse_bulk(_lines(text), True, None) is None
+        X = load_csv(path)
+        assert X.values.tolist() == [first, [3.0, 4.0], [5.0, 6.0]]
+        assert X.row_labels == ["1", "2", "3"]
+        assert X.col_labels == header.split(",")
 
 
 class TestDataMatrix:
