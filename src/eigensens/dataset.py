@@ -202,10 +202,11 @@ def _parse_bulk(fh, header: bool, label_col: str | None) -> DataMatrix | None:
     usecols = None if label_idx is None else [
         k for k in range(len(names)) if k != label_idx]
     try:
-        with warnings.catch_warnings(action="error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             values = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
                                 ndmin=2, usecols=usecols)
-    except (ValueError, UserWarning):
+    except (ValueError, Warning):
         return None
     n, p = values.shape
     if (n < 3 or p == 0 or (usecols is None and names is not None and p != len(names))
@@ -240,6 +241,7 @@ def _parse_checked(fh, path: Path, header: bool,
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if not rows:
         raise DataError(f"{path} is empty")
+
     if header:
         names = [c.strip() for c in rows[0]]
         body = rows[1:]
@@ -267,12 +269,12 @@ def _parse_checked(fh, path: Path, header: bool,
         for c, cell in enumerate(row):
             if c == label_idx:
                 continue
-            stripped = cell.strip()
+            text = cell.strip()
             try:
-                x = float(stripped)
+                x = float(text)
             except ValueError:
                 raise DataError(
-                    f"cannot parse {stripped!r} at row {r}, column {names[c]!r}"
+                    f"cannot parse {text!r} at row {r}, column {names[c]!r}"
                 ) from None
             if not math.isfinite(x):
                 raise DataError(f"non-finite value at row {r}, column {names[c]!r}")

@@ -24,6 +24,20 @@ from eigensens.eigen import eigh
 from conftest import COV_N, COV_N1, COR_N, gaussian_data, make_data
 
 
+def _load_error(path, **options) -> str:
+    """The :class:`DataError` text of ``load_csv(path, **options)``.
+
+    Warnings are recorded rather than raised, so that one cannot steer the
+    parse, and none may be issued.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError) as info:
+            load_csv(path, **options)
+    assert caught == []
+    return str(info.value)
+
+
 @pytest.mark.filterwarnings("error")
 class TestLoadCsv:
     def test_oils_shape_and_labels(self, oils):
@@ -48,8 +62,7 @@ class TestLoadCsv:
     def test_nan_cell_reports_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n3,nan\n5,6\n")
-        with pytest.raises(DataError, match=r"row 2.*'b'"):
-            load_csv(path)
+        assert _load_error(path) == "non-finite value at row 2, column 'b'"
 
     def test_unparsable_cell_reports_position(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -61,14 +74,12 @@ class TestLoadCsv:
         # row 1 holds a non-finite cell, row 2 an unparsable one
         path = tmp_path / "bad.csv"
         path.write_text("a,b\ninf,2\n3,oops\n5,6\n")
-        with pytest.raises(DataError, match=r"non-finite value at row 1, column 'a'"):
-            load_csv(path)
+        assert _load_error(path) == "non-finite value at row 1, column 'a'"
 
     def test_header_without_data_rows(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text("a,b\n")
-        with pytest.raises(DataError, match="has a header but no data rows"):
-            load_csv(path)
+        assert _load_error(path) == f"{path} has a header but no data rows"
 
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -85,8 +96,7 @@ class TestLoadCsv:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(DataError, match="empty"):
-            load_csv(path)
+        assert _load_error(path) == f"{path} is empty"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="cannot read"):
@@ -126,28 +136,18 @@ class TestLoadCsv:
             load_csv(path, header=False, label_col="id")
 
     @pytest.mark.parametrize("text, options, message", [
-        ("a,b\n", {}, "{path} has a header but no data rows"),
         ("a,b\n\n\n", {}, "{path} has a header but no data rows"),
-        ("", {}, "{path} is empty"),
         ("\n\n", {"header": False}, "{path} is empty"),
-        ("a,b\n1,2\n3,nan\n5,6\n", {}, "non-finite value at row 2, column 'b'"),
-        ("a,b\ninf,2\n3,4\n5,6\n", {}, "non-finite value at row 1, column 'a'"),
         ("a,b\n1,2\n3,4\n5,1e999\n", {}, "non-finite value at row 3, column 'b'"),
         ("a,b\n1,2,3\n4,5,6\n7,8,9\n", {}, "row 1 has 3 fields, expected 2"),
         ("id,a\nr1,1,9\nr2,2\nr3,3\n", {"label_col": "id"},
          "row 1 has 3 fields, expected 2"),
-    ], ids=["header-only", "header-and-blank-lines", "empty", "blank-lines",
-            "nan", "inf", "overflow", "wider-than-header", "labelled-ragged"])
+    ], ids=["header-and-blank-lines", "blank-lines", "overflow",
+            "wider-than-header", "labelled-ragged"])
     def test_exact_message(self, tmp_path, text, options, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
-        # record rather than raise, so a warning cannot steer the parse
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(DataError) as info:
-                load_csv(path, **options)
-        assert str(info.value) == message.format(path=path)
-        assert caught == []
+        assert _load_error(path, **options) == message.format(path=path)
 
     def test_non_utf8_file_names_the_path(self, tmp_path):
         path = tmp_path / "latin1.csv"
