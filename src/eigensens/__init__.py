@@ -31,7 +31,6 @@ from .eigen import (
     Subspace,
     canonical_correlations,
     count_decompositions,
-    decomposition_count,
     eigh,
     eigh_stack,
     pc_scores,

@@ -341,10 +341,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary in (
-        ("analyze", "eigenvalues, explained variance and PC scores"),
-        ("influence", "per-observation influence diagnostics"),
-        ("switching", "eigenvalue switching detection and retention advice"),
+    # each command registers only the options its body reads
+    for name, summary, reads in (
+        ("analyze", "eigenvalues, explained variance and PC scores", ()),
+        ("influence", "per-observation influence diagnostics", ("delta", "mode")),
+        ("switching", "eigenvalue switching detection and retention advice",
+         ("delta", "pairs", "mode")),
     ):
         cmd = sub.add_parser(name, help=summary)
         cmd.add_argument("--input", required=True, help="input CSV path")
@@ -357,12 +359,15 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--L", type=int, default=2,
                          help="retained component count (candidate for "
                               "switching reports)")
-        cmd.add_argument("--delta", type=float, default=DEFAULT_NEAR_DELTA,
-                         help="near-switch threshold")
-        cmd.add_argument("--pairs", default=None,
-                         help="restrict to pairs, e.g. 2:3,3:4")
-        cmd.add_argument("--mode", choices=[MODE_APPROX, MODE_EXACT, MODE_HYBRID],
-                         default=MODE_APPROX)
+        if "delta" in reads:
+            cmd.add_argument("--delta", type=float, default=DEFAULT_NEAR_DELTA,
+                             help="near-switch threshold")
+        if "pairs" in reads:
+            cmd.add_argument("--pairs", default=None,
+                             help="restrict to pairs, e.g. 2:3,3:4")
+        if "mode" in reads:
+            cmd.add_argument("--mode", default=MODE_APPROX,
+                             choices=[MODE_APPROX, MODE_EXACT, MODE_HYBRID])
         cmd.add_argument("--format", choices=["json", "csv"], default="json",
                          dest="fmt")
         cmd.add_argument("--out", default=None, help="output path")
@@ -383,14 +388,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.L < 1:
             raise ValueError(f"--L must be at least 1, got {args.L}")
-        if not args.delta > 0.0:
+        if "delta" in args and not args.delta > 0.0:
             raise ValueError(f"--delta must be positive, got {args.delta}")
         if args.precision < 1:
             raise ValueError(f"--precision must be at least 1, got {args.precision}")
         if args.no_header and args.label_col is not None:
             raise ValueError("--label-col needs a header row to resolve the name; "
                              "drop --no-header")
-        if args.pairs is not None:
+        if getattr(args, "pairs", None) is not None:
             args.pairs = _parse_pairs(args.pairs)
         X = load_csv(args.input, header=not args.no_header,
                      label_col=args.label_col)

@@ -155,12 +155,15 @@ def load_csv(path, *, header: bool = True, label_col: str | None = None) -> Data
     their 1-based position.  A leading byte-order mark, which spreadsheet
     "CSV UTF-8" exports write, is skipped.  A cell holds any number that
     ``float`` reads, padded with whitespace and optionally quoted; a file that
-    is not UTF-8 is a :class:`DataError` naming the path.
+    is not UTF-8, or holds a field past ``csv``'s size limit, is a
+    :class:`DataError` naming the path.
 
-    A well-formed file is parsed by one ``np.loadtxt`` call.  Whatever numpy
-    refuses, or reads as a non-finite value, goes through the checked
-    per-cell loop, which accepts what ``float`` and ``csv`` accept beyond
-    numpy and names the first bad cell in row-major order.
+    A well-formed file with a header row and no label column, the shape
+    ``np.savetxt(..., header=..., comments="")`` writes, is parsed by one
+    ``np.loadtxt`` call.  Every other shape, and whatever numpy refuses or
+    reads as a non-finite value, goes through the checked per-cell loop,
+    which accepts what ``float`` and ``csv`` accept beyond numpy and names
+    the first bad cell in row-major order.
     """
     path = Path(path)
     try:
@@ -169,7 +172,7 @@ def load_csv(path, *, header: bool = True, label_col: str | None = None) -> Data
             if X is None:
                 fh.seek(0)
                 X = _parse_checked(fh, path, header, label_col)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return X
 
@@ -177,56 +180,35 @@ def load_csv(path, *, header: bool = True, label_col: str | None = None) -> Data
 def _parse_bulk(fh, header: bool, label_col: str | None) -> DataMatrix | None:
     """Parse the text of ``fh`` as :func:`_parse_checked` would, or return None.
 
-    numpy's text reader splits rows and fields as ``csv`` does, skips the
-    empty lines that the loop drops, strips the same whitespace and parses
-    each field with ``PyOS_string_to_double``, the parser behind ``float``.
-    Every text it accepts with finite values therefore gives the loop's
-    array bit for bit.  None means the loop must decide: numpy refuses the
-    text (an undecodable byte included), or it is one that the loop rejects
-    or reads differently (a blank first line, a missing label column, fewer
-    than 3 rows, a non-finite value, a ragged row that ``usecols`` would
-    hide).  ``fh`` is read in place, never copied whole: a freed multi-MB
+    Only a file with a header row and no label column is tried; any other
+    shape returns None at once.  numpy's text reader splits rows and fields
+    as ``csv`` does, skips the empty lines that the loop drops, strips the
+    same whitespace and parses each field with ``PyOS_string_to_double``,
+    the parser behind ``float``.  Every text it accepts with finite values
+    therefore gives the loop's array bit for bit.  None means the loop must
+    decide: numpy refuses the text (an undecodable byte included), or it is
+    one that the loop rejects or reads differently (a blank first line, a
+    row wider or narrower than the header, fewer than 3 rows, a non-finite
+    value).  ``fh`` is read in place, never copied whole: a freed multi-MB
     copy raises glibc's mmap threshold and with it the process's later peak
     memory.
     """
-    names: list[str] | None = None
-    label_idx: int | None = None
-    if header:
-        names = [c.strip() for c in next(csv.reader(fh), [])]
-        if not any(names) or (label_col is not None and label_col not in names):
-            return None
-        if label_col is not None:
-            label_idx = names.index(label_col)
-    elif label_col is not None:
+    if not header or label_col is not None:
         return None
-    usecols = None if label_idx is None else [
-        k for k in range(len(names)) if k != label_idx]
+    names = [c.strip() for c in next(csv.reader(fh), [])]
+    if not any(names):
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                ndmin=2, usecols=usecols)
+                                ndmin=2)
     except (ValueError, Warning):
         return None
     n, p = values.shape
-    if (n < 3 or p == 0 or (usecols is None and names is not None and p != len(names))
-            or not np.isfinite(values).all()):
+    if n < 3 or p != len(names) or not np.isfinite(values).all():
         return None
-    if label_idx is None:
-        row_labels = [str(r) for r in range(1, n + 1)]
-    else:
-        fh.seek(0)
-        rows = csv.reader(fh)
-        next(rows)
-        row_labels = []
-        for row in rows:
-            if row and any(c.strip() for c in row):
-                if len(row) != len(names):
-                    return None
-                row_labels.append(row[label_idx].strip())
-    col_labels = ([nm for k, nm in enumerate(names) if k != label_idx]
-                  if names is not None else [f"x{j}" for j in range(1, p + 1)])
-    return DataMatrix(values, row_labels, col_labels)
+    return DataMatrix(values, [str(r) for r in range(1, n + 1)], names)
 
 
 def _parse_checked(fh, path: Path, header: bool,
@@ -234,8 +216,8 @@ def _parse_checked(fh, path: Path, header: bool,
     """The per-cell loop: ``csv`` rows, ``float`` per cell, checked in order.
 
     This is the reference that :func:`_parse_bulk` must reproduce, and the
-    path for every file numpy refuses; its :class:`DataError` names the first
-    bad cell in row-major order.
+    path for every labelled or headerless file and every file numpy refuses;
+    its :class:`DataError` names the first bad cell in row-major order.
     """
     rows = list(csv.reader(fh))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]

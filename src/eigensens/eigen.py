@@ -14,8 +14,8 @@ Conventions used throughout the package:
   tolerances are independent of the units of the data.
 
 Every decomposition performed through :func:`eigh` or :func:`eigh_stack` is
-counted, one per matrix, which lets callers assert how many decompositions a
-workflow actually spent.
+counted, one per matrix, by each open :func:`count_decompositions` window,
+which lets callers assert how many decompositions a workflow actually spent.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,43 +39,25 @@ __all__ = [
     "projector",
     "pc_scores",
     "canonical_correlations",
-    "decomposition_count",
     "count_decompositions",
 ]
 
 GAP_TOL = 1e-10
 NEGATIVE_CLAMP = -1e-10
 
-_decompositions = 0
-
-
-def decomposition_count() -> int:
-    """Total number of symmetric eigendecompositions performed so far."""
-    return _decompositions
-
-
-class _CounterWindow:
-    def __init__(self, start: int):
-        self._start = start
-        self._end: int | None = None
-
-    @property
-    def total(self) -> int:
-        end = self._end if self._end is not None else decomposition_count()
-        return end - self._start
-
-    def _close(self) -> None:
-        self._end = decomposition_count()
+_open_windows: dict[int, SimpleNamespace] = {}
 
 
 @contextmanager
 def count_decompositions():
-    """Context manager exposing how many decompositions ran inside it."""
-    window = _CounterWindow(decomposition_count())
+    """Context manager whose ``total`` counts the decompositions run inside
+    it: live within the block, fixed once the block exits."""
+    window = SimpleNamespace(total=0)
+    _open_windows[id(window)] = window
     try:
         yield window
     finally:
-        window._close()
+        del _open_windows[id(window)]
 
 
 @dataclass
@@ -148,9 +131,9 @@ def eigh_stack(mats: np.ndarray) -> list[EigenSystem]:
     what :func:`eigh` returns for its matrix alone.  The systems' values and
     vectors are rows of two stacked arrays.
     """
-    global _decompositions
     mats = np.asarray(mats, dtype=float)
-    _decompositions += mats.shape[0]
+    for window in _open_windows.values():
+        window.total += mats.shape[0]
     try:
         values, vectors = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:

@@ -1,8 +1,12 @@
+import argparse
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensens import bundled_oils_path
-from eigensens.cli import _fmt_cell, _json_text, main
+from eigensens.cli import _build_parser, _fmt_cell, _json_text, main
 
 OILS = str(bundled_oils_path())
+SRC = Path(__file__).resolve().parents[1] / "src"
 CLOSED_FORM = "empirical subspace influence uses the covariance closed form"
 
 
@@ -31,6 +36,14 @@ def _is_float_cell(cell):
 def _significant_digits(cell):
     mantissa = cell.lstrip("-").split("e")[0].replace(".", "")
     return len(mantissa.lstrip("0"))
+
+
+@pytest.fixture
+def long_cell_csv(tmp_path):
+    """A 3-row file whose first cell is longer than ``csv``'s field limit."""
+    path = tmp_path / "long.csv"
+    path.write_text("a,b\n" + "1" * 200_000 + ",2\n3,4\n5,6\n")
+    return str(path)
 
 
 @pytest.fixture
@@ -481,6 +494,20 @@ class TestExitCodesAndConfig:
         assert run("analyze", "--input", OILS) == 1
         assert "cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "influence", "switching"])
+    def test_field_past_the_csv_limit_is_a_data_error(self, capsys, command,
+                                                      long_cell_csv):
+        assert run(command, "--input", long_cell_csv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {long_cell_csv}: ")
+        assert "field larger than field limit" in err
+
+    def test_influence_checks_delta_before_the_input_is_read(self, tmp_path,
+                                                             capsys):
+        assert run("influence", "--input", str(tmp_path / "nope.csv"),
+                   "--mode", "hybrid", "--delta", "0") == 2
+        assert "nope.csv" not in capsys.readouterr().err
+
     def test_console_script_is_installed(self, tmp_path):
         exe = shutil.which("eigensens")
         if exe is None:
@@ -493,3 +520,61 @@ class TestExitCodesAndConfig:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["recommended_L"]["L"] == 3
+
+    def test_module_runs_in_a_real_process(self, tmp_path, long_cell_csv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "eigensens.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+
+        out = tmp_path / "module.json"
+        proc = cli("switching", "--input", OILS, "--label-col", "oil_type",
+                   "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["recommended_L"]["L"] == 3
+        proc = cli("analyze", "--input", OILS, "--mode", "exact")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --mode exact" in proc.stderr
+        proc = cli("analyze", "--input", long_cell_csv)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot read ")
+        assert "Traceback" not in proc.stderr
+
+
+COMMON = ["-h", "--help", "--input", "--label-col", "--no-header",
+          "--estimator", "--divisor", "--L"]
+OUTPUT = ["--format", "--out", "--precision"]
+
+
+class TestOptionSets:
+    """Each command accepts only the options its body reads."""
+
+    def test_each_command_registers_exactly_its_options(self):
+        parser = _build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {name: [flag for action in cmd._actions
+                          for flag in action.option_strings]
+                   for name, cmd in sub.choices.items()}
+        assert options == {
+            "analyze": COMMON + OUTPUT,
+            "influence": COMMON + ["--delta", "--mode"] + OUTPUT,
+            # the order of the switching options, and so its --help, is kept
+            "switching": COMMON + ["--delta", "--pairs", "--mode"] + OUTPUT,
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--mode", "exact"],
+        ["analyze", "--delta", "5"],
+        ["analyze", "--pairs", "2:3"],
+        ["influence", "--pairs", "2:3"],
+    ], ids=" ".join)
+    def test_an_option_the_command_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            run(*argv, "--input", OILS, "--label-col", "oil_type")
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in (
+            capsys.readouterr().err)

@@ -209,14 +209,30 @@ class TestBulkParse:
         text, bom, options = case
         path = tmp_path_factory.mktemp("bulk") / "in.csv"
         path.write_bytes(("\ufeff" if bom else "").encode() + text.encode())
-        assert _parse_bulk(_lines(text), options["header"],
-                           options["label_col"]) is not None
+        # only a headered file without a label column takes the numpy call
+        bulk = options["header"] and options["label_col"] is None
+        assert (_parse_bulk(_lines(text), options["header"],
+                            options["label_col"]) is not None) == bulk
         got = load_csv(path, **options)
         ref = _parse_checked(_lines(text), path, options["header"],
                              options["label_col"])
         assert got.values.tobytes() == ref.values.tobytes()
         assert got.row_labels == ref.row_labels
         assert got.col_labels == ref.col_labels
+
+    def test_savetxt_file_takes_the_numpy_call(self, tmp_path):
+        # the shape of the benchmark's synthetic inputs
+        values = np.random.default_rng(5).normal(size=(6, 3)) * 1e3
+        path = tmp_path / "in.csv"
+        np.savetxt(path, values, fmt="%.17g", delimiter=",",
+                   header="x1,x2,x3", comments="")
+        text = path.read_text()
+        bulk = _parse_bulk(_lines(text), True, None)
+        assert bulk is not None
+        ref = _parse_checked(_lines(text), path, True, None)
+        assert bulk.values.tobytes() == ref.values.tobytes() == values.tobytes()
+        assert bulk.row_labels == ref.row_labels == [str(r) for r in range(1, 7)]
+        assert bulk.col_labels == ref.col_labels == ["x1", "x2", "x3"]
 
     @pytest.mark.parametrize("text, first, header", [
         ("a,b\n1_000,2\n3,4\n5,6\n", [1000.0, 2.0], "a,b"),

@@ -7,7 +7,6 @@ from eigensens import (
     RankDeficiencyError,
     canonical_correlations,
     count_decompositions,
-    decomposition_count,
     eigh,
     eigh_stack,
     estimate,
@@ -318,6 +317,12 @@ class TestDecompositionCounter:
         assert window.total == 2
 
     def test_counter_is_monotone(self):
-        before = decomposition_count()
+        # the total grows live inside the block and is fixed once it exits
+        with count_decompositions() as outer:
+            eigh(np.eye(2))
+            assert outer.total == 1
+            with count_decompositions() as inner:
+                eigh_stack(np.stack([np.eye(2)] * 3))
+            assert (outer.total, inner.total) == (4, 3)
         eigh(np.eye(2))
-        assert decomposition_count() == before + 1
+        assert (outer.total, inner.total) == (4, 3)
