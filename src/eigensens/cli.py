@@ -32,7 +32,7 @@ from .dataset import (
     load_csv,
 )
 from .eigen import eigh, pc_scores, subspace
-from .errors import EigenSensError, UnsupportedEstimatorError
+from .errors import DegenerateEigenvaluesError, EigenSensError, UnsupportedEstimatorError
 from .influence import LooEngine, eigen_influence
 from .subspace_diag import influence_records
 from .switching import (
@@ -288,7 +288,7 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
                  "value": hv.value, "replaced": hv.replaced}
                 for hv in hybrid_influence(engine, args.L, boundary)
             ]
-        except UnsupportedEstimatorError as exc:
+        except (UnsupportedEstimatorError, DegenerateEigenvaluesError) as exc:
             hybrid["note"] = str(exc)
 
     body = {

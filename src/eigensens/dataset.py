@@ -189,12 +189,18 @@ def _parse_bulk(fh, header: bool, label_col: str | None) -> DataMatrix | None:
     decide: numpy refuses the text (an undecodable byte included), or it is
     one that the loop rejects or reads differently (a blank first line, a
     row wider or narrower than the header, fewer than 3 rows, a non-finite
-    value).  ``fh`` is read in place, never copied whole: a freed multi-MB
-    copy raises glibc's mmap threshold and with it the process's later peak
-    memory.
+    value); or it might hold a field past ``csv.field_size_limit()``, which
+    numpy does not enforce: a line longer than that, or a quoted field that
+    runs past its line.
+    ``fh`` is read in place, never copied whole: a freed multi-MB copy raises
+    glibc's mmap threshold and with it the process's later peak memory.
     """
     if not header or label_col is not None:
         return None
+    limit = csv.field_size_limit()
+    if any(len(line) > limit or line.count('"') % 2 for line in fh):
+        return None
+    fh.seek(0)
     names = [c.strip() for c in next(csv.reader(fh), [])]
     if not any(names):
         return None

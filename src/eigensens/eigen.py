@@ -13,8 +13,9 @@ Conventions used throughout the package:
   ``NEGATIVE_CLAMP`` on the same scale are rounded to zero, so both
   tolerances are independent of the units of the data.
 
-Every decomposition performed through :func:`eigh` or :func:`eigh_stack` is
-counted, one per matrix, by each open :func:`count_decompositions` window,
+:func:`eigh_stack` returns a stack's systems as stacked arrays; :func:`eigh`
+decomposes a stack of one into an :class:`EigenSystem`.  Each decomposition
+is counted, one per matrix, by every open :func:`count_decompositions` window,
 which lets callers assert how many decompositions a workflow actually spent.
 """
 
@@ -119,17 +120,20 @@ class Subspace:
 def eigh(W: SymmetricEstimate | np.ndarray) -> EigenSystem:
     """Full decomposition of a symmetric matrix, deterministic conventions."""
     mat = W.matrix if isinstance(W, SymmetricEstimate) else np.asarray(W, dtype=float)
-    return eigh_stack(mat[np.newaxis])[0]
+    values, vectors, gaps = eigh_stack(mat[np.newaxis])
+    return EigenSystem(values[0], vectors[0], gaps[0])
 
 
-def eigh_stack(mats: np.ndarray) -> list[EigenSystem]:
+def eigh_stack(mats: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, list[list[tuple[int, int]]]]:
     """Decompose a stack of symmetric matrices (m x p x p) in one LAPACK call.
 
-    Counts as m decompositions.  The conventions (stable descending order,
-    sign rule, clamp of tiny negatives, relative gap test) are applied to
-    the whole stack with array operations, so each system is bit for bit
-    what :func:`eigh` returns for its matrix alone.  The systems' values and
-    vectors are rows of two stacked arrays.
+    Returns ``(values, vectors, gap_warnings)``: the m x p eigenvalues, the
+    m x p x p eigenvectors (as columns) and one gap list per matrix.  Counts
+    as m decompositions.  The conventions (stable descending order, sign
+    rule, clamp of tiny negatives, relative gap test) are applied to the
+    whole stack with array operations, so row k is bit for bit what
+    :func:`eigh` returns for matrix k alone.
     """
     mats = np.asarray(mats, dtype=float)
     for window in _open_windows.values():
@@ -160,7 +164,7 @@ def eigh_stack(mats: np.ndarray) -> list[EigenSystem]:
     tied = (values[:, :-1] - values[:, 1:]) / scale < GAP_TOL
     for k, j in zip(*np.nonzero(tied)):
         gaps[k].append((int(j) + 1, int(j) + 2))
-    return [EigenSystem(v, w, g) for v, w, g in zip(values, vectors, gaps)]
+    return values, vectors, gaps
 
 
 def subspace(E: EigenSystem, L: int) -> Subspace:

@@ -21,7 +21,8 @@ makes order disruptions visible to the switching detector.
 :class:`LooEngine` holds the leave-one-out state of one run: the full-data
 decomposition, mean and scatter, the rank-one downdates, the approximate table
 (each column computed once, when first needed) and the exact reduced
-decompositions, one per observation that needs one.  Every leave-one-out
+decompositions, one per observation that needs one, as stacked arrays of
+eigenvalues and eigenvectors a block at a time.  Every leave-one-out
 sweep takes an engine as its one data argument; the per-observation
 functions are references that take the data and the estimator and decompose
 their own input.
@@ -136,9 +137,10 @@ class LooEngine:
         _require_loo(X)
         self.X = X
         self.spec = spec
-        self.eigen = eigh(estimate(X, spec))
         self.mean = X.values.mean(axis=0)
         self._scatter = _scatter(X.values)
+        self.eigen = eigh(SymmetricEstimate(
+            _finish(self._scatter, spec, X.n, X.col_labels), spec, X.n))
         self._table = np.full((X.n, X.p), np.nan)
         self._filled = np.zeros(X.p, dtype=bool)
 
@@ -207,17 +209,17 @@ class LooEngine:
         scatters = self._scatter - (X.n / (X.n - 1.0)) * outer
         return _finish(scatters, self.spec, X.n - 1, X.col_labels)
 
-    def reduced(self, rows: Iterable[int]
-                ) -> Iterator[tuple[list[int], list[EigenSystem]]]:
+    def reduced(self, rows: Iterable[int]) -> Iterator[
+            tuple[list[int], np.ndarray, np.ndarray, list[list[tuple[int, int]]]]]:
         """Exact decompositions of the estimate without each of ``rows``, by block.
 
-        Yields ``(block, systems)`` one block at a time: the next 1-based
-        rows, in the order given, and their systems from one
-        :func:`eigh_stack` call, one decomposition per row.  A block holds
-        at most ``CHUNK_ENTRIES`` matrix entries, so the reduced systems of
-        all rows are never held at once.  Each reduced matrix is
-        re-estimated from the deleted data in one reused (n-1) x p buffer,
-        with the bits of :func:`eigensens.dataset.estimate_loo`.
+        Yields ``(block, values, vectors, gap_warnings)`` one block at a time:
+        the next 1-based rows, in the order given, and the stacked arrays of
+        their systems from one :func:`eigh_stack` call, one decomposition per
+        row.  A block holds at most ``CHUNK_ENTRIES`` matrix entries, so the
+        reduced systems of all rows are never held at once.  Each reduced
+        matrix is re-estimated from the deleted data in one reused (n-1) x p
+        buffer, with the bits of :func:`eigensens.dataset.estimate_loo`.
         """
         X = self.X
         rows = [int(i) for i in rows]
@@ -235,7 +237,7 @@ class LooEngine:
                 t = rest.T @ rest
                 scatters[k] = t + t.T
             scatters /= 2.0
-            yield block, eigh_stack(
+            yield block, *eigh_stack(
                 _finish(scatters, self.spec, X.n - 1, X.col_labels))
 
 

@@ -89,8 +89,8 @@ def subspace_alignment(S_full: Subspace, S_loo: Subspace) -> float:
     return 1.0 - float(np.mean(np.linalg.norm(residual, axis=0)))
 
 
-def _boundary_note(E: EigenSystem, L: int, where: str) -> str | None:
-    if L < E.p and (L, L + 1) in E.gap_warnings:
+def _boundary_note(gaps: list[tuple[int, int]], L: int, where: str) -> str | None:
+    if (L, L + 1) in gaps:
         return (
             f"eigenvalues {L} and {L + 1} of the {where} estimate are nearly "
             "tied; the retained subspace is weakly determined"
@@ -98,9 +98,10 @@ def _boundary_note(E: EigenSystem, L: int, where: str) -> str | None:
     return None
 
 
-def _warn_boundaries(E: EigenSystem, E_loo: EigenSystem, L: int) -> None:
-    for system, where in ((E, "full-data"), (E_loo, "leave-one-out")):
-        note = _boundary_note(system, L, where)
+def _warn_boundaries(gaps: list[tuple[int, int]], loo_gaps: list[tuple[int, int]],
+                     L: int) -> None:
+    for side, where in ((gaps, "full-data"), (loo_gaps, "leave-one-out")):
+        note = _boundary_note(side, L, where)
         if note is not None:
             warnings.warn(note, RuntimeWarning, stacklevel=3)
 
@@ -127,13 +128,13 @@ class _SampleMeasures:
         self._centered = X.values - X.values.mean(axis=0)
         self._full_scores: np.ndarray | None = None
 
-    def bases(self, systems: list[EigenSystem]) -> np.ndarray:
-        """The m x p x L stack of the systems' retained bases.
+    def bases(self, vectors: np.ndarray) -> np.ndarray:
+        """The m x p x L retained bases of an m x p x p stack of eigenvectors.
 
         A fresh contiguous array: ``matmul`` on a strided view of the full
         vectors can round differently.
         """
-        return np.stack([system.vectors[:, :self.L] for system in systems])
+        return np.ascontiguousarray(vectors[..., :self.L])
 
     def sif_b(self, W: np.ndarray) -> np.ndarray:
         if self.L == self.p:
@@ -182,9 +183,9 @@ def sif_b(
         )
         return 0.0
     E_loo = eigh(estimate_loo(X, spec, i))
-    _warn_boundaries(E, E_loo, L)
+    _warn_boundaries(E.gap_warnings, E_loo.gap_warnings, L)
     measures = _SampleMeasures(X, E, L)
-    return float(measures.sif_b(measures.bases([E_loo]))[0])
+    return float(measures.sif_b(measures.bases(E_loo.vectors[None]))[0])
 
 
 def _empirical_pieces(engine: LooEngine, L: int):
@@ -253,7 +254,8 @@ def sci(
     """
     _require_loo(X)
     measures = _SampleMeasures(X, eigh(estimate(X, spec)), L)
-    return float(measures.sci(measures.bases([eigh(estimate_loo(X, spec, i))]))[0])
+    W = measures.bases(eigh(estimate_loo(X, spec, i)).vectors[None])
+    return float(measures.sci(W)[0])
 
 
 def influence_records(
@@ -273,7 +275,7 @@ def influence_records(
     """
     X = engine.X
     E = engine.eigen
-    note = _boundary_note(E, L, "full-data")
+    note = _boundary_note(E.gap_warnings, L, "full-data")
     empirical_b = empirical_c = None
     try:
         empirical_b = eif_b_series(engine, L)
@@ -295,9 +297,8 @@ def influence_records(
     rows = sorted({int(i) for i in exact})
     if rows:
         measures = _SampleMeasures(X, E, L)
-        for block, systems in engine.reduced(rows):
-            W = measures.bases(systems)
-            values = np.stack([system.values for system in systems])
+        for block, values, vectors, _ in engine.reduced(rows):
+            W = measures.bases(vectors)
             sif_eigen = -(X.n - 1) * (values - E.values)
             for i, b, c, eig in zip(block, measures.sif_b(W).tolist(),
                                     measures.sci(W).tolist(), sif_eigen):

@@ -22,12 +22,7 @@ from .dataset import DataMatrix, EstimatorSpec
 from .eigen import EigenSystem
 from .errors import CascadeUnderflowError, DataError, NoValidRetentionError
 from .influence import LooEngine
-from .subspace_diag import (
-    _SampleMeasures,
-    _warn_boundaries,
-    eif_b_series,
-    scia_series,
-)
+from .subspace_diag import _SampleMeasures, _warn_boundaries, eif_b_series
 
 __all__ = [
     "DEFAULT_NEAR_DELTA",
@@ -48,9 +43,6 @@ DEFAULT_NEAR_DELTA = 0.1
 
 KIND_SWITCH = "switch"
 KIND_NEAR = "near_switch"
-
-MEASURE_B = "B"
-MEASURE_C = "C"
 
 
 @dataclass(frozen=True)
@@ -260,10 +252,9 @@ def verify_exact(
     if not events:
         return []
     aligned = {}
-    for block, systems in engine.reduced(sorted({ev.obs_index for ev in events})):
-        values = np.stack([system.values for system in systems])
-        where = _align_ranks(engine.eigen,
-                             np.stack([system.vectors for system in systems]))
+    for block, values, vectors, _ in engine.reduced(
+            sorted({ev.obs_index for ev in events})):
+        where = _align_ranks(engine.eigen, vectors)
         aligned.update(zip(block, np.take_along_axis(values, where, axis=1).tolist()))
     out = []
     for ev in events:
@@ -339,32 +330,26 @@ def hybrid_influence(
     engine: LooEngine,
     L: int,
     flagged: Iterable[int],
-    measure: str = MEASURE_B,
 ) -> list[HybridValue]:
-    """Empirical influence series with exact values at the flagged indices.
+    """The ``eif_b`` series with exact ``sif_b`` values at the flagged indices.
 
     Costs the engine's full-data decomposition plus one reduced decomposition
     per flagged observation, so a handful of exact replacements keeps the
-    sweep cheap while fixing the entries the empirical formulas get wrong.
+    sweep cheap while fixing the entries the empirical formula gets wrong.
+    An estimator without the closed form is refused before any reduced
+    decomposition.  For the ``sci``/``scia`` hybrid, see ``influence_records``.
     """
     X = engine.X
     flagged_set = set(int(i) for i in flagged)
-    if measure not in (MEASURE_B, MEASURE_C):
-        raise ValueError(f"measure must be 'B' or 'C', got {measure!r}")
     E = engine.eigen
-    series_of = eif_b_series if measure == MEASURE_B else scia_series
-    series = series_of(engine, L)
+    series = eif_b_series(engine, L)
     exact = {}
     if flagged_set:
         measures = _SampleMeasures(X, E, L)
-        for block, systems in engine.reduced(sorted(flagged_set)):
-            W = measures.bases(systems)
-            if measure == MEASURE_B:
-                for E_loo in systems:
-                    _warn_boundaries(E, E_loo, L)
-                exact.update(zip(block, measures.sif_b(W).tolist()))
-            else:
-                exact.update(zip(block, measures.sci(W).tolist()))
+        for block, _, vectors, gaps in engine.reduced(sorted(flagged_set)):
+            for loo_gaps in gaps:
+                _warn_boundaries(E.gap_warnings, loo_gaps, L)
+            exact.update(zip(block, measures.sif_b(measures.bases(vectors)).tolist()))
     return [
         HybridValue(i, X.row_labels[i - 1],
                     exact[i] if i in exact else float(series[i - 1]), i in exact)

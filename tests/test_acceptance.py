@@ -21,6 +21,7 @@ from eigensens import (
     estimate_loo,
     hybrid_influence,
     eigenvalue_gradient_check,
+    influence_records,
     recommend_L,
     sci,
     scia_series,
@@ -251,9 +252,15 @@ def test_criterion_9_cost_contract(oils):
                          | {ev.obs_index
                             for ev in detect_switching(engine, pairs=[(2, 3)])})
         assert len(flagged) == 11
-        for measure in ("B", "C"):
+        # measure B is hybrid_influence; measure C is influence_records with
+        # the flagged rows exact (the CLI's hybrid_c)
+        sweeps = {
+            "B": lambda: hybrid_influence(LooEngine(oils, COV_N), 2, flagged),
+            "C": lambda: influence_records(LooEngine(oils, COV_N), 2, exact=flagged),
+        }
+        for measure, sweep in sweeps.items():
             with count_decompositions() as window:
-                hybrid_influence(LooEngine(oils, COV_N), 2, flagged, measure)
+                sweep()
             assert window.total == 1 + len(flagged), (
                 f"measure {measure}: {window.total} decompositions"
             )

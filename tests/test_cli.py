@@ -19,6 +19,8 @@ from eigensens.cli import _build_parser, _fmt_cell, _json_text, main
 OILS = str(bundled_oils_path())
 SRC = Path(__file__).resolve().parents[1] / "src"
 CLOSED_FORM = "empirical subspace influence uses the covariance closed form"
+TIED = ("eigenvalues 1 and 2 are nearly equal; the empirical influence "
+        "denominator is degenerate")
 
 
 def run(*argv):
@@ -43,6 +45,14 @@ def long_cell_csv(tmp_path):
     """A 3-row file whose first cell is longer than ``csv``'s field limit."""
     path = tmp_path / "long.csv"
     path.write_text("a,b\n" + "1" * 200_000 + ",2\n3,4\n5,6\n")
+    return str(path)
+
+
+@pytest.fixture
+def tied_csv(tmp_path):
+    """Columns with equal variances and no covariance: eigenvalues 1 and 2 tie."""
+    path = tmp_path / "tied.csv"
+    path.write_text("a,b\n1,0\n-1,0\n0,1\n0,-1\n")
     return str(path)
 
 
@@ -263,12 +273,19 @@ class TestSwitching:
         flagged = {s["obs"] for s in series if s["replaced"]}
         assert flagged == {28, 42, 57, 58, 59, 60, 90, 91, 93, 94, 95}
 
-    def test_hybrid_mode_under_correlation_notes_the_missing_closed_form(
-            self, tmp_path):
-        # the hybrid series is the empirical measure B, whose closed form
-        # exists only for covariance; detection and advice are still written
-        argv = ["switching", "--input", OILS, "--label-col", "oil_type",
-                "--estimator", "cor"]
+    @pytest.mark.parametrize("case", ["correlation", "tied-boundary"])
+    def test_hybrid_mode_notes_a_missing_empirical_series(self, case, tied_csv,
+                                                          tmp_path):
+        # the hybrid series is the empirical measure B: its closed form exists
+        # only for covariance, and it divides by the gap of eigenvalues L and
+        # L+1, which is zero in tied_csv; detection and advice are still
+        # written
+        options, note = {
+            "correlation": (["--input", OILS, "--label-col", "oil_type",
+                             "--estimator", "cor"], CLOSED_FORM),
+            "tied-boundary": (["--input", tied_csv, "--L", "1"], TIED),
+        }[case]
+        argv = ["switching", *options]
         assert run(*argv, "--out", str(tmp_path / "approx.json")) == 0
         assert run(*argv, "--mode", "hybrid",
                    "--out", str(tmp_path / "hybrid.json")) == 0
@@ -278,7 +295,7 @@ class TestSwitching:
         for key in ("events", "recommended_L", "loo_eigenvalues"):
             assert hybrid[key] == approx[key]
         assert set(hybrid["hybrid"]) == {"measure", "L", "note"}
-        assert CLOSED_FORM in hybrid["hybrid"]["note"]
+        assert note in hybrid["hybrid"]["note"]
 
         out = tmp_path / "sw.csv"
         assert run(*argv, "--mode", "hybrid", "--format", "csv",
@@ -286,7 +303,7 @@ class TestSwitching:
         comments = [ln for ln in out.read_text().splitlines()
                     if ln.startswith("#")]
         assert comments[-1].startswith("# hybrid_note=")
-        assert CLOSED_FORM in comments[-1]
+        assert note in comments[-1]
         assert (tmp_path / "sw_loo.csv").exists()
         assert not (tmp_path / "sw_hybrid.csv").exists()
 

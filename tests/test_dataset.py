@@ -149,6 +149,21 @@ class TestLoadCsv:
         path.write_text(text)
         assert _load_error(path, **options) == message.format(path=path)
 
+    @pytest.mark.parametrize("text, options", [
+        ("a,b\n0." + "0" * 200_000 + "1,2\n3,4\n5,6\n", {}),
+        ("id,a,b\nr1,0." + "0" * 200_000 + "1,2\nr2,3,4\nr3,5,6\n",
+         {"label_col": "id"}),
+        ('a,b\n"' + " \n" * 70_000 + '1",2\n3,4\n5,6\n', {}),
+    ], ids=["unlabelled", "labelled", "quoted-across-lines"])
+    def test_field_past_the_csv_limit(self, tmp_path, text, options):
+        # numpy reads each of these first cells as a finite number; both
+        # parsers must refuse them as csv does
+        path = tmp_path / "long.csv"
+        path.write_text(text)
+        assert _parse_bulk(_lines(text), True, None) is None
+        message = _load_error(path, **options)
+        assert message.startswith(f"cannot read {path}: field larger than field limit")
+
     def test_non_utf8_file_names_the_path(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"a,b\ncaf\xe9,2\n3,4\n5,6\n")
@@ -241,8 +256,11 @@ class TestBulkParse:
         ("\na,b\n1,2\n3,4\n5,6\n", [1.0, 2.0], "a,b"),
         # a blank first row is no header: the numeric one after it is
         (",\n-1,-2\n1,2\n3,4\n5,6\n", [1.0, 2.0], "-1,-2"),
+        # numpy reads this one too, but the line scan leaves it to the loop
+        ('a,b\n"1\n",2\n3,4\n5,6\n', [1.0, 2.0], "a,b"),
     ], ids=["underscore", "arabic-indic-digits", "blank-cells-row",
-            "blank-line-before-header", "blank-cells-before-header"])
+            "blank-line-before-header", "blank-cells-before-header",
+            "quoted-across-lines"])
     def test_loop_accepts_what_numpy_refuses(self, tmp_path, text, first, header):
         path = tmp_path / "in.csv"
         path.write_text(text)

@@ -142,33 +142,39 @@ class TestEighStack:
     def test_mixed_stack_follows_the_conventions(self):
         mats = mixed_stack()
         with count_decompositions() as window:
-            systems = eigh_stack(mats)
+            stacked_values, stacked_vectors, stacked_gaps = eigh_stack(mats)
         assert window.total == len(mats)
-        for mat, system in zip(mats, systems):
+        assert stacked_values.shape == (len(mats), 4)
+        assert stacked_vectors.shape == (len(mats), 4, 4)
+        assert len(stacked_gaps) == len(mats)
+        for k, mat in enumerate(mats):
             values, vectors, gaps = reference_system(mat)
-            assert np.array_equal(system.values, values)
-            assert np.array_equal(system.vectors, vectors)
-            assert system.gap_warnings == gaps
+            assert np.array_equal(stacked_values[k], values)
+            assert np.array_equal(stacked_vectors[k], vectors)
+            assert stacked_gaps[k] == gaps
             alone = eigh(mat)
             assert np.array_equal(alone.values, values)
             assert np.array_equal(alone.vectors, vectors)
             assert alone.gap_warnings == gaps
 
     def test_mixed_stack_hits_every_branch(self):
-        duplicated, zero, inside, outside, tied_lead = eigh_stack(mixed_stack())
-        assert (3, 4) in duplicated.gap_warnings
-        assert zero.gap_warnings == [(1, 2), (2, 3), (3, 4)]
-        assert inside.values[3] == 0.0
-        assert outside.values[3] < 0.0
+        # matrices: duplicated, zero, inside, outside, tied_lead
+        values, vectors, gaps = eigh_stack(mixed_stack())
+        assert (3, 4) in gaps[0]
+        assert gaps[1] == [(1, 2), (2, 3), (3, 4)]
+        assert values[2, 3] == 0.0
+        assert values[3, 3] < 0.0
         raw = np.linalg.eigh(mixed_stack()[4])[1][:2, 2]
         assert abs(raw[0]) == abs(raw[1]) and raw[0] == -raw[1]
         # the first of the tied entries is made positive
-        assert tied_lead.vectors[0, 1] > 0.0 > tied_lead.vectors[1, 1]
+        assert vectors[4, 0, 1] > 0.0 > vectors[4, 1, 1]
 
     def test_empty_stack(self):
         with count_decompositions() as window:
-            assert eigh_stack(np.zeros((0, 3, 3))) == []
+            values, vectors, gaps = eigh_stack(np.zeros((0, 3, 3)))
         assert window.total == 0
+        assert values.shape == (0, 3) and vectors.shape == (0, 3, 3)
+        assert gaps == []
 
 
 class TestSubspaceAndProjector:

@@ -64,9 +64,10 @@ def _replay(workload, pool, name, tmp_path):
 # sweep 291-row blocks, so the table and the reduced systems cross block
 # boundaries.  The first two scan only the columns of their --pairs and
 # project the flagged rows on their own, into CSV and into JSON with the
-# verify path.  The last three also hold the largest JSON document (5.6 MB,
+# verify path.  The fifth to seventh hold the largest JSON document (5.6 MB,
 # mostly floats), the longest CSV tables flattened from document records, and
 # the JSON document of 23,046 event records, mostly str, bool and int scalars.
+# The last runs the exact correlation sweep (sci, sif_eigen) across blocks.
 ACROSS_BLOCKS = [
     ("approx-sparse-4000x30", "switching-hybrid-csv"),
     ("approx-sparse-4000x30", "switching-exact"),
@@ -75,6 +76,7 @@ ACROSS_BLOCKS = [
     ("approx-sparse-4000x30", "influence-approx"),
     ("exact-dense-1000x30", "analyze-csv"),
     ("exact-dense-1000x30", "switching-exact-cor"),
+    ("exact-dense-1000x30", "influence-exact-cor"),
 ]
 
 

@@ -17,6 +17,7 @@ from eigensens import (
     detect_near_switch,
     detect_switching,
     hybrid_influence,
+    influence_records,
     recommend_L,
     sci,
     sif_b,
@@ -287,7 +288,7 @@ class TestRecommendL:
 class TestHybridInfluence:
     def test_empty_flagged_equals_empirical_series(self, oils):
         engine = LooEngine(oils, COV_N)
-        series = hybrid_influence(engine, 2, [], "B")
+        series = hybrid_influence(engine, 2, [])
         pure = eif_b_series(engine, 2)
         assert all(not hv.replaced for hv in series)
         np.testing.assert_array_equal([hv.value for hv in series], pure)
@@ -295,7 +296,7 @@ class TestHybridInfluence:
     def test_all_flagged_equals_sample_series(self):
         X = gaussian_data(3, 15, [2.0, 1.0, 0.4])
         engine = LooEngine(X, COV_N)
-        series = hybrid_influence(engine, 2, range(1, 16), "B")
+        series = hybrid_influence(engine, 2, range(1, 16))
         assert all(hv.replaced for hv in series)
         for hv in series:
             assert hv.value == sif_b(X, COV_N, 2, hv.obs_index)
@@ -303,7 +304,7 @@ class TestHybridInfluence:
     def test_oils_flagged_entries_match_exact_oracle(self, oils):
         flagged = [28, 42, 57, 58, 59, 60, 90, 91, 93, 94, 95]
         engine = LooEngine(oils, COV_N)
-        series = hybrid_influence(engine, 2, flagged, "B")
+        series = hybrid_influence(engine, 2, flagged)
         empirical = eif_b_series(engine, 2)
         for hv in series:
             if hv.obs_index in flagged:
@@ -314,16 +315,19 @@ class TestHybridInfluence:
                 assert hv.value == empirical[hv.obs_index - 1]
 
     def test_measure_c_uses_score_diagnostics(self, oils):
+        # the measure-C hybrid is influence_records with the flagged rows
+        # exact: sci there, scia everywhere else
         engine = LooEngine(oils, COV_N)
-        series = hybrid_influence(engine, 2, [42], "C")
+        records = influence_records(engine, 2, exact=[42])
         empirical = scia_series(engine, 2)
-        assert series[41].value == sci(oils, COV_N, 2, 42)
-        assert series[0].value == empirical[0]
+        assert records[41].sci == sci(oils, COV_N, 2, 42)
+        assert records[0].sci is None
+        assert records[0].scia == empirical[0]
 
     def test_differs_from_empirical_exactly_on_flagged(self, oils):
         engine = LooEngine(oils, COV_N)
         flagged = {42, 57}
-        series = hybrid_influence(engine, 2, flagged, "B")
+        series = hybrid_influence(engine, 2, flagged)
         pure = eif_b_series(engine, 2)
         differing = {
             hv.obs_index for hv in series if hv.value != pure[hv.obs_index - 1]
@@ -332,16 +336,12 @@ class TestHybridInfluence:
 
     def test_flagged_out_of_range(self, oils):
         with pytest.raises(Exception, match="out of range"):
-            hybrid_influence(LooEngine(oils, COV_N), 2, [97], "B")
-
-    def test_unknown_measure(self, oils):
-        with pytest.raises(ValueError, match="measure"):
-            hybrid_influence(LooEngine(oils, COV_N), 2, [], "Z")
+            hybrid_influence(LooEngine(oils, COV_N), 2, [97])
 
     def test_cost_is_one_plus_flagged(self, oils):
         flagged = [42, 57, 58]
         with count_decompositions() as window:
-            hybrid_influence(LooEngine(oils, COV_N), 2, flagged, "B")
+            hybrid_influence(LooEngine(oils, COV_N), 2, flagged)
         assert window.total == 1 + len(flagged)
 
 
