@@ -74,6 +74,41 @@ def _rounded(x: float, digits: int) -> str:
     return text
 
 
+def _as_repr(text: str) -> str:
+    """``repr(float(text))`` for a finite ``%g`` text of at most 15
+    significant digits.  Such a decimal round-trips, so only the layout
+    changes: an integer gains ``.0`` and exponents up to 15 are written out."""
+    if "e" not in text:
+        return text if "." in text else text + ".0"
+    mantissa, exponent = text.split("e")
+    if exponent[0] == "-" or int(exponent) > 15:
+        return text
+    sign = "-" if mantissa[0] == "-" else ""
+    digits = mantissa.lstrip("-").replace(".", "")
+    return sign + digits.ljust(int(exponent) + 1, "0") + ".0"
+
+
+def _float_row(values: list, digits: int, sep: str) -> str | None:
+    """The items of an all-float list as :func:`_json_text` writes them,
+    joined by ``sep`` and formatted with one ``%`` call; None when an item
+    needs the per-cell walk: a non-float, a non-finite or subnormal value, a
+    value of 1e308 or more, or more than 15 digits."""
+    if digits > 15 or set(map(type, values)) != {float}:
+        return None
+    body = sep.join([f"%.{digits}g"] * len(values)) % tuple(values)
+    if "n" in body:  # nan, inf
+        return None
+    # every value past 1e308 prints "e+308", every subnormal an exponent "e-3.."
+    if ("e+308" in body or "e-3" in body) and not (
+            max(map(abs, values)) < 1e308
+            and min(map(abs, filter(None, values))) >= sys.float_info.min):
+        return None
+    # a text with a "." and no "e+" is already laid out as repr lays it out
+    if "e+" in body or body.count(".") < len(values):
+        body = sep.join(map(_as_repr, body.split(sep)))
+    return body
+
+
 def _json_text(obj, digits: int, indent: str = "") -> str:
     """``obj`` as stdlib ``indent=2`` JSON, floats rounded by :func:`_rounded`."""
     kind = type(obj)
@@ -89,11 +124,20 @@ def _json_text(obj, digits: int, indent: str = "") -> str:
     if obj is None or kind is bool:
         return "null" if obj is None else "true" if obj else "false"
     inner = indent + "  "
+    if kind is list:
+        row = _float_row(obj, digits, f",\n{inner}")
+        if row is not None:
+            return f"[\n{inner}{row}\n{indent}]"
     items = ([f"{encode_basestring_ascii(k)}: {_json_text(v, digits, inner)}"
               for k, v in obj.items()] if kind is dict
              else [_json_text(v, digits, inner) for v in obj])
-    body = f"\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}" if items else ""
-    return f"{{{body}}}" if kind is dict else f"[{body}]"
+    opener, closer = ("{", "}") if kind is dict else ("[", "]")
+    if not items:
+        return opener + closer
+    # one join: a report's largest text is not copied again to bracket it
+    parts = [f",\n{inner}"] * (2 * len(items) - 1)
+    parts[::2] = items
+    return "".join([f"{opener}\n{inner}", *parts, f"\n{indent}{closer}"])
 
 
 def _fmt_cell(x, digits: int) -> str:
@@ -146,7 +190,11 @@ def _emit(args: argparse.Namespace, doc: dict, tables) -> None:
         if args.out is None:
             if idx:
                 sys.stdout.write(f"\n# table: {name}\n")
-            sys.stdout.write(text)
+            try:
+                sys.stdout.write(text)
+            except UnicodeEncodeError as exc:
+                # a ValueError by type, but an I/O failure: exit 1, not 2
+                raise OSError(f"cannot write the report to stdout: {exc}") from None
             continue
         path = Path(args.out)
         if name:
@@ -218,6 +266,8 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
         exact = kinds.keys()
     records = influence_records(engine, args.L, exact=exact)
     eif, hif = eigen_influence(engine)
+    eif_rows = None if eif is None else eif.tolist()
+    hif_rows = hif.tolist()
 
     rows = []
     for record in records:
@@ -233,8 +283,8 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
             "hybrid_c": None,
             "replaced": None,
             "flag": kinds.get(i),
-            "eif_eigen": None if eif is None else eif[i - 1].tolist(),
-            "hif_eigen": hif[i - 1].tolist(),
+            "eif_eigen": None if eif_rows is None else eif_rows[i - 1],
+            "hif_eigen": hif_rows[i - 1],
             "sif_eigen": record.sif_eigen.tolist()
             if args.mode == MODE_EXACT else None,
             "note": record.note,
@@ -313,7 +363,7 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
 
     def tables():
         comments = (
-            f"delta={report.delta:.{args.precision}g}",
+            f"delta={_rounded(report.delta, args.precision)}",
             f"candidate_L={args.L}",
             f"recommended_L={advice.L}",
             f"rationale={advice.rationale}",

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensens import bundled_oils_path
-from eigensens.cli import _build_parser, _fmt_cell, _json_text, main
+from eigensens.cli import _build_parser, _float_row, _fmt_cell, _json_text, main
 
 OILS = str(bundled_oils_path())
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -348,6 +348,16 @@ class TestSwitching:
         lines = (tmp_path / "sw.csv").read_text().splitlines()
         assert lines[0] == "# delta=0.123456789"
 
+    def test_csv_delta_comment_that_would_round_past_the_largest_float(
+            self, tmp_path):
+        out = tmp_path / "sw.csv"
+        assert run("switching", "--input", OILS, "--label-col", "oil_type",
+                   "--delta", "1.7976931348623157e308", "--precision", "1",
+                   "--format", "csv", "--out", str(out)) == 0
+        first = out.read_text().splitlines()[0]
+        assert first.startswith("# delta=")
+        assert float(first.removeprefix("# delta=")) == 1.7976931348623157e308
+
 
 def _round_doc(obj, digits: int):
     """Round every finite float of a document to ``digits`` significant digits."""
@@ -382,9 +392,69 @@ _DOCUMENTS = st.recursive(
 )
 
 
+def _per_cell_json(obj, digits: int, indent: str = "") -> str:
+    """The writer's walk with every float formatted on its own: the
+    reference that the one-``%``-call row path must match byte for byte."""
+    if isinstance(obj, float):
+        rounded = float(f"{obj:.{digits}g}")
+        if 1e308 <= abs(obj) < math.inf and math.isinf(rounded):
+            rounded = obj
+        return repr(rounded) if math.isfinite(rounded) else json.dumps(rounded)
+    if not isinstance(obj, (dict, list)):
+        return json.dumps(obj)
+    inner = indent + "  "
+    items = ([f"{json.dumps(k)}: {_per_cell_json(v, digits, inner)}"
+              for k, v in obj.items()] if isinstance(obj, dict)
+             else [_per_cell_json(v, digits, inner) for v in obj])
+    body = f"\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}" if items else ""
+    return f"{{{body}}}" if isinstance(obj, dict) else f"[{body}]"
+
+
+_SUBNORMALS = [5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072009e-308]
+# floats the row path formats: spread over +-40 decades, zeros, integral
+# values, exponents 6-15 that repr writes out, and the smallest normals
+_ROW_FLOATS = (
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+              st.floats(-10.0, 10.0), st.integers(-40, 40))
+    | st.sampled_from([0.0, -0.0, 2.2250738585072014e-308, 1e-35, 9.99e307,
+                       99999.95, 9999999999999998.0])
+    | st.integers(5, 16).map(lambda k: 10.0 ** k)
+    | st.integers(-10 ** 16, 10 ** 16).map(float)
+    | st.floats(1e6, 1e16)
+)
+# floats that send their whole list to the per-cell walk
+_CELL_FLOATS = st.sampled_from([*_SUBNORMALS, 1.7976931348623157e308,
+                                -1.7976931348623157e308, 1e308, math.nan,
+                                math.inf, -math.inf])
+_FLOAT_LISTS = (st.lists(_ROW_FLOATS, max_size=64)
+                | st.lists(_ROW_FLOATS | _CELL_FLOATS, max_size=64))
+
+
 class TestJsonWriter:
     """The one-walk writer keeps the bytes of the stdlib's indented dump of
     the rounded document."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=_FLOAT_LISTS, digits=st.integers(1, 17))
+    @example(values=[1e5, 1234567.0, -0.0, 0.0, 1e16, 2.2250738585072014e-308],
+             digits=1)
+    @example(values=[9999999999999998.0, 123456789012345.0, -1e15], digits=15)
+    def test_float_lists_match_the_per_cell_walk(self, values, digits):
+        for doc in (values, {"row": values}):
+            text = _json_text(doc, digits)
+            assert text == _per_cell_json(doc, digits)
+            assert text == json.dumps(_round_doc(doc, digits), indent=2)
+
+    def test_only_the_edge_cases_leave_the_one_call_row_path(self):
+        row = [float(k) * 1.37 ** k for k in range(-15, 15)]
+        assert _float_row(row, 6, ",") == ",".join(
+            _json_text(x, 6) for x in row)
+        assert _float_row([0.0, -0.0, *row[2:]], 6, ",") is not None
+        for x in [*_SUBNORMALS, math.nan, math.inf, -math.inf, 1e308,
+                  -1.7976931348623157e308, 1, True, None, "1.0"]:
+            assert _float_row([*row[:29], x], 6, ",") is None, x
+        assert _float_row(row, 15, ",") is not None
+        assert _float_row(row, 16, ",") is None
 
     @settings(max_examples=400, deadline=None)
     @given(doc=_DOCUMENTS, digits=st.integers(1, 17))
@@ -558,6 +628,22 @@ class TestExitCodesAndConfig:
         proc = cli("analyze", "--input", long_cell_csv)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: cannot read ")
+        assert "Traceback" not in proc.stderr
+
+    def test_label_stdout_cannot_encode_is_an_io_error(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("name,a,b\nx,1,2\né,3,1\ny,0,5\nz,4,4\n",
+                        encoding="utf-8")
+        env = dict(os.environ, PYTHONIOENCODING="ascii")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eigensens.cli", "analyze", "--input",
+             str(path), "--label-col", "name", "--format", "csv", "--L", "1"],
+            capture_output=True, text=True, encoding="ascii",
+            errors="backslashreplace", env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: cannot write the report to stdout")
         assert "Traceback" not in proc.stderr
 
 
