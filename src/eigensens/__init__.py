@@ -69,7 +69,6 @@ from .subspace_diag import (
 )
 from .switching import (
     DEFAULT_NEAR_DELTA,
-    HybridValue,
     RetentionAdvice,
     SwitchEvent,
     SwitchReport,

@@ -333,10 +333,10 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
         boundary = {ev.obs_index for ev in report.events
                     if ev.pair == (args.L, args.L + 1)}
         try:
+            series = hybrid_influence(engine, args.L, boundary).tolist()
             hybrid["series"] = [
-                {"obs": hv.obs_index, "label": hv.obs_label,
-                 "value": hv.value, "replaced": hv.replaced}
-                for hv in hybrid_influence(engine, args.L, boundary)
+                {"obs": i, "label": label, "value": value, "replaced": i in boundary}
+                for i, (label, value) in enumerate(zip(X.row_labels, series), start=1)
             ]
         except (UnsupportedEstimatorError, DegenerateEigenvaluesError) as exc:
             hybrid["note"] = str(exc)

@@ -138,10 +138,6 @@ class SymmetricEstimate:
         if asym > SYMMETRY_TOL:
             raise DataError(f"estimate is not symmetric (max asymmetry {asym:.3e})")
 
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[0]
-
     def trace(self) -> float:
         return float(np.trace(self.matrix))
 

@@ -219,12 +219,15 @@ class LooEngine:
         row.  A block holds at most ``CHUNK_ENTRIES`` matrix entries, so the
         reduced systems of all rows are never held at once.  Each reduced
         matrix is re-estimated from the deleted data in one reused (n-1) x p
-        buffer, with the bits of :func:`eigensens.dataset.estimate_loo`.
+        buffer by the scatter of :func:`eigensens.dataset.estimate`, with the
+        bits of :func:`eigensens.dataset.estimate_loo`.
         """
         X = self.X
         rows = [int(i) for i in rows]
         for i in rows:
             X._check_index(i)
+        if not rows:  # no (n-1) x p buffer for nothing
+            return
         rest = np.empty((X.n - 1, X.p))
         step = _chunk_rows(X.p)
         for start in range(0, len(rows), step):
@@ -233,10 +236,7 @@ class LooEngine:
             for k, i in enumerate(block):
                 rest[:i - 1] = X.values[:i - 1]
                 rest[i - 1:] = X.values[i:]
-                rest -= rest.mean(axis=0)
-                t = rest.T @ rest
-                scatters[k] = t + t.T
-            scatters /= 2.0
+                scatters[k] = _scatter(rest)
             yield block, *eigh_stack(
                 _finish(scatters, self.spec, X.n - 1, X.col_labels))
 

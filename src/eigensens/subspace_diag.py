@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,13 +33,7 @@ from .dataset import (
     estimate,
     estimate_loo,
 )
-from .eigen import (
-    EigenSystem,
-    Subspace,
-    _cosines,
-    _score_basis,
-    eigh,
-)
+from .eigen import EigenSystem, Subspace, _cosines, _score_basis, eigh
 from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
 from .influence import LooEngine, _chunk_rows, _scores
 
@@ -103,15 +97,17 @@ def _warn_boundaries(gaps: list[tuple[int, int]], loo_gaps: list[tuple[int, int]
     for side, where in ((gaps, "full-data"), (loo_gaps, "leave-one-out")):
         note = _boundary_note(side, L, where)
         if note is not None:
-            warnings.warn(note, RuntimeWarning, stacklevel=3)
+            # past this function and the pass or helper that calls it
+            warnings.warn(note, RuntimeWarning, stacklevel=4)
 
 
 class _SampleMeasures:
     """``sif_b`` and ``sci`` of a block of reduced systems against one full-data system.
 
-    The full-data side (retained basis, centred data and, on first use, the
-    orthonormal basis of its scores) is built once.  Each measure takes the
-    m x p x L stack of reduced retained bases from :meth:`bases` and returns
+    The exact measures' one check of the retained count.  The full-data side
+    (retained basis and, on the first use of ``sci``, the centred data and
+    the orthonormal basis of its scores) is built once.  Each measure takes
+    the m x p x L stack of reduced retained bases from :meth:`bases` and returns
     m values, computed by stacked ``matmul``, ``norm``, ``matrix_rank``,
     ``qr`` and ``svd``, which run the same kernel on each matrix as on one
     alone.  The n x L score stacks of ``sci`` go in sub-blocks of at most
@@ -121,11 +117,11 @@ class _SampleMeasures:
     def __init__(self, X: DataMatrix, E: EigenSystem, L: int):
         if not 1 <= L <= E.p:
             raise ValueError(f"L={L} out of range 1..{E.p}")
-        self.n = X.n
+        self.X = X
         self.p = E.p
         self.L = L
-        self.full = Subspace(E.vectors[:, :L].copy(), L).basis
-        self._centered = X.values - X.values.mean(axis=0)
+        self.full = E.vectors[:, :L].copy()
+        self._centered: np.ndarray | None = None
         self._full_scores: np.ndarray | None = None
 
     def bases(self, vectors: np.ndarray) -> np.ndarray:
@@ -142,20 +138,59 @@ class _SampleMeasures:
         V = self.full
         residual = V - W @ (W.transpose(0, 2, 1) @ V)
         alignment = 1.0 - np.mean(np.linalg.norm(residual, axis=1), axis=1)
-        return (self.n - 1) * (alignment - 1.0)
+        return (self.X.n - 1) * (alignment - 1.0)
 
     def sci(self, W: np.ndarray) -> np.ndarray:
         out = np.zeros(len(W))
         if self.L == self.p:
             return out
+        n = self.X.n
         if self._full_scores is None:
+            self._centered = self.X.values - self.X.values.mean(axis=0)
             self._full_scores = _score_basis(self._centered @ self.full, "first")
-        step = _chunk_rows(self.n, self.L)
+        step = _chunk_rows(n, self.L)
         for start in range(0, len(W), step):
             scores = self._centered @ W[start:start + step]
             r = _cosines(self._full_scores, _score_basis(scores, "second"))
-            out[start:start + step] = (self.n - 1) ** 2 * (1.0 - np.mean(r**2, axis=1))
+            out[start:start + step] = (n - 1) ** 2 * (1.0 - np.mean(r**2, axis=1))
         return out
+
+
+def _reference(X: DataMatrix, spec: EstimatorSpec, L: int, i: int
+               ) -> tuple[_SampleMeasures, np.ndarray]:
+    """The per-row references' shared step: the full-data measures of ``X``
+    and the 1 x p x L retained basis of the estimate without observation
+    ``i``, from two decompositions, with the sweeps' warnings."""
+    _require_loo(X)
+    X._check_index(i)
+    E = eigh(estimate(X, spec))
+    measures = _SampleMeasures(X, E, L)
+    if L == E.p:
+        warnings.warn(
+            "L equals the full dimension; the subspace influence is "
+            "identically zero",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    E_loo = eigh(estimate_loo(X, spec, i))
+    _warn_boundaries(E.gap_warnings, E_loo.gap_warnings, L)
+    return measures, measures.bases(E_loo.vectors[None])
+
+
+def _exact_blocks(engine: LooEngine, measures: _SampleMeasures, rows: Iterable[int]
+                  ) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
+    """The sweeps' exact pass over the distinct 1-based ``rows``, ascending.
+
+    Yields ``(block, values, W)`` for each block of
+    :meth:`LooEngine.reduced`: the rows, their m x p reduced eigenvalues and
+    their m x p x L retained bases for ``measures``.  Warns, row by row, when
+    the full-data or the reduced estimate ties at (L, L+1).
+    """
+    rows = sorted({int(i) for i in rows})
+    for block, values, vectors, gaps in engine.reduced(rows):
+        for loo_gaps in gaps:
+            _warn_boundaries(engine.eigen.gap_warnings, loo_gaps, measures.L)
+        yield block, values, measures.bases(vectors)
 
 
 def sif_b(
@@ -169,23 +204,8 @@ def sif_b(
     (n-1) * [subspace_alignment(full basis, leave-one-out basis) - 1]; always <= 0, and
     identically 0 when L = p because both spans are the whole space.
     """
-    _require_loo(X)
-    X._check_index(i)
-    E = eigh(estimate(X, spec))
-    if not 1 <= L <= E.p:
-        raise ValueError(f"L={L} out of range 1..{E.p}")
-    if L == E.p:
-        warnings.warn(
-            "L equals the full dimension; the subspace influence is "
-            "identically zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    E_loo = eigh(estimate_loo(X, spec, i))
-    _warn_boundaries(E.gap_warnings, E_loo.gap_warnings, L)
-    measures = _SampleMeasures(X, E, L)
-    return float(measures.sif_b(measures.bases(E_loo.vectors[None]))[0])
+    measures, W = _reference(X, spec, L, i)
+    return float(measures.sif_b(W)[0])
 
 
 def _empirical_pieces(engine: LooEngine, L: int):
@@ -252,9 +272,7 @@ def sci(
     score sets built from the full-data and leave-one-out bases.  The data
     rows are the same on both sides; only the basis changes.
     """
-    _require_loo(X)
-    measures = _SampleMeasures(X, eigh(estimate(X, spec)), L)
-    W = measures.bases(eigh(estimate_loo(X, spec, i)).vectors[None])
+    measures, W = _reference(X, spec, L, i)
     return float(measures.sci(W)[0])
 
 
@@ -294,14 +312,11 @@ def influence_records(
         )
         for i in range(1, X.n + 1)
     ]
-    rows = sorted({int(i) for i in exact})
-    if rows:
-        measures = _SampleMeasures(X, E, L)
-        for block, values, vectors, _ in engine.reduced(rows):
-            W = measures.bases(vectors)
-            sif_eigen = -(X.n - 1) * (values - E.values)
-            for i, b, c, eig in zip(block, measures.sif_b(W).tolist(),
-                                    measures.sci(W).tolist(), sif_eigen):
-                record = records[i - 1]
-                record.sif_b, record.sci, record.sif_eigen = b, c, eig
+    measures = _SampleMeasures(X, E, L)
+    for block, values, W in _exact_blocks(engine, measures, exact):
+        sif_eigen = -(X.n - 1) * (values - E.values)
+        for i, b, c, eig in zip(block, measures.sif_b(W).tolist(),
+                                measures.sci(W).tolist(), sif_eigen):
+            record = records[i - 1]
+            record.sif_b, record.sci, record.sif_eigen = b, c, eig
     return records

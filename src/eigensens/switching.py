@@ -22,13 +22,12 @@ from .dataset import DataMatrix, EstimatorSpec
 from .eigen import EigenSystem
 from .errors import CascadeUnderflowError, DataError, NoValidRetentionError
 from .influence import LooEngine
-from .subspace_diag import _SampleMeasures, _warn_boundaries, eif_b_series
+from .subspace_diag import _exact_blocks, _SampleMeasures, eif_b_series
 
 __all__ = [
     "DEFAULT_NEAR_DELTA",
     "SwitchEvent",
     "RetentionAdvice",
-    "HybridValue",
     "SwitchReport",
     "detect_switching",
     "detect_near_switch",
@@ -62,16 +61,6 @@ class SwitchEvent:
 class RetentionAdvice:
     L: int
     rationale: str
-
-
-@dataclass(frozen=True)
-class HybridValue:
-    """One entry of a hybrid influence series."""
-
-    obs_index: int
-    obs_label: str
-    value: float
-    replaced: bool
 
 
 @dataclass
@@ -330,31 +319,22 @@ def hybrid_influence(
     engine: LooEngine,
     L: int,
     flagged: Iterable[int],
-) -> list[HybridValue]:
+) -> np.ndarray:
     """The ``eif_b`` series with exact ``sif_b`` values at the flagged indices.
 
-    Costs the engine's full-data decomposition plus one reduced decomposition
-    per flagged observation, so a handful of exact replacements keeps the
-    sweep cheap while fixing the entries the empirical formula gets wrong.
-    An estimator without the closed form is refused before any reduced
-    decomposition.  For the ``sci``/``scia`` hybrid, see ``influence_records``.
+    An n-vector, as :func:`eif_b_series` returns, whose entry ``i - 1`` is
+    exact when ``i`` is flagged.  Costs the engine's full-data decomposition
+    plus one reduced decomposition per flagged observation, so a handful of
+    exact replacements keeps the sweep cheap while fixing the entries the
+    empirical formula gets wrong.  An estimator without the closed form is
+    refused before any reduced decomposition.  For the ``sci``/``scia``
+    hybrid, see ``influence_records``.
     """
-    X = engine.X
-    flagged_set = set(int(i) for i in flagged)
-    E = engine.eigen
     series = eif_b_series(engine, L)
-    exact = {}
-    if flagged_set:
-        measures = _SampleMeasures(X, E, L)
-        for block, _, vectors, gaps in engine.reduced(sorted(flagged_set)):
-            for loo_gaps in gaps:
-                _warn_boundaries(E.gap_warnings, loo_gaps, L)
-            exact.update(zip(block, measures.sif_b(measures.bases(vectors)).tolist()))
-    return [
-        HybridValue(i, X.row_labels[i - 1],
-                    exact[i] if i in exact else float(series[i - 1]), i in exact)
-        for i in range(1, X.n + 1)
-    ]
+    measures = _SampleMeasures(engine.X, engine.eigen, L)
+    for block, _, W in _exact_blocks(engine, measures, flagged):
+        series[np.array(block) - 1] = measures.sif_b(W)
+    return series
 
 
 def build_switch_report(

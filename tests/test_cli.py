@@ -75,6 +75,19 @@ class TestAnalyze:
         assert doc["proportion_explained"] == [0.8, 0.2]
         assert doc["n"] == 4 and doc["p"] == 2
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 6: the scatter overflows at 1e200, and the correlation "
+        "run writes eigenvalues [1.0, 1.0] and exits 0"))
+    def test_correlation_at_extreme_units(self, tmp_path):
+        path = tmp_path / "extreme.csv"
+        path.write_text("a,b\n1e200,2\n-1e200,4\n5,6\n7,1\n")
+        out = tmp_path / "extreme.json"
+        assert run("analyze", "--input", str(path), "--estimator", "cor",
+                   "--L", "1", "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        # 1 +- |r|, r = -0.368229847 computed exactly in fractions
+        assert doc["eigenvalues"] == pytest.approx([1.36823, 0.63177], abs=1e-5)
+
     def test_runs_are_deterministic(self, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -338,6 +338,12 @@ class TestEstimate:
         with pytest.raises(ZeroVarianceError, match="'flat'"):
             estimate(X, COR_N)
 
+    def test_overflowing_scatter_is_refused(self):
+        X = make_data(np.random.default_rng(5).standard_normal((20, 3)) * 1e160)
+        with np.errstate(over="ignore"), pytest.raises(
+                DataError, match="estimate contains non-finite entries"):
+            estimate(X, COV_N)
+
     def test_single_row_rejected(self):
         with pytest.raises(DataError, match="at least 2"):
             estimate(make_data([[1.0, 2.0]]), COV_N)

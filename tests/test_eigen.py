@@ -32,6 +32,12 @@ class TestEigh:
         np.testing.assert_allclose(np.abs(E.vectors), np.eye(2), atol=1e-15)
         assert E.gap_warnings == []
 
+    def test_rank_out_of_range(self):
+        E = eigh(np.diag([3.0, 1.0]))
+        for j in (0, 3):
+            with pytest.raises(ValueError, match=rf"rank {j} out of range 1\.\.2"):
+                E.value(j)
+
     def test_identity_is_fully_degenerate(self):
         E = eigh(np.eye(3))
         np.testing.assert_array_equal(E.values, [1.0, 1.0, 1.0])

@@ -215,7 +215,7 @@ class TestEngine:
                     for r in influence_records(engine, L, exact=rows)
                 ]
                 events = verify_exact(detect_near_switch(engine), engine)
-                hybrid = hybrid_influence(engine, 2, rows)
+                hybrid = hybrid_influence(engine, 2, rows).tolist()
             return records, events, hybrid, window.total
 
         default = sweep()

@@ -14,6 +14,7 @@ from eigensens import (
     eif_b_series,
     eigh,
     estimate,
+    hybrid_influence,
     subspace_alignment,
     sci,
     scia_series,
@@ -27,6 +28,11 @@ from conftest import COV_N, COR_N, axis_swap_data, gaussian_data, make_data
 
 def tied_spectrum_data():
     return make_data([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def reduced_tie_data():
+    """No tie in the full data; without row 5, eigenvalues 1 and 2 tie exactly."""
+    return make_data([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [2.0, 0.0]])
 
 
 def leading_vectors(matrix: np.ndarray, L: int) -> np.ndarray:
@@ -196,7 +202,8 @@ class TestSci:
     def test_full_dimension_spans_are_identical(self):
         X = gaussian_data(31, 12, [2.0, 0.7])
         for i in (1, 5, 12):
-            assert sci(X, COV_N, 2, i) == pytest.approx(0.0, abs=1e-8)
+            with pytest.warns(RuntimeWarning, match="identically zero"):
+                assert sci(X, COV_N, 2, i) == pytest.approx(0.0, abs=1e-8)
 
     def test_oils_top_spikes_match_sif_b_spikes(self, oils):
         magnitudes = {
@@ -291,3 +298,34 @@ def test_tolerances_do_not_depend_on_units(oils, s):
     assert eigh(estimate(sX, COV_N)).gap_warnings == []
     records = influence_records(LooEngine(sX, COV_N), 2)
     assert all(r.eif_b is not None for r in records)
+
+
+# every exact path, sweep or per-row reference, warns alike
+@pytest.mark.parametrize("call", [
+    lambda X: influence_records(LooEngine(X, COV_N), 1, exact=[5]),
+    lambda X: hybrid_influence(LooEngine(X, COV_N), 1, [5]),
+    lambda X: sif_b(X, COV_N, 1, 5),
+    lambda X: sci(X, COV_N, 1, 5),
+], ids=["influence_records", "hybrid_influence", "sif_b", "sci"])
+def test_reduced_tie_at_the_boundary_warns(call):
+    X = reduced_tie_data()
+    assert eigh(estimate(X, COV_N)).gap_warnings == []
+    with pytest.warns(RuntimeWarning, match="eigenvalues 1 and 2 of the "
+                      "leave-one-out estimate are nearly tied"):
+        call(X)
+
+
+@pytest.mark.parametrize("L", [0, 8])
+@pytest.mark.parametrize("call", [
+    lambda X, L: sif_b(X, COV_N, L, 1),
+    lambda X, L: sci(X, COV_N, L, 1),
+    lambda X, L: eif_b_series(LooEngine(X, COV_N), L),
+    lambda X, L: influence_records(LooEngine(X, COV_N), L),
+    # no empirical measures under correlation: the exact measures refuse
+    lambda X, L: influence_records(LooEngine(X, COR_N), L),
+    lambda X, L: hybrid_influence(LooEngine(X, COV_N), L, [1]),
+], ids=["sif_b", "sci", "eif_b_series", "influence_records",
+        "influence_records_cor", "hybrid_influence"])
+def test_out_of_range_L_is_refused(oils, call, L):
+    with pytest.raises(ValueError, match=rf"L={L} out of range 1\.\.7"):
+        call(oils, L)

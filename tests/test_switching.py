@@ -289,30 +289,26 @@ class TestHybridInfluence:
     def test_empty_flagged_equals_empirical_series(self, oils):
         engine = LooEngine(oils, COV_N)
         series = hybrid_influence(engine, 2, [])
-        pure = eif_b_series(engine, 2)
-        assert all(not hv.replaced for hv in series)
-        np.testing.assert_array_equal([hv.value for hv in series], pure)
+        assert series.shape == (oils.n,)
+        np.testing.assert_array_equal(series, eif_b_series(engine, 2))
 
     def test_all_flagged_equals_sample_series(self):
         X = gaussian_data(3, 15, [2.0, 1.0, 0.4])
         engine = LooEngine(X, COV_N)
         series = hybrid_influence(engine, 2, range(1, 16))
-        assert all(hv.replaced for hv in series)
-        for hv in series:
-            assert hv.value == sif_b(X, COV_N, 2, hv.obs_index)
+        for i in range(1, 16):
+            assert series[i - 1] == sif_b(X, COV_N, 2, i)
 
     def test_oils_flagged_entries_match_exact_oracle(self, oils):
         flagged = [28, 42, 57, 58, 59, 60, 90, 91, 93, 94, 95]
         engine = LooEngine(oils, COV_N)
         series = hybrid_influence(engine, 2, flagged)
         empirical = eif_b_series(engine, 2)
-        for hv in series:
-            if hv.obs_index in flagged:
-                assert hv.replaced
-                assert hv.value == sif_b(oils, COV_N, 2, hv.obs_index)
+        for i, value in enumerate(series, start=1):
+            if i in flagged:
+                assert value == sif_b(oils, COV_N, 2, i)
             else:
-                assert not hv.replaced
-                assert hv.value == empirical[hv.obs_index - 1]
+                assert value == empirical[i - 1]
 
     def test_measure_c_uses_score_diagnostics(self, oils):
         # the measure-C hybrid is influence_records with the flagged rows
@@ -329,10 +325,7 @@ class TestHybridInfluence:
         flagged = {42, 57}
         series = hybrid_influence(engine, 2, flagged)
         pure = eif_b_series(engine, 2)
-        differing = {
-            hv.obs_index for hv in series if hv.value != pure[hv.obs_index - 1]
-        }
-        assert differing == flagged
+        assert set((np.flatnonzero(series != pure) + 1).tolist()) == flagged
 
     def test_flagged_out_of_range(self, oils):
         with pytest.raises(Exception, match="out of range"):
@@ -368,7 +361,7 @@ class TestSwitchReport:
             return json.dumps({
                 "events": [dataclasses.asdict(ev) for ev in events],
                 "advice": dataclasses.asdict(report.recommendation),
-                "hybrid": [dataclasses.asdict(hv) for hv in series],
+                "hybrid": series.tolist(),
                 "delta": report.delta,
             }, sort_keys=True)
 
