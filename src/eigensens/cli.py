@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -123,6 +122,9 @@ def _json_text(obj, digits: int, indent: str = "") -> str:
         return encode_basestring_ascii(obj) if kind is str else int.__repr__(obj)
     if obj is None or kind is bool:
         return "null" if obj is None else "true" if obj else "false"
+    if kind is np.ndarray:
+        # a table row stays an array in the document until it is written
+        obj, kind = obj.tolist(), list
     inner = indent + "  "
     if kind is list:
         row = _float_row(obj, digits, f",\n{inner}")
@@ -138,6 +140,28 @@ def _json_text(obj, digits: int, indent: str = "") -> str:
     parts = [f",\n{inner}"] * (2 * len(items) - 1)
     parts[::2] = items
     return "".join([f"{opener}\n{inner}", *parts, f"\n{indent}{closer}"])
+
+
+def _write_json(out, obj, digits: int, indent: str = "") -> None:
+    """Write ``_json_text(obj, digits, indent)`` to ``out`` an item at a
+    time: a dict value by value and a list of records record by record, so
+    no more than one record's text is held at once."""
+    kind = type(obj)
+    records = kind is list and obj and all(type(v) is dict for v in obj)
+    if not (records or kind is dict and obj):
+        out.write(_json_text(obj, digits, indent))
+        return
+    inner = indent + "  "
+    out.write("{" if kind is dict else "[")
+    for idx, item in enumerate(obj.items() if kind is dict else obj):
+        out.write(f",\n{inner}" if idx else f"\n{inner}")
+        if kind is dict:
+            key, value = item
+            out.write(f"{encode_basestring_ascii(key)}: ")
+            _write_json(out, value, digits, inner)
+        else:
+            out.write(_json_text(item, digits, inner))
+    out.write(f"\n{indent}" + ("}" if kind is dict else "]"))
 
 
 def _fmt_cell(x, digits: int) -> str:
@@ -158,40 +182,45 @@ def _cells(record: dict, blanks: dict | None = None) -> list:
     for key, value in record.items():
         if value is None and blanks:
             value = blanks.get(key)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
         cells.extend(value if isinstance(value, list) else [value])
     return cells
 
 
-def _csv_text(digits: int, header: list[str], rows: list[list],
-              comments: tuple[str, ...] = ()) -> str:
-    buf = io.StringIO()
+def _write_csv(out, digits: int, header: list[str], rows,
+               comments: tuple[str, ...] = ()) -> None:
     for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
+        out.write(f"# {line}\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt_cell(cell, digits) for cell in row])
-    return buf.getvalue()
 
 
 def _emit(args: argparse.Namespace, doc: dict, tables) -> None:
-    """Write ``doc`` as JSON, or the CSV tables of ``tables()``.
+    """Write ``doc`` as JSON, or the CSV tables of ``tables()``, into each
+    destination a record or a row at a time.
 
     Each table is ``(name, header, rows[, comments])``.  The first one owns
     --out and each other one its sibling ``<stem>_<name><suffix>``; without
     --out they follow each other on stdout, each after a ``# table:`` line.
     """
-    if args.fmt == "json":
-        texts = [("", _json_text(doc, args.precision) + "\n")]
-    else:
-        texts = [(name, _csv_text(args.precision, *table))
-                 for name, *table in tables()]
-    for idx, (name, text) in enumerate(texts):
+    def write(out, table) -> None:
+        if table is None:
+            _write_json(out, doc, args.precision)
+            out.write("\n")
+        else:
+            _write_csv(out, args.precision, *table)
+
+    parts = ([("", None)] if args.fmt == "json"
+             else ((name, table) for name, *table in tables()))
+    for idx, (name, table) in enumerate(parts):
         if args.out is None:
             if idx:
                 sys.stdout.write(f"\n# table: {name}\n")
             try:
-                sys.stdout.write(text)
+                write(sys.stdout, table)
             except UnicodeEncodeError as exc:
                 # a ValueError by type, but an I/O failure: exit 1, not 2
                 raise OSError(f"cannot write the report to stdout: {exc}") from None
@@ -200,7 +229,8 @@ def _emit(args: argparse.Namespace, doc: dict, tables) -> None:
         if name:
             path = path.with_name(f"{path.stem}_{name}{path.suffix}")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as fh:
+            write(fh, table)
 
 
 def _analyze(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
@@ -234,15 +264,15 @@ def _analyze(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
         ],
         "scores": [
             {"obs": i + 1, "label": X.row_labels[i],
-             "values": scores[i].tolist()}
+             "values": scores[i]}
             for i in range(X.n)
         ],
     }
     return body, lambda: [
         ("", ["component", "eigenvalue", "proportion", "cumulative"],
-         [_cells(r) for r in body["scree"]]),
+         map(_cells, body["scree"])),
         ("scores", ["obs", "label", *(f"PC{j + 1}" for j in range(args.L))],
-         [_cells(r) for r in body["scores"]]),
+         map(_cells, body["scores"])),
     ]
 
 
@@ -266,8 +296,6 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
         exact = kinds.keys()
     records = influence_records(engine, args.L, exact=exact)
     eif, hif = eigen_influence(engine)
-    eif_rows = None if eif is None else eif.tolist()
-    hif_rows = hif.tolist()
 
     rows = []
     for record in records:
@@ -283,10 +311,9 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
             "hybrid_c": None,
             "replaced": None,
             "flag": kinds.get(i),
-            "eif_eigen": None if eif_rows is None else eif_rows[i - 1],
-            "hif_eigen": hif_rows[i - 1],
-            "sif_eigen": record.sif_eigen.tolist()
-            if args.mode == MODE_EXACT else None,
+            "eif_eigen": None if eif is None else eif[i - 1],
+            "hif_eigen": hif[i - 1],
+            "sif_eigen": record.sif_eigen if args.mode == MODE_EXACT else None,
             "note": record.note,
         }
         if args.mode == MODE_HYBRID:
@@ -309,7 +336,7 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
         + ["note"]
     )
     blanks = dict.fromkeys(("eif_eigen", "hif_eigen", "sif_eigen"), [None] * X.p)
-    return body, lambda: [("", header, [_cells(row, blanks) for row in rows])]
+    return body, lambda: [("", header, (_cells(row, blanks) for row in rows))]
 
 
 def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
@@ -356,7 +383,7 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
              "verified_exact": ev.verified_exact}
             for ev in report.events
         ],
-        "loo_eigenvalues": {str(i): row.tolist()
+        "loo_eigenvalues": {str(i): row
                             for i, row in zip(flagged, engine.table_rows(flagged))},
         "hybrid": hybrid,
     }
@@ -372,13 +399,13 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
             comments += (f"hybrid_note={hybrid['note']}",)
         yield ("", ["obs", "label", "pair_low", "pair_high", "approx_lo",
                     "approx_hi", "kind", "verified_exact"],
-               [_cells(ev) for ev in body["events"]], comments)
+               map(_cells, body["events"]), comments)
         yield ("loo", ["obs", "label", *(f"lambda{j + 1}" for j in range(X.p))],
-               [[i, X.row_labels[i - 1], *body["loo_eigenvalues"][str(i)]]
-                for i in flagged])
+               ([i, X.row_labels[i - 1], *body["loo_eigenvalues"][str(i)].tolist()]
+                for i in flagged))
         if hybrid and "series" in hybrid:
             yield ("hybrid", ["obs", "label", "value", "replaced"],
-                   [_cells(hv) for hv in hybrid["series"]])
+                   map(_cells, hybrid["series"]))
 
     return body, tables
 

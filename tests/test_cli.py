@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +17,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigensens import bundled_oils_path
-from eigensens.cli import _build_parser, _float_row, _fmt_cell, _json_text, main
+from eigensens.cli import (
+    _build_parser,
+    _cells,
+    _emit,
+    _float_row,
+    _fmt_cell,
+    _json_text,
+    main,
+)
 
 OILS = str(bundled_oils_path())
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -505,6 +516,80 @@ class TestJsonWriter:
         assert [row[1] for row in csv.reader(rows[1:])] == labels
 
 
+# report-shaped documents: table rows as ndarrays, records in lists
+_ROWS = st.lists(_ROW_FLOATS | _CELL_FLOATS, max_size=8).map(np.array)
+_REPORTS = st.recursive(
+    _SCALARS | _ROWS,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(_TEXT, children, max_size=5)
+    | st.lists(st.dictionaries(_TEXT, children, max_size=4), max_size=4),
+    max_leaves=40,
+)
+
+
+def _as_lists(obj):
+    """``obj`` with every ndarray row given as a list."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+class TestStreamingWriter:
+    """The report is written a record at a time with the bytes of the
+    one-text writer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_REPORTS, digits=st.integers(1, 17))
+    @example(doc={}, digits=6)
+    @example(doc=[], digits=6)
+    @example(doc={"observations": [], "hybrid": None, "empty": {}}, digits=6)
+    @example(doc={"a": {"b": [{"x": np.array([1.7976931348623157e308, 0.5])},
+                              {}]}, "n": 3, "ok": True, "s": "é"},
+             digits=1)
+    @example(doc=[{"v": np.array([math.nan, -math.inf, 1e308, 5e-324])}, {}],
+             digits=6)
+    def test_matches_the_one_text_writer(self, doc, digits):
+        args = argparse.Namespace(fmt="json", out=None, precision=digits)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            _emit(args, doc, None)
+        text = _json_text(doc, digits)
+        assert out.getvalue() == text + "\n"
+        assert text == _json_text(_as_lists(doc), digits)
+
+    @pytest.mark.parametrize("digits", [1, 6, 17])
+    def test_cells_of_an_array_row_are_the_cells_of_its_list(self, digits):
+        row = [1.7976931348623157e308, -1.7976931348623157e308, 0.1, -0.0,
+               5e-324, math.nan, math.inf, 1e308]
+        record = {"obs": 1, "label": "a", "flag": None, "values": row}
+        cells = _cells(record | {"values": np.array(row)})
+        assert [type(c) for c in cells] == [type(c) for c in _cells(record)]
+        texts = [_fmt_cell(c, digits) for c in cells]
+        assert texts == [_fmt_cell(c, digits) for c in _cells(record)]
+        if digits == 1:  # the repr fallback of a value that rounds to inf
+            assert texts[3] == "1.7976931348623157e+308"
+
+    def test_no_write_is_longer_than_one_observation(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "x.csv"
+        x = np.random.default_rng(2000).standard_normal((2000, 10))
+        header = ",".join(f"c{j}" for j in range(10))
+        np.savetxt(path, x, delimiter=",", header=header, comments="")
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        assert run("influence", "--input", str(path), "--mode", "approx") == 0
+        monkeypatch.undo()
+        text = "".join(writes)
+        assert len(text) > 1_000_000
+        observations = json.loads(text)["observations"]
+        assert len(observations) == 2000
+        longest = max(len(_json_text(r, 6, "    ")) for r in observations)
+        assert max(map(len, writes)) <= longest
+
+
 class TestStdout:
     """Without --out, the report goes to stdout."""
 
@@ -658,6 +743,11 @@ class TestExitCodesAndConfig:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: cannot write the report to stdout")
         assert "Traceback" not in proc.stderr
+        # the rows before the one that failed stay on stdout
+        scree, scores = proc.stdout.split("\n# table: scores\n")
+        assert scree.startswith("component,eigenvalue,")
+        assert scores.startswith("obs,label,PC1\n1,x,")
+        assert scores.count("\n") == 2
 
 
 COMMON = ["-h", "--help", "--input", "--label-col", "--no-header",
