@@ -38,7 +38,6 @@ from .eigen import (
     subspace,
 )
 from .errors import (
-    CascadeUnderflowError,
     ConvergenceError,
     DataError,
     DegenerateEigenvaluesError,
@@ -69,11 +68,11 @@ from .subspace_diag import (
 )
 from .switching import (
     DEFAULT_NEAR_DELTA,
+    EventTable,
     RetentionAdvice,
     SwitchEvent,
     SwitchReport,
     build_switch_report,
-    cascade_scan,
     detect_near_switch,
     detect_switching,
     hybrid_influence,

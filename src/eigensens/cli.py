@@ -36,6 +36,7 @@ from .influence import LooEngine, eigen_influence
 from .subspace_diag import influence_records
 from .switching import (
     DEFAULT_NEAR_DELTA,
+    EventTable,
     build_switch_report,
     hybrid_influence,
     verify_exact,
@@ -46,6 +47,9 @@ __all__ = ["main"]
 MODE_APPROX = "approx"
 MODE_EXACT = "exact"
 MODE_HYBRID = "hybrid"
+
+# event records formatted and written per write call
+EVENT_CHUNK = 1024
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -142,11 +146,51 @@ def _json_text(obj, digits: int, indent: str = "") -> str:
     return "".join([f"{opener}\n{inner}", *parts, f"\n{indent}{closer}"])
 
 
+def _float_texts(values: list, digits: int) -> list[str]:
+    """Each float of ``values`` as :func:`_json_text` writes it: the whole
+    column in one :func:`_float_row` call, or cell by cell when it refuses."""
+    row = _float_row(values, digits, ",")
+    if row is None:
+        return [_json_text(x, digits) for x in values]
+    return row.split(",")
+
+
+def _write_events(out, events: EventTable, digits: int, indent: str) -> None:
+    """Write ``events`` as :func:`_json_text` writes the list of their records
+    (obs, label, pair, approx_lo, approx_hi, kind, verified_exact).
+
+    Each column is formatted once: floats through :func:`_float_texts`, and
+    each distinct label, kind and verdict once.  Records are then laid out
+    by one ``%`` template each and written ``EVENT_CHUNK`` at a time."""
+    if not len(events):
+        out.write("[]")
+        return
+    obs, labels, low, high, lo, hi, kinds, verdicts = events.columns()
+    codes = {v: _json_text(v, digits) for v in {*labels, *kinds, *verdicts}}
+    rows = list(zip(obs, [codes[v] for v in labels], low, high,
+                    _float_texts(lo, digits), _float_texts(hi, digits),
+                    [codes[v] for v in kinds], [codes[v] for v in verdicts]))
+    inner, f = indent + "  ", indent + "    "
+    record = (f'{{\n{f}"obs": %d,\n{f}"label": %s,\n{f}"pair": [\n{f}  %d,\n{f}  %d\n'
+              f'{f}],\n{f}"approx_lo": %s,\n{f}"approx_hi": %s,\n{f}"kind": %s,\n'
+              f'{f}"verified_exact": %s\n{inner}}}')
+    sep = f",\n{inner}"
+    out.write(f"[\n{inner}")
+    for start in range(0, len(rows), EVENT_CHUNK):
+        chunk = sep.join([record % row for row in rows[start:start + EVENT_CHUNK]])
+        out.write(sep + chunk if start else chunk)
+    out.write(f"\n{indent}]")
+
+
 def _write_json(out, obj, digits: int, indent: str = "") -> None:
     """Write ``_json_text(obj, digits, indent)`` to ``out`` an item at a
     time: a dict value by value and a list of records record by record, so
-    no more than one record's text is held at once."""
+    no more than one record's text is held at once.  An
+    :class:`EventTable` is written as the list of its records."""
     kind = type(obj)
+    if kind is EventTable:
+        _write_events(out, obj, digits, indent)
+        return
     records = kind is list and obj and all(type(v) is dict for v in obj)
     if not (records or kind is dict and obj):
         out.write(_json_text(obj, digits, indent))
@@ -351,14 +395,14 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     report = build_switch_report(engine, candidate_L=args.L, delta=args.delta,
                                  pairs=args.pairs)
     advice = report.recommendation
+    events = report.events
     if args.mode == MODE_EXACT:
-        report.events = verify_exact(report.events, engine, delta=args.delta)
-    flagged = sorted({ev.obs_index for ev in report.events})
+        events = verify_exact(events, engine, delta=args.delta)
+    flagged = sorted(set(events.obs.tolist()))
     hybrid = None
     if args.mode == MODE_HYBRID:
         hybrid = {"measure": "B", "L": args.L}
-        boundary = {ev.obs_index for ev in report.events
-                    if ev.pair == (args.L, args.L + 1)}
+        boundary = set(events.obs[events.low == args.L].tolist())
         try:
             series = hybrid_influence(engine, args.L, boundary).tolist()
             hybrid["series"] = [
@@ -376,13 +420,7 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
         "candidate_L": args.L,
         "recommended_L": {"L": advice.L, "rationale": advice.rationale},
         "eigenvalues": E.values.tolist(),
-        "events": [
-            {"obs": ev.obs_index, "label": ev.obs_label,
-             "pair": list(ev.pair), "approx_lo": ev.approx_lo,
-             "approx_hi": ev.approx_hi, "kind": ev.kind,
-             "verified_exact": ev.verified_exact}
-            for ev in report.events
-        ],
+        "events": events,
         "loo_eigenvalues": {str(i): row
                             for i, row in zip(flagged, engine.table_rows(flagged))},
         "hybrid": hybrid,
@@ -399,7 +437,7 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
             comments += (f"hybrid_note={hybrid['note']}",)
         yield ("", ["obs", "label", "pair_low", "pair_high", "approx_lo",
                     "approx_hi", "kind", "verified_exact"],
-               map(_cells, body["events"]), comments)
+               zip(*events.columns()), comments)
         yield ("loo", ["obs", "label", *(f"lambda{j + 1}" for j in range(X.p))],
                ([i, X.row_labels[i - 1], *body["loo_eigenvalues"][str(i)].tolist()]
                 for i in flagged))

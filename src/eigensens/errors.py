@@ -32,12 +32,12 @@ class ConvergenceError(EigenSensError):
 
 
 class NoValidRetentionError(EigenSensError):
-    """Every candidate retention boundary is disrupted by switching."""
+    """Every candidate retention boundary is disrupted by switching.
 
-    def __init__(self, message: str, events: list):
+    ``events`` is the :class:`eigensens.switching.EventTable` that
+    disrupted them.
+    """
+
+    def __init__(self, message: str, events):
         super().__init__(message)
         self.events = events
-
-
-class CascadeUnderflowError(DataError):
-    """Deletion rounds left too few observations to continue estimating."""

@@ -8,25 +8,25 @@ trace of this, but the rank-indexed approximations of
 adjusts the retained component count away from disrupted boundaries, and,
 as separate stages, confirms flagged events against true re-decompositions
 and builds series in which only the flagged observations pay for an exact
-influence value.
+influence value.  The flagged cells travel as one :class:`EventTable`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataset import DataMatrix, EstimatorSpec
 from .eigen import EigenSystem
-from .errors import CascadeUnderflowError, DataError, NoValidRetentionError
+from .errors import NoValidRetentionError
 from .influence import LooEngine
 from .subspace_diag import _exact_blocks, _SampleMeasures, eif_b_series
 
 __all__ = [
     "DEFAULT_NEAR_DELTA",
     "SwitchEvent",
+    "EventTable",
     "RetentionAdvice",
     "SwitchReport",
     "detect_switching",
@@ -35,7 +35,6 @@ __all__ = [
     "recommend_L",
     "hybrid_influence",
     "build_switch_report",
-    "cascade_scan",
 ]
 
 DEFAULT_NEAR_DELTA = 0.1
@@ -46,7 +45,8 @@ KIND_NEAR = "near_switch"
 
 @dataclass(frozen=True)
 class SwitchEvent:
-    """One (observation, adjacent pair) order disruption or near miss."""
+    """One (observation, adjacent pair) order disruption or near miss: the
+    row view of an :class:`EventTable`."""
 
     obs_index: int
     obs_label: str
@@ -55,6 +55,51 @@ class SwitchEvent:
     approx_hi: float
     kind: str
     verified_exact: bool | None = None
+
+
+@dataclass(frozen=True)
+class EventTable:
+    """Flagged (observation, adjacent pair) cells, one row each, as columns.
+
+    ``obs`` holds 1-based observations, ``low`` the lower rank j of each pair
+    (j, j+1), ``approx_lo`` and ``approx_hi`` the approximated eigenvalues
+    compared, ``switch`` True for a ``switch`` and False for a
+    ``near_switch``, and ``verified`` the exact verdicts, None until
+    :func:`verify_exact` fills it.  ``labels`` are the row labels of the
+    whole data, indexed by ``obs - 1``.  Rows are sorted by pair, then
+    observation.  ``len`` counts the rows; iterating yields them as
+    :class:`SwitchEvent`.
+    """
+
+    labels: Sequence[str]
+    obs: np.ndarray
+    low: np.ndarray
+    approx_lo: np.ndarray
+    approx_hi: np.ndarray
+    switch: np.ndarray
+    verified: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.obs)
+
+    def columns(self) -> list[list]:
+        """The rows' obs, label, pair low, pair high, approx_lo, approx_hi,
+        kind and verdict, each column a list of Python scalars."""
+        obs, low = self.obs.tolist(), self.low.tolist()
+        return [
+            obs, [self.labels[i - 1] for i in obs], low, [j + 1 for j in low],
+            self.approx_lo.tolist(), self.approx_hi.tolist(),
+            [KIND_SWITCH if s else KIND_NEAR for s in self.switch.tolist()],
+            [None] * len(obs) if self.verified is None else self.verified.tolist(),
+        ]
+
+    def __iter__(self) -> Iterator[SwitchEvent]:
+        for i, label, j, k, lo, hi, kind, verdict in zip(*self.columns()):
+            yield SwitchEvent(i, label, (j, k), lo, hi, kind, verdict)
+
+    def switched(self, boundary: int) -> list[int]:
+        """The distinct observations that switch the pair (boundary, boundary+1)."""
+        return sorted(set(self.obs[self.switch & (self.low == boundary)].tolist()))
 
 
 @dataclass(frozen=True)
@@ -67,7 +112,7 @@ class RetentionAdvice:
 class SwitchReport:
     """Everything one switching analysis produced."""
 
-    events: list[SwitchEvent]
+    events: EventTable
     recommendation: RetentionAdvice
     delta: float
 
@@ -87,44 +132,35 @@ def _normalise_pairs(pairs: Sequence[tuple[int, int]] | None, p: int
     return sorted(set(out))
 
 
-def _sorted_events(events: Iterable[SwitchEvent]) -> list[SwitchEvent]:
-    return sorted(events, key=lambda e: (e.pair, e.obs_index))
-
-
 def _scan(engine: LooEngine, wanted: list[tuple[int, int]], *,
-          reversed_pairs: bool, delta: float | None) -> list[SwitchEvent]:
-    """Events over the engine's table, one masked comparison per pair.
+          reversed_pairs: bool, delta: float | None) -> EventTable:
+    """Events over the engine's table, one masked comparison for all pairs.
 
     Only the table columns of the ``wanted`` pairs are computed, so a scan
     of a few pairs pays for a few columns; the engine keeps them for later
     use.  Flags reversed pairs when ``reversed_pairs`` is set and pairs
     within ``delta`` when it is given.  A flagged pair is a ``switch`` when
-    reversed and a ``near_switch`` otherwise.  ``wanted`` is sorted, so the
-    events come out sorted by pair, then observation.
+    reversed and a ``near_switch`` otherwise.  ``wanted`` is sorted and the
+    mask is read pair by pair, so the events come out sorted by pair, then
+    observation.
     """
     table = engine._columns(j for pair in wanted for j in pair)
-    labels = engine.X.row_labels
-    events = []
-    for j, k in wanted:
-        lo, hi = table[:, j - 1], table[:, k - 1]
-        reversed_ = lo < hi
-        mask = reversed_ if reversed_pairs else np.zeros_like(reversed_)
-        if delta is not None:
-            mask = mask | (np.abs(lo - hi) < delta)
-        rows = np.flatnonzero(mask)
-        for r, a, b, switch in zip(rows.tolist(), lo[rows].tolist(),
-                                   hi[rows].tolist(), reversed_[rows].tolist()):
-            events.append(SwitchEvent(
-                r + 1, labels[r], (j, k), a, b,
-                KIND_SWITCH if switch else KIND_NEAR,
-            ))
-    return events
+    lows = np.array([j for j, _ in wanted], dtype=int)
+    # pair by observation, so that nonzero walks pair, then observation
+    lo, hi = table[:, lows - 1].T, table[:, lows].T
+    reversed_ = lo < hi
+    mask = reversed_ if reversed_pairs else np.zeros_like(reversed_)
+    if delta is not None:
+        mask = mask | (np.abs(lo - hi) < delta)
+    pair, row = np.nonzero(mask)
+    return EventTable(engine.X.row_labels, row + 1, lows[pair], lo[pair, row],
+                      hi[pair, row], reversed_[pair, row])
 
 
 def detect_switching(
     engine: LooEngine,
     pairs: Sequence[tuple[int, int]] | None = None,
-) -> list[SwitchEvent]:
+) -> EventTable:
     """Flag every (i, pair) where removal reverses the approximated order.
 
     The engine's full-data decomposition covers the entire sweep; no reduced
@@ -139,7 +175,7 @@ def detect_near_switch(
     engine: LooEngine,
     delta: float = DEFAULT_NEAR_DELTA,
     pairs: Sequence[tuple[int, int]] | None = None,
-) -> list[SwitchEvent]:
+) -> EventTable:
     """Flag every (i, pair) whose approximated eigenvalues sit within delta.
 
     Pairs that are also fully reversed are reported with the stronger
@@ -226,41 +262,43 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
 
 
 def verify_exact(
-    events: Sequence[SwitchEvent],
+    events: EventTable,
     engine: LooEngine,
     *,
     delta: float = DEFAULT_NEAR_DELTA,
-) -> list[SwitchEvent]:
+) -> EventTable:
     """Confirm approximation-flagged events with true re-decompositions.
 
     Each flagged observation's reduced matrix is decomposed once and its
-    eigenvalues are re-indexed by full-data rank via eigenvector alignment.
-    A switch event is confirmed when the aligned exact values are out of
-    order; a near-switch event when they sit within ``delta``.
+    eigenvalues are re-indexed by full-data rank via eigenvector alignment,
+    into one row of an aligned (flagged x p) array.  A switch event is
+    confirmed when the aligned exact values are out of order; a near-switch
+    event when they sit within ``delta``.  Returns the events with their
+    ``verified`` column filled, stably sorted by pair, then observation.
     """
-    if not events:
-        return []
-    aligned = {}
-    for block, values, vectors, _ in engine.reduced(
-            sorted({ev.obs_index for ev in events})):
+    order = np.lexsort((events.obs, events.low))
+    obs, low = events.obs[order], events.low[order]
+    # not np.unique: its first call imports numpy.ma, a few ms of every run
+    flagged = np.array(sorted(set(obs.tolist())), dtype=int)
+    aligned = np.empty((len(flagged), engine.p))
+    start = 0
+    for block, values, vectors, _ in engine.reduced(flagged):
         where = _align_ranks(engine.eigen, vectors)
-        aligned.update(zip(block, np.take_along_axis(values, where, axis=1).tolist()))
-    out = []
-    for ev in events:
-        j, k = ev.pair
-        lo = aligned[ev.obs_index][j - 1]
-        hi = aligned[ev.obs_index][k - 1]
-        confirmed = lo < hi if ev.kind == KIND_SWITCH else abs(lo - hi) < delta
-        out.append(SwitchEvent(ev.obs_index, ev.obs_label, ev.pair, ev.approx_lo,
-                               ev.approx_hi, ev.kind, confirmed))
-    return _sorted_events(out)
+        aligned[start:start + len(block)] = np.take_along_axis(values, where, axis=1)
+        start += len(block)
+    row = np.searchsorted(flagged, obs)
+    lo, hi = aligned[row, low - 1], aligned[row, low]
+    switch = events.switch[order]
+    verified = np.where(switch, lo < hi, np.abs(lo - hi) < delta)
+    return EventTable(events.labels, obs, low, events.approx_lo[order],
+                      events.approx_hi[order], switch, verified)
 
 
 def recommend_L(
     engine: LooEngine,
     candidate_L: int,
     *,
-    events: Sequence[SwitchEvent] | None = None,
+    events: EventTable | None = None,
 ) -> RetentionAdvice:
     """Adjust a candidate retained count away from switching boundaries.
 
@@ -276,12 +314,8 @@ def recommend_L(
         raise ValueError(f"candidate_L={candidate_L} out of range 1..{p - 1}")
     if events is None:
         events = detect_switching(engine)
-    switched: dict[int, list[int]] = {}
-    for ev in events:
-        if ev.kind == KIND_SWITCH:
-            switched.setdefault(ev.pair[0], []).append(ev.obs_index)
-
-    if candidate_L not in switched:
+    switched = events.switched(candidate_L)
+    if not switched:
         return RetentionAdvice(
             candidate_L,
             f"boundary ({candidate_L},{candidate_L + 1}) shows no switching; "
@@ -290,7 +324,7 @@ def recommend_L(
 
     steps = [
         f"boundary ({candidate_L},{candidate_L + 1}) switches for "
-        f"observations {sorted(set(switched[candidate_L]))}"
+        f"observations {switched}"
     ]
     previous = candidate_L
     for nxt in [*range(candidate_L + 1, p), *range(candidate_L - 1, 0, -1)]:
@@ -302,16 +336,17 @@ def recommend_L(
                          f"falling back to L={nxt}")
         else:
             steps.append(f"no untried boundary above; falling back to L={nxt}")
-        if nxt not in switched:
+        switched = events.switched(nxt)
+        if not switched:
             steps.append(f"boundary ({nxt},{nxt + 1}) is clean")
             return RetentionAdvice(nxt, "; ".join(steps))
         steps.append(
             f"boundary ({nxt},{nxt + 1}) also switches for observations "
-            f"{sorted(set(switched[nxt]))}"
+            f"{switched}"
         )
         previous = nxt
     raise NoValidRetentionError(
-        "every candidate boundary is disrupted by switching", list(events)
+        "every candidate boundary is disrupted by switching", events
     )
 
 
@@ -361,52 +396,3 @@ def build_switch_report(
         advice = RetentionAdvice(candidate_L, f"retention advice failed: {exc}")
     return SwitchReport(events, advice, delta)
 
-
-def cascade_scan(
-    X: DataMatrix,
-    spec: EstimatorSpec,
-    max_rounds: int,
-    *,
-    candidate_L: int,
-    delta: float = DEFAULT_NEAR_DELTA,
-    pairs: Sequence[tuple[int, int]] | None = None,
-) -> list[SwitchReport]:
-    """Repeatedly delete switching observations and re-detect.
-
-    Deleting the observations flagged in one round can surface new switching
-    observations in the next, so the scan iterates until a round flags
-    nothing or ``max_rounds`` is reached.  Event indices and labels in every
-    round refer to the original matrix.
-    """
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
-    current = X
-    original_pos = list(range(1, X.n + 1))
-    rounds: list[SwitchReport] = []
-    for _ in range(max_rounds):
-        if current.n < 3:
-            raise CascadeUnderflowError(
-                f"only {current.n} observations remain; cannot continue the "
-                "deletion cascade"
-            )
-        report = build_switch_report(
-            LooEngine(current, spec), candidate_L=candidate_L, delta=delta,
-            pairs=pairs,
-        )
-        report.events = [
-            replace(ev, obs_index=original_pos[ev.obs_index - 1])
-            for ev in report.events
-        ]
-        rounds.append(report)
-        flagged = sorted({
-            ev.obs_index for ev in report.events if ev.kind == KIND_SWITCH
-        })
-        if not flagged:
-            break
-        local = [original_pos.index(i) + 1 for i in flagged]
-        try:
-            current = current.drop_rows(local)
-        except DataError as exc:
-            raise CascadeUnderflowError(str(exc)) from exc
-        original_pos = [pos for pos in original_pos if pos not in flagged]
-    return rounds

@@ -7,7 +7,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 import pytest
 
-from eigensens import DataMatrix, EstimatorSpec, load_oils, switching
+from eigensens import DataMatrix, EstimatorSpec, EventTable, load_oils, switching
+from eigensens.switching import KIND_SWITCH
 
 COV_N = EstimatorSpec("covariance", "n")
 COV_N1 = EstimatorSpec("covariance", "n-1")
@@ -42,6 +43,18 @@ def gaussian_data(seed: int, n: int, scales) -> DataMatrix:
     return make_data(rng.normal(size=(n, len(scales))) * np.asarray(scales))
 
 
+def event_table(labels, rows, verified=None) -> EventTable:
+    """A hand-built event table of ``(obs, pair low, approx_lo, approx_hi,
+    kind)`` rows, in the order given, with ``verified`` as its last column."""
+    obs, low, lo, hi, kinds = zip(*rows) if rows else ((),) * 5
+    return EventTable(
+        labels, np.array(obs, dtype=int), np.array(low, dtype=int),
+        np.array(lo, dtype=float), np.array(hi, dtype=float),
+        np.array([kind == KIND_SWITCH for kind in kinds], dtype=bool),
+        None if verified is None else np.array(verified, dtype=bool),
+    )
+
+
 @pytest.fixture
 def centered_with_mean_row() -> tuple[DataMatrix, int]:
     """Data whose mean equals row 5 exactly (rows symmetric around it)."""
@@ -59,15 +72,6 @@ def planted_switch() -> tuple[DataMatrix, int]:
     base = rng.normal(size=(59, 4)) @ np.diag([3.0, 0.9, 1.1, 0.3]) ** 0.5
     X = np.vstack([base, [0.0, 4.6, 0.0, 0.0]])
     return make_data(X), 60
-
-
-@pytest.fixture(scope="session")
-def planted_cascade() -> tuple[DataMatrix, int, int]:
-    """Two leverage points where the larger one masks the smaller one."""
-    rng = np.random.default_rng(12)
-    base = rng.normal(size=(58, 4)) @ np.diag([3.0, 0.95, 0.85, 0.3]) ** 0.5
-    X = np.vstack([base, [0.0, 0.0, 3.9, 0.0], [0.0, 7.0, 0.0, 0.0]])
-    return make_data(X), 60, 59
 
 
 @pytest.fixture(scope="session")

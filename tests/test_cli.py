@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigensens import bundled_oils_path
+from eigensens import bundled_oils_path, cli
 from eigensens.cli import (
     _build_parser,
     _cells,
@@ -24,8 +24,12 @@ from eigensens.cli import (
     _float_row,
     _fmt_cell,
     _json_text,
+    _write_json,
     main,
 )
+from eigensens.switching import KIND_NEAR, KIND_SWITCH
+
+from conftest import event_table
 
 OILS = str(bundled_oils_path())
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -588,6 +592,71 @@ class TestStreamingWriter:
         assert len(observations) == 2000
         longest = max(len(_json_text(r, 6, "    ")) for r in observations)
         assert max(map(len, writes)) <= longest
+
+
+# (obs, pair low, approx_lo, approx_hi, kind, verdict) over 5 labelled rows
+_EVENT_ROWS = st.lists(st.tuples(
+    st.integers(1, 5), st.integers(1, 4), _ROW_FLOATS | _CELL_FLOATS,
+    _ROW_FLOATS | _CELL_FLOATS, st.sampled_from([KIND_SWITCH, KIND_NEAR]),
+    st.booleans()), max_size=12)
+_LABELS = ["a", 'q"uote', "é", "c\\d", "x,y"]
+
+
+def _event_records(labels, rows, verified):
+    """The report's event records, as dicts, of hand-built ``rows``."""
+    return [
+        {"obs": i, "label": labels[i - 1], "pair": [j, j + 1],
+         "approx_lo": lo, "approx_hi": hi, "kind": kind,
+         "verified_exact": verdict if verified else None}
+        for i, j, lo, hi, kind, verdict in rows
+    ]
+
+
+class TestEventWriter:
+    """The event table is written a column at a time with the bytes of its
+    records as dicts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(labels=st.lists(_TEXT, min_size=5, max_size=5), rows=_EVENT_ROWS,
+           verified=st.booleans(), digits=st.integers(1, 17))
+    @example(labels=_LABELS, rows=[], verified=False, digits=6)
+    @example(labels=_LABELS, rows=[], verified=True, digits=6)
+    @example(labels=_LABELS,
+             rows=[(2, 1, 5e-324, 1.7976931348623157e308, KIND_SWITCH, True),
+                   (3, 2, 1e308, -2.5e-320, KIND_NEAR, False),
+                   (2, 3, 0.1, -0.0, KIND_NEAR, True)],
+             verified=True, digits=17)
+    @example(labels=_LABELS,
+             rows=[(k, 4, 1.0 / k, 1e-5 * k, KIND_SWITCH, k % 2 == 0)
+                   for k in range(1, 6)],
+             verified=False, digits=6)
+    def test_matches_the_records_written_as_dicts(self, labels, rows, verified,
+                                                  digits):
+        table = event_table(labels, [row[:5] for row in rows],
+                            [row[5] for row in rows] if verified else None)
+        records = _event_records(labels, rows, verified)
+        for doc, want in ((table, records),
+                          ({"n": 1, "events": table, "hybrid": None},
+                           {"n": 1, "events": records, "hybrid": None})):
+            out = io.StringIO()
+            _write_json(out, doc, digits)
+            assert out.getvalue() == _json_text(want, digits)
+        # the CSV rows: Python scalars, so that a verdict prints as a bool
+        cells = list(zip(*table.columns()))
+        assert [[type(c) for c in row] for row in cells] == [
+            [int, str, int, int, float, float, str, bool if verified else type(None)]
+            for _ in rows]
+        assert [[_fmt_cell(c, digits) for c in row] for row in cells] == [
+            [_fmt_cell(c, digits) for c in _cells(record)] for record in records]
+
+    def test_records_are_written_in_bounded_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "EVENT_CHUNK", 4)
+        rows = [(k % 5 + 1, 2, k / 7, -k / 3, KIND_NEAR, False) for k in range(10)]
+        table = event_table(_LABELS, [row[:5] for row in rows])
+        writes = []
+        _write_json(SimpleNamespace(write=writes.append), table, 6)
+        assert "".join(writes) == _json_text(_event_records(_LABELS, rows, False), 6)
+        assert [w.count('"obs"') for w in writes] == [0, 4, 4, 2, 0]
 
 
 class TestStdout:

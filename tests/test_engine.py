@@ -11,7 +11,7 @@ import pytest
 
 import eigensens
 
-from conftest import COR_N, COV_N, COV_N1, gaussian_data
+from conftest import COR_N, COV_N, COV_N1, event_table, gaussian_data
 from eigensens import (
     DataMatrix,
     EstimatorSpec,
@@ -42,7 +42,7 @@ from eigensens.cli import main
 from eigensens.eigen import Subspace
 from eigensens.errors import DataError, ZeroVarianceError
 from eigensens.influence import _chunk_rows
-from eigensens.switching import DEFAULT_NEAR_DELTA, KIND_NEAR, KIND_SWITCH, SwitchEvent
+from eigensens.switching import DEFAULT_NEAR_DELTA, KIND_NEAR, KIND_SWITCH
 
 COR_N1 = EstimatorSpec("correlation", "n-1")
 SPECS = [COV_N, COV_N1, COR_N, COR_N1]
@@ -155,23 +155,24 @@ class TestAgainstReference:
 
     def test_verify_exact_verdicts_equal_per_row_alignment(self, X, spec):
         engine = LooEngine(X, spec)
-        events = [
-            SwitchEvent(i, X.row_labels[i - 1], pair, 0.0, 0.0, kind)
-            for i in range(1, X.n + 1)
-            for pair in [(1, 2), (2, 3), (X.p - 1, X.p)]
-            for kind in (KIND_SWITCH, KIND_NEAR)
-        ]
+        # both kinds on every cell, each row with its own approximate values,
+        # shuffled: verification sorts by pair, then observation, stably
+        keys = [(i, j, kind) for i in range(1, X.n + 1) for j in (1, 2, X.p - 1)
+                for kind in (KIND_SWITCH, KIND_NEAR)]
+        cells = [(i, j, float(k), -float(k), kind) for k, (i, j, kind) in enumerate(keys)]
+        shuffled = [cells[k] for k in np.random.default_rng(5).permutation(len(cells))]
         aligned = {}
         for i in range(1, X.n + 1):
             E_loo = eigh(estimate_loo(X, spec, i))
             where = switching._align_ranks(engine.eigen, E_loo.vectors[np.newaxis])[0]
             aligned[i] = E_loo.values[where]
-        verified = verify_exact(events, engine)
-        assert len(verified) == len(events)
+        verified = list(verify_exact(event_table(X.row_labels, shuffled), engine))
+        assert [(ev.obs_index, ev.pair[0], ev.approx_lo, ev.approx_hi, ev.kind)
+                for ev in verified] == sorted(shuffled, key=lambda c: (c[1], c[0]))
         for ev in verified:
             lo, hi = aligned[ev.obs_index][[ev.pair[0] - 1, ev.pair[1] - 1]]
             want = lo < hi if ev.kind == KIND_SWITCH else abs(lo - hi) < DEFAULT_NEAR_DELTA
-            assert ev.verified_exact == want, f"obs {ev.obs_index} pair {ev.pair}"
+            assert ev.verified_exact is bool(want), f"obs {ev.obs_index} pair {ev.pair}"
 
 
 @pytest.fixture
@@ -214,7 +215,7 @@ class TestEngine:
                     for L in (2, 3)
                     for r in influence_records(engine, L, exact=rows)
                 ]
-                events = verify_exact(detect_near_switch(engine), engine)
+                events = list(verify_exact(detect_near_switch(engine), engine))
                 hybrid = hybrid_influence(engine, 2, rows).tolist()
             return records, events, hybrid, window.total
 

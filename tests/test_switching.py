@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigensens import (
-    CascadeUnderflowError,
     LooEngine,
     NoValidRetentionError,
     build_switch_report,
-    cascade_scan,
     count_decompositions,
     detect_near_switch,
     detect_switching,
@@ -28,7 +26,7 @@ from eigensens.eigen import EigenSystem
 from eigensens.subspace_diag import eif_b_series, scia_series
 from eigensens.switching import KIND_NEAR, KIND_SWITCH, SwitchEvent
 
-from conftest import COV_N, gaussian_data, make_data
+from conftest import COR_N, COV_N, event_table, gaussian_data, make_data
 
 
 def switch_set(events, pair=None):
@@ -53,19 +51,19 @@ class TestDetectSwitching:
 
     def test_well_separated_spectrum_is_quiet(self):
         X = gaussian_data(2, 40, [10.0, 3.0, 1.0, 0.3])
-        assert detect_switching(LooEngine(X, COV_N)) == []
+        assert len(detect_switching(LooEngine(X, COV_N))) == 0
 
     def test_planted_leverage_point(self, planted_switch):
         X, planted = planted_switch
         events = detect_switching(LooEngine(X, COV_N))
         assert [(ev.obs_index, ev.pair) for ev in events] == [(planted, (2, 3))]
         verified = verify_exact(events, LooEngine(X, COV_N))
-        assert verified[0].verified_exact is True
+        assert [ev.verified_exact for ev in verified] == [True]
 
     def test_pair_restriction_matches_full_scan(self, oils):
         full = detect_switching(LooEngine(oils, COV_N))
         only = detect_switching(LooEngine(oils, COV_N), pairs=[(2, 3)])
-        assert [ev for ev in full if ev.pair == (2, 3)] == only
+        assert [ev for ev in full if ev.pair == (2, 3)] == list(only)
 
     def test_invalid_pair_rejected(self, oils):
         with pytest.raises(ValueError, match="consecutive"):
@@ -120,6 +118,46 @@ class TestDetectNearSwitch:
                 assert ev.approx_lo >= ev.approx_hi
 
 
+def _per_cell_events(engine, pairs, delta):
+    """Switch and near-switch events of a loop over every cell of the table."""
+    table, labels = engine.table, engine.X.row_labels
+    switches, nears = [], []
+    for j in sorted({j for j, _ in pairs}):
+        for i in range(1, engine.n + 1):
+            lo, hi = table[i - 1, j - 1].item(), table[i - 1, j].item()
+            ev = SwitchEvent(i, labels[i - 1], (j, j + 1), lo, hi,
+                             KIND_SWITCH if lo < hi else KIND_NEAR)
+            if lo < hi:
+                switches.append(ev)
+            if abs(lo - hi) < delta:
+                nears.append(ev)
+    return switches, nears
+
+
+class TestScanAgainstPerCellLoop:
+    @given(seed=st.integers(0, 10**6), spec=st.sampled_from([COV_N, COR_N]),
+           restrict=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_tables_equal_a_loop_over_the_table(self, seed, spec, restrict):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 30))
+        p = int(rng.integers(2, 6))
+        X = make_data(rng.normal(size=(n, p)) * rng.uniform(0.5, 2.0, size=p))
+        delta = float(rng.uniform(0.01, 0.5))
+        # unsorted and repeated pairs come out sorted and once each
+        lows = rng.integers(1, p, size=int(rng.integers(1, p + 1)))
+        pairs = [(int(j), int(j) + 1) for j in lows] if restrict else None
+        engine = LooEngine(X, spec)
+        switches = list(detect_switching(engine, pairs))
+        nears = list(detect_near_switch(engine, delta, pairs))
+        want = _per_cell_events(engine, pairs or [(j, j + 1) for j in range(1, p)],
+                                delta)
+        assert (switches, nears) == want
+        for ev in nears:
+            assert (type(ev.obs_index), type(ev.approx_lo), type(ev.approx_hi)) == (
+                int, float, float)
+
+
 class TestVerifyExact:
     def test_oils_obs57_confirmed(self, oils):
         events = detect_switching(LooEngine(oils, COV_N), pairs=[(2, 3)])
@@ -128,7 +166,11 @@ class TestVerifyExact:
         assert status[57] is True
 
     def test_empty_in_empty_out(self, oils):
-        assert verify_exact([], LooEngine(oils, COV_N)) == []
+        with count_decompositions() as window:
+            verified = verify_exact(event_table(oils.row_labels, []),
+                                    LooEngine(oils, COV_N))
+        assert len(verified) == 0
+        assert window.total == 1
 
     def test_all_oils_events_confirmed(self, oils):
         events = detect_switching(LooEngine(oils, COV_N))
@@ -258,10 +300,9 @@ class TestRecommendL:
 
     def test_fallback_walk_rationale(self):
         X = gaussian_data(2, 40, [10.0, 5.0, 3.0, 1.0, 0.3])
-        fake = [
-            SwitchEvent(i, X.row_labels[i - 1], (j, j + 1), 0.0, 0.0, KIND_SWITCH)
-            for i, j in ((4, 3), (7, 4), (9, 2))
-        ]
+        fake = event_table(X.row_labels, [
+            (i, j, 0.0, 0.0, KIND_SWITCH) for i, j in ((4, 3), (7, 4), (9, 2))
+        ])
         advice = recommend_L(LooEngine(X, COV_N), 3, events=fake)
         assert advice.L == 1
         assert advice.rationale == (
@@ -275,14 +316,15 @@ class TestRecommendL:
         )
 
     def test_every_boundary_disrupted_reports_failure(self, oils):
-        events = detect_switching(LooEngine(oils, COV_N))
-        fake = [
-            dataclasses.replace(events[0], pair=(j, j + 1))
+        first = next(iter(detect_switching(LooEngine(oils, COV_N))))
+        fake = event_table(oils.row_labels, [
+            (first.obs_index, j, first.approx_lo, first.approx_hi, first.kind)
             for j in range(1, oils.p)
-        ]
+        ])
         with pytest.raises(NoValidRetentionError) as info:
             recommend_L(LooEngine(oils, COV_N), 2, events=fake)
-        assert len(info.value.events) == len(fake)
+        assert info.value.events is fake
+        assert len(info.value.events) == oils.p - 1
 
 
 class TestHybridInfluence:
@@ -367,60 +409,3 @@ class TestSwitchReport:
 
         assert dump() == dump()
 
-
-class TestCascadeScan:
-    def test_quiet_dataset_single_empty_round(self):
-        X = gaussian_data(2, 40, [10.0, 3.0, 1.0, 0.3])
-        rounds = cascade_scan(X, COV_N, 5, candidate_L=2)
-        assert len(rounds) == 1
-        assert rounds[0].events == []
-
-    def test_oils_round_one_matches_direct_detection(self, oils):
-        rounds = cascade_scan(oils, COV_N, 3, candidate_L=2)
-        assert switch_set(rounds[0].events, (2, 3)) == [42, 57, 58, 59, 60, 91, 93]
-
-    def test_oils_round_two_matches_reduced_rerun(self, oils):
-        rounds = cascade_scan(oils, COV_N, 2, candidate_L=2)
-        flagged = switch_set(rounds[0].events)
-        reduced = oils.drop_rows(flagged)
-        assert reduced.n == oils.n - len(flagged)
-        rerun = detect_switching(LooEngine(reduced, COV_N))
-        if len(rounds) > 1:
-            # map the rerun's positional indices back to original positions
-            survivors = [i for i in range(1, oils.n + 1) if i not in flagged]
-            expected = sorted({survivors[ev.obs_index - 1] for ev in rerun})
-            assert switch_set(rounds[1].events) == expected
-        else:
-            assert rerun == []
-
-    def test_planted_two_layer_instance(self, planted_cascade):
-        X, outer, inner = planted_cascade
-        rounds = cascade_scan(X, COV_N, 4, candidate_L=2)
-        assert len(rounds) == 3
-        assert switch_set(rounds[0].events) == [outer]
-        assert switch_set(rounds[1].events) == [inner]
-        assert switch_set(rounds[2].events) == []
-
-    def test_round_sizes_shrink_by_flagged_counts(self, planted_cascade):
-        X, outer, inner = planted_cascade
-        rounds = cascade_scan(X, COV_N, 4, candidate_L=2)
-        # labels refer to the original rows throughout, and later rounds
-        # never mention observations that were already deleted
-        deleted = set()
-        for report in rounds:
-            for ev in report.events:
-                assert ev.obs_index not in deleted
-                assert ev.obs_label == X.row_labels[ev.obs_index - 1]
-            deleted |= {ev.obs_index for ev in report.events
-                        if ev.kind == KIND_SWITCH}
-
-    def test_underflow_raises(self):
-        rng = np.random.default_rng(15)
-        X = make_data(rng.normal(size=(4, 2)))
-        assert len(switch_set(detect_switching(LooEngine(X, COV_N)))) >= 2
-        with pytest.raises(CascadeUnderflowError):
-            cascade_scan(X, COV_N, 5, candidate_L=1)
-
-    def test_max_rounds_validation(self, oils):
-        with pytest.raises(ValueError, match="max_rounds"):
-            cascade_scan(oils, COV_N, 0, candidate_L=2)
