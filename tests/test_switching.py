@@ -158,6 +158,65 @@ class TestScanAgainstPerCellLoop:
                 int, float, float)
 
 
+class TestEventTable:
+    """The columnar event table: its length, row views, columns and masks."""
+
+    LABELS = ["a", "b", "c", "d"]
+    ROWS = [(1, 1, 0.5, 0.75, KIND_SWITCH), (3, 1, 0.25, 0.2, KIND_NEAR),
+            (2, 2, 1.5, 1.45, KIND_NEAR), (4, 3, 0.1, 0.3, KIND_SWITCH),
+            (4, 3, 0.1, 0.3, KIND_NEAR), (2, 3, 0.0, 1.0, KIND_SWITCH)]
+
+    def test_iteration_yields_switch_event_rows_in_table_order(self):
+        table = event_table(self.LABELS, self.ROWS)
+        assert len(table) == len(self.ROWS)
+        assert list(table) == [
+            SwitchEvent(i, self.LABELS[i - 1], (j, j + 1), lo, hi, kind)
+            for i, j, lo, hi, kind in self.ROWS
+        ]
+        for ev in table:
+            assert ev.verified_exact is None
+            assert (type(ev.obs_index), type(ev.pair[0]), type(ev.pair[1]),
+                    type(ev.approx_lo), type(ev.approx_hi)) == (
+                int, int, int, float, float)
+
+    def test_verdicts_come_out_as_python_bools(self):
+        verdicts = [True, False, True, True, False, False]
+        table = event_table(self.LABELS, self.ROWS, verdicts)
+        assert [ev.verified_exact for ev in table] == verdicts
+        assert all(type(ev.verified_exact) is bool for ev in table)
+
+    def test_columns_pair_labels_and_kinds_with_each_row(self):
+        columns = event_table(self.LABELS, self.ROWS).columns()
+        obs, labels, low, high, lo, hi, kinds, verdicts = columns
+        assert obs == [row[0] for row in self.ROWS]
+        assert labels == [self.LABELS[i - 1] for i in obs]
+        assert high == [j + 1 for j in low]
+        assert (lo, hi) == ([row[2] for row in self.ROWS],
+                            [row[3] for row in self.ROWS])
+        assert kinds == [row[4] for row in self.ROWS]
+        assert verdicts == [None] * len(self.ROWS)
+
+    def test_switched_lists_distinct_switching_observations_of_a_boundary(self):
+        table = event_table(self.LABELS, self.ROWS + [(1, 3, 0.2, 0.4, KIND_SWITCH)])
+        assert table.switched(1) == [1]
+        # a boundary with only near-switch rows has no switching observation
+        assert table.switched(2) == []
+        # repeated observations count once, sorted whatever the row order
+        assert table.switched(3) == [1, 2, 4]
+        assert event_table(self.LABELS, []).switched(1) == []
+
+    def test_verify_exact_keeps_the_rows_and_leaves_its_input_unverified(self, oils):
+        engine = LooEngine(oils, COV_N)
+        events = detect_near_switch(engine)
+        verified = verify_exact(events, engine)
+        assert events.verified is None
+        for name in ("obs", "low", "approx_lo", "approx_hi", "switch"):
+            assert np.array_equal(getattr(verified, name), getattr(events, name))
+        assert verified.labels is events.labels
+        assert verified.verified.dtype == bool
+        assert len(verified.verified) == len(events) > 0
+
+
 class TestVerifyExact:
     def test_oils_obs57_confirmed(self, oils):
         events = detect_switching(LooEngine(oils, COV_N), pairs=[(2, 3)])
