@@ -8,8 +8,14 @@ eigenvalues, and builds corrected influence reports and component-retention
 recommendations around that knowledge.
 """
 
+import os
+import sys
 from importlib import resources
 from pathlib import Path
+
+# one OpenBLAS thread per caller unless set, before numpy loads (see README)
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -21,6 +21,7 @@ which lets callers assert how many decompositions a workflow actually spent.
 
 from __future__ import annotations
 
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -47,6 +48,7 @@ GAP_TOL = 1e-10
 NEGATIVE_CLAMP = -1e-10
 
 _open_windows: dict[int, SimpleNamespace] = {}
+_count_lock = threading.Lock()  # the sweeps decompose on two threads
 
 
 @contextmanager
@@ -136,8 +138,9 @@ def eigh_stack(mats: np.ndarray
     :func:`eigh` returns for matrix k alone.
     """
     mats = np.asarray(mats, dtype=float)
-    for window in _open_windows.values():
-        window.total += mats.shape[0]
+    with _count_lock:
+        for window in _open_windows.values():
+            window.total += mats.shape[0]
     try:
         values, vectors = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as exc:

@@ -30,7 +30,9 @@ their own input.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import os
+import threading
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -60,9 +62,13 @@ __all__ = [
     "eigenvalue_gradient_check",
 ]
 
-# float64 entries per stacked block (2 MiB), so that the leave-one-out sweeps
-# hold a few MB whatever n is
-CHUNK_ENTRIES = 1 << 18
+# float64 entries per stacked block (512 KiB), so that the leave-one-out sweeps,
+# with two blocks in flight, hold a few MB whatever n is
+CHUNK_ENTRIES = 1 << 16
+# two threads for the sweeps only with one BLAS thread each and two usable CPUs
+_PAIRED = os.environ.get("OPENBLAS_NUM_THREADS") == "1" and len(
+    os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+    else range(os.cpu_count() or 1)) > 1
 
 
 def component_score(E: EigenSystem, xbar: np.ndarray, x_i: np.ndarray, l: int) -> float:
@@ -74,6 +80,36 @@ def _chunk_rows(p: int, width: int | None = None) -> int:
     """Rows per stacked block of p x ``width`` matrices (p x p by default),
     so that a block stays small."""
     return max(1, CHUNK_ENTRIES // (p * (p if width is None else width)))
+
+
+def _blockwise(fn: Callable, blocks: Iterable) -> Iterator:
+    """``fn`` of each block, in order.  With ``_PAIRED`` the second block of
+    each pair runs on one helper thread, joined before either result is
+    yielded; its error raises after the first result."""
+    blocks = iter(blocks)
+    for first in blocks:
+        second = next(blocks, None) if _PAIRED else None
+        if second is None:
+            yield fn(first)
+            continue
+        got = []
+
+        def run():
+            try:
+                got.append(fn(second))
+            except Exception as exc:
+                got.append(exc)
+
+        helper = threading.Thread(target=run)
+        helper.start()
+        try:
+            result = fn(first)
+        finally:
+            helper.join()
+        yield result
+        if isinstance(got[0], Exception):
+            raise got[0]
+        yield got[0]
 
 
 def loo_eigenvalue_table(engine: LooEngine) -> np.ndarray:
@@ -116,10 +152,11 @@ def _rayleigh_block(engine: LooEngine, rows: np.ndarray, cols: np.ndarray
     V = engine.eigen.vectors[:, cols]
     out = np.empty((len(rows), len(cols)))
     step = _chunk_rows(engine.p)
-    for start in range(0, len(rows), step):
-        out[start:start + step] = np.einsum(
-            "jp,ijk,kp->ip", V, engine._loo_stack(rows[start:start + step]), V
-        )
+    starts = range(0, len(rows), step)
+    blocks = _blockwise(lambda start: np.einsum(
+        "jp,ijk,kp->ip", V, engine._loo_stack(rows[start:start + step]), V), starts)
+    for start, block in zip(starts, blocks):
+        out[start:start + step] = block
     return out
 
 
@@ -216,29 +253,30 @@ class LooEngine:
         Yields ``(block, values, vectors, gap_warnings)`` one block at a time:
         the next 1-based rows, in the order given, and the stacked arrays of
         their systems from one :func:`eigh_stack` call, one decomposition per
-        row.  A block holds at most ``CHUNK_ENTRIES`` matrix entries, so the
-        reduced systems of all rows are never held at once.  Each reduced
-        matrix is re-estimated from the deleted data in one reused (n-1) x p
-        buffer by the scatter of :func:`eigensens.dataset.estimate`, with the
-        bits of :func:`eigensens.dataset.estimate_loo`.
+        row.  A block holds at most ``CHUNK_ENTRIES`` matrix entries, two
+        blocks at most are in flight, and each reduced matrix is re-estimated
+        from the deleted data in its block's (n-1) x p buffer by the scatter
+        of :func:`eigensens.dataset.estimate`, with the bits of
+        :func:`eigensens.dataset.estimate_loo`.
         """
         X = self.X
         rows = [int(i) for i in rows]
         for i in rows:
             X._check_index(i)
-        if not rows:  # no (n-1) x p buffer for nothing
-            return
-        rest = np.empty((X.n - 1, X.p))
         step = _chunk_rows(X.p)
-        for start in range(0, len(rows), step):
-            block = rows[start:start + step]
+
+        def decompose(block: list[int]) -> tuple:
+            rest = np.empty((X.n - 1, X.p))
             scatters = np.empty((len(block), X.p, X.p))
             for k, i in enumerate(block):
                 rest[:i - 1] = X.values[:i - 1]
                 rest[i - 1:] = X.values[i:]
                 scatters[k] = _scatter(rest)
-            yield block, *eigh_stack(
+            return block, *eigh_stack(
                 _finish(scatters, self.spec, X.n - 1, X.col_labels))
+
+        yield from _blockwise(decompose,
+                              (rows[k:k + step] for k in range(0, len(rows), step)))
 
 
 def _check_unique(E: EigenSystem, j: int, what: str) -> None:

@@ -111,7 +111,7 @@ class _SampleMeasures:
     m values, computed by stacked ``matmul``, ``norm``, ``matrix_rank``,
     ``qr`` and ``svd``, which run the same kernel on each matrix as on one
     alone.  The n x L score stacks of ``sci`` go in sub-blocks of at most
-    ``CHUNK_ENTRIES`` entries, so memory stays bounded whatever n and L are.
+    ``CHUNK_ENTRIES`` entries per reduced block, so memory stays bounded.
     """
 
     def __init__(self, X: DataMatrix, E: EigenSystem, L: int):

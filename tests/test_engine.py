@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +41,15 @@ from eigensens import (
 from eigensens import influence, switching
 from eigensens.cli import main
 from eigensens.eigen import Subspace
-from eigensens.errors import DataError, ZeroVarianceError
+from eigensens.errors import ConvergenceError, DataError, ZeroVarianceError
 from eigensens.influence import _chunk_rows
 from eigensens.switching import DEFAULT_NEAR_DELTA, KIND_NEAR, KIND_SWITCH
 
 COR_N1 = EstimatorSpec("correlation", "n-1")
 SPECS = [COV_N, COV_N1, COR_N, COR_N1]
 
-# 400 rows of 30 columns: blocks of _chunk_rows(30) rows leave a partial one
+# 400 rows of 30 columns: three or more blocks of _chunk_rows(30) rows, the
+# last one partial
 SEEDED = gaussian_data(3, 400, np.linspace(3.0, 1.0, 30))
 
 
@@ -68,7 +70,7 @@ def _datasets():
 
 def test_seeded_rows_are_not_a_multiple_of_the_block():
     assert SEEDED.n % _chunk_rows(SEEDED.p) != 0
-    assert SEEDED.n > _chunk_rows(SEEDED.p)
+    assert SEEDED.n > 2 * _chunk_rows(SEEDED.p)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.divisor}")
@@ -298,6 +300,93 @@ class TestEngine:
                 assert np.array_equal(a.sif_eigen, b.sif_eigen)
             else:
                 assert b.sif_b is None and b.sci is None and b.sif_eigen is None
+
+
+def _sweep(X, spec):
+    """The table and every reduced block of ``X``, from a fresh engine."""
+    engine = LooEngine(X, spec)
+    return engine.table, list(engine.reduced(range(1, X.n + 1)))
+
+
+@pytest.fixture
+def stacks(monkeypatch) -> list[tuple[str, np.ndarray]]:
+    """(thread name, stack) of every stacked decomposition of the sweeps."""
+    calls = []
+    decompose = influence.eigh_stack
+
+    def spy(mats):
+        calls.append((threading.current_thread().name, mats))
+        return decompose(mats)
+
+    monkeypatch.setattr(influence, "eigh_stack", spy)
+    return calls
+
+
+class TestPairedBlocks:
+    """The sweeps' second block of each pair on a helper thread, against one thread."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.divisor}")
+    def test_helper_thread_changes_no_bit(self, spec, monkeypatch, stacks):
+        monkeypatch.setattr(influence, "_PAIRED", False)
+        table, blocks = _sweep(SEEDED, spec)
+        assert {name for name, _ in stacks} == {threading.main_thread().name}
+        monkeypatch.setattr(influence, "_PAIRED", True)
+        paired_table, paired_blocks = _sweep(SEEDED, spec)
+        # the second block of each pair went to a helper, one per pair
+        helpers = {name for name, _ in stacks} - {threading.main_thread().name}
+        assert len(helpers) == len(blocks) // 2
+        assert np.array_equal(paired_table, table)
+        assert len(paired_blocks) == len(blocks) >= 3
+        for (rows, values, vectors, gaps), got in zip(blocks, paired_blocks):
+            assert got[0] == rows
+            assert np.array_equal(got[1], values) and np.array_equal(got[2], vectors)
+            assert got[3] == gaps
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["one-thread", "paired"])
+    def test_second_block_error_follows_the_first_block(self, paired, monkeypatch,
+                                                        stacks):
+        monkeypatch.setattr(influence, "_PAIRED", False)
+        _, blocks = _sweep(SEEDED, COV_N)
+        second = stacks[1][1]
+
+        def fail_on_second(mats):
+            if np.array_equal(mats, second):
+                raise ConvergenceError("no convergence")
+            return eigh_stack(mats)
+
+        monkeypatch.setattr(influence, "_PAIRED", paired)
+        monkeypatch.setattr(influence, "eigh_stack", fail_on_second)
+        sweep = LooEngine(SEEDED, COV_N).reduced(range(1, SEEDED.n + 1))
+        assert next(sweep)[0] == blocks[0][0]
+        with pytest.raises(ConvergenceError, match="no convergence"):
+            next(sweep)
+
+    def test_no_helper_outlives_its_pair(self, monkeypatch):
+        monkeypatch.setattr(influence, "_PAIRED", True)
+        before = threading.active_count()
+        sweep = LooEngine(SEEDED, COV_N).reduced(range(1, SEEDED.n + 1))
+        next(sweep)
+        assert threading.active_count() == before
+        sweep.close()
+        assert threading.active_count() == before
+
+    def test_counts_are_exact_across_threads(self, monkeypatch):
+        monkeypatch.setattr(influence, "_PAIRED", True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            engine = LooEngine(SEEDED, COV_N)
+            rows = range(1, SEEDED.n + 1)
+            events = event_table(SEEDED.row_labels,
+                                 [(i, 1, 0.0, 0.0, KIND_NEAR) for i in rows])
+            for _ in range(20):
+                with count_decompositions() as verify:
+                    verify_exact(events, engine)
+                with count_decompositions() as records:
+                    influence_records(engine, 2, exact=rows)
+                assert (verify.total, records.total) == (SEEDED.n, SEEDED.n)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCliCost:

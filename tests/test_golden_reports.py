@@ -8,11 +8,14 @@ fails here before it reaches the benchmark.  Only reads ``bench/``.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import eigensens
 from eigensens.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,7 +50,7 @@ def test_oils_report_matches_recorded_digest(inv, oils_input, tmp_path):
     assert not problems, problems
 
 
-def _replay(workload, pool, name, tmp_path):
+def _replay(workload, pool, name, tmp_path, run=main):
     w = workloads.WORKLOADS[workload]
     inv = next(inv for inv in w.invocations if inv.name == name)
     want = reports.expected(reports.load_golden(), w.name, pool, inv.name)
@@ -55,14 +58,14 @@ def _replay(workload, pool, name, tmp_path):
     input_csv = workloads.write_input(w, pool, tmp_path / "input", ROOT)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    assert main(inv.argv(input_csv, out_dir)) == 0
+    assert run(inv.argv(input_csv, out_dir)) == 0
     problems, _ = reports.check(out_dir, want)
     assert not problems, problems
 
 
 # Oils fits in one stacked block of 7 x 7 matrices; these runs at p = 30
-# sweep 291-row blocks, so the table and the reduced systems cross block
-# boundaries.  The first two scan only the columns of their --pairs and
+# sweep 72-row blocks, two at a time, so the table and the reduced systems
+# cross block boundaries.  The first two scan only the columns of their --pairs and
 # project the flagged rows on their own, into CSV and into JSON with the
 # verify path.  The fifth to seventh hold the largest JSON document (5.6 MB,
 # mostly floats), the longest CSV tables flattened from document records, and
@@ -91,3 +94,39 @@ def test_uncertified_alignment_report_matches_recorded_digest(alignment_solves, 
     # the only row of the pool whose rank alignment the argmax cannot certify
     _replay("exact-dense-1000x30", 7, "switching-exact", tmp_path)
     assert alignment_solves == [30]
+
+
+# The console entry in a fresh interpreter, which then prints whether the
+# sweeps split their blocks with a helper thread.
+_CONSOLE = """
+import sys
+from eigensens import influence
+from eigensens.cli import main
+code = main(sys.argv[1:])
+print(influence._PAIRED)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("blas_threads", [None, "2"], ids=["pinned", "user-set-2"])
+def test_exact_switching_report_is_the_same_with_either_blas_setting(blas_threads,
+                                                                     tmp_path):
+    # unset, the package pins OpenBLAS to one thread and, given two CPUs,
+    # pairs the blocks; a user's 2 is kept and the sweeps run on one thread
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    src = str(Path(eigensens.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    paired = []
+
+    def console(argv):
+        proc = subprocess.run([sys.executable, "-c", _CONSOLE, *argv],
+                              capture_output=True, text=True, env=env)
+        sys.stderr.write(proc.stderr)
+        paired.append(proc.stdout.strip())
+        return proc.returncode
+
+    _replay("exact-dense-1000x30", 0, "switching-exact", tmp_path, run=console)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert paired == [str(blas_threads is None and cpus > 1)]
