@@ -13,9 +13,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-# one OpenBLAS thread per caller unless set, before numpy loads (see README)
-if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# one OpenBLAS thread per caller unless numpy is loaded or a count is set (see README)
+if "numpy" not in sys.modules and not os.environ.keys() & {
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS"}:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 __version__ = "0.1.0"
 

@@ -65,10 +65,8 @@ __all__ = [
 # float64 entries per stacked block (512 KiB), so that the leave-one-out sweeps,
 # with two blocks in flight, hold a few MB whatever n is
 CHUNK_ENTRIES = 1 << 16
-# two threads for the sweeps only with one BLAS thread each and two usable CPUs
-_PAIRED = os.environ.get("OPENBLAS_NUM_THREADS") == "1" and len(
-    os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
-    else range(os.cpu_count() or 1)) > 1
+# two threads for the sweeps only with one OpenBLAS thread each
+_PAIRED = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
 
 
 def component_score(E: EigenSystem, xbar: np.ndarray, x_i: np.ndarray, l: int) -> float:
@@ -84,8 +82,7 @@ def _chunk_rows(p: int, width: int | None = None) -> int:
 
 def _blockwise(fn: Callable, blocks: Iterable) -> Iterator:
     """``fn`` of each block, in order.  With ``_PAIRED`` the second block of
-    each pair runs on one helper thread, joined before either result is
-    yielded; its error raises after the first result."""
+    each pair runs on a helper thread, joined before either result is yielded."""
     blocks = iter(blocks)
     for first in blocks:
         second = next(blocks, None) if _PAIRED else None
@@ -97,7 +94,7 @@ def _blockwise(fn: Callable, blocks: Iterable) -> Iterator:
         def run():
             try:
                 got.append(fn(second))
-            except Exception as exc:
+            except Exception as exc:  # raised after the first block's result
                 got.append(exc)
 
         helper = threading.Thread(target=run)
@@ -152,11 +149,10 @@ def _rayleigh_block(engine: LooEngine, rows: np.ndarray, cols: np.ndarray
     V = engine.eigen.vectors[:, cols]
     out = np.empty((len(rows), len(cols)))
     step = _chunk_rows(engine.p)
-    starts = range(0, len(rows), step)
-    blocks = _blockwise(lambda start: np.einsum(
-        "jp,ijk,kp->ip", V, engine._loo_stack(rows[start:start + step]), V), starts)
-    for start, block in zip(starts, blocks):
-        out[start:start + step] = block
+    for k, block in enumerate(_blockwise(lambda start: np.einsum(
+            "jp,ijk,kp->ip", V, engine._loo_stack(rows[start:start + step]), V),
+            range(0, len(rows), step))):
+        out[k * step:(k + 1) * step] = block
     return out
 
 
@@ -265,9 +261,9 @@ class LooEngine:
             X._check_index(i)
         step = _chunk_rows(X.p)
 
-        def decompose(block: list[int]) -> tuple:
-            rest = np.empty((X.n - 1, X.p))
-            scatters = np.empty((len(block), X.p, X.p))
+        def decompose(start: int) -> tuple:
+            block = rows[start:start + step]
+            rest, scatters = np.empty((X.n - 1, X.p)), np.empty((len(block), X.p, X.p))
             for k, i in enumerate(block):
                 rest[:i - 1] = X.values[:i - 1]
                 rest[i - 1:] = X.values[i:]
@@ -275,8 +271,7 @@ class LooEngine:
             return block, *eigh_stack(
                 _finish(scatters, self.spec, X.n - 1, X.col_labels))
 
-        yield from _blockwise(decompose,
-                              (rows[k:k + step] for k in range(0, len(rows), step)))
+        yield from _blockwise(decompose, range(0, len(rows), step))
 
 
 def _check_unique(E: EigenSystem, j: int, what: str) -> None:

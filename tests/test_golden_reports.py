@@ -97,36 +97,41 @@ def test_uncertified_alignment_report_matches_recorded_digest(alignment_solves, 
 
 
 # The console entry in a fresh interpreter, which then prints whether the
-# sweeps split their blocks with a helper thread.
+# sweeps split their blocks with a helper thread, and its OpenBLAS setting.
 _CONSOLE = """
+import os
 import sys
 from eigensens import influence
 from eigensens.cli import main
 code = main(sys.argv[1:])
-print(influence._PAIRED)
+print(influence._PAIRED, os.environ.get("OPENBLAS_NUM_THREADS"))
 sys.exit(code)
 """
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
 
 
-@pytest.mark.parametrize("blas_threads", [None, "2"], ids=["pinned", "user-set-2"])
-def test_exact_switching_report_is_the_same_with_either_blas_setting(blas_threads,
+@pytest.mark.parametrize("blas, expected", [
+    ({}, "True 1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "False 2"),
+    ({"OMP_NUM_THREADS": "2"}, "False None"),
+], ids=["pinned", "user-set-2", "omp-set-2"])
+def test_exact_switching_report_is_the_same_with_either_blas_setting(blas, expected,
                                                                      tmp_path):
-    # unset, the package pins OpenBLAS to one thread and, given two CPUs,
-    # pairs the blocks; a user's 2 is kept and the sweeps run on one thread
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    if blas_threads is not None:
-        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    # with no BLAS thread count set, the package pins OpenBLAS to one thread
+    # and pairs the blocks; a count the user set is kept and the sweeps run
+    # on one thread
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(blas)
     src = str(Path(eigensens.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    paired = []
+    printed = []
 
     def console(argv):
         proc = subprocess.run([sys.executable, "-c", _CONSOLE, *argv],
                               capture_output=True, text=True, env=env)
         sys.stderr.write(proc.stderr)
-        paired.append(proc.stdout.strip())
+        printed.append(proc.stdout.strip())
         return proc.returncode
 
     _replay("exact-dense-1000x30", 0, "switching-exact", tmp_path, run=console)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert paired == [str(blas_threads is None and cpus > 1)]
+    assert printed == [expected]
