@@ -31,17 +31,14 @@ from .dataset import (
     estimate,
     estimate_loo,
     load_csv,
-    mean_vector,
 )
 from .eigen import (
     EigenSystem,
     Subspace,
-    canonical_correlations,
     count_decompositions,
     eigh,
     eigh_stack,
     pc_scores,
-    projector,
     subspace,
 )
 from .errors import (
@@ -54,24 +51,12 @@ from .errors import (
     UnsupportedEstimatorError,
     ZeroVarianceError,
 )
-from .influence import (
-    LooEngine,
-    component_score,
-    eif_covariance,
-    eif_eigenvalue,
-    eigen_influence,
-    eigenvalue_gradient_check,
-    loo_eigenvalue_table,
-    sif_eigenvalue,
-)
+from .influence import LooEngine, eigen_influence, loo_eigenvalue_table
 from .subspace_diag import (
     InfluenceRecord,
     eif_b_series,
     influence_records,
-    sci,
     scia_series,
-    sif_b,
-    subspace_alignment,
 )
 from .switching import (
     DEFAULT_NEAR_DELTA,

@@ -21,7 +21,6 @@ __all__ = [
     "EstimatorSpec",
     "SymmetricEstimate",
     "load_csv",
-    "mean_vector",
     "estimate",
     "estimate_loo",
 ]
@@ -270,11 +269,6 @@ def _parse_checked(fh, path: Path, header: bool,
         raise DataError(f"{path} has {len(values)} data rows; at least 3 are required")
     col_labels = [nm for k, nm in enumerate(names) if k != label_idx]
     return DataMatrix(np.array(values, dtype=float), labels, col_labels)
-
-
-def mean_vector(X: DataMatrix) -> np.ndarray:
-    """Column means of the data matrix."""
-    return X.values.mean(axis=0)
 
 
 def _scatter(values: np.ndarray) -> np.ndarray:

@@ -38,9 +38,7 @@ __all__ = [
     "eigh",
     "eigh_stack",
     "subspace",
-    "projector",
     "pc_scores",
-    "canonical_correlations",
     "count_decompositions",
 ]
 
@@ -184,11 +182,6 @@ def subspace(E: EigenSystem, L: int) -> Subspace:
     return Subspace(E.vectors[:, :L].copy(), L)
 
 
-def projector(S: Subspace) -> np.ndarray:
-    """Orthogonal projector onto the subspace: symmetric, idempotent, trace L."""
-    return S.basis @ S.basis.T
-
-
 def pc_scores(X: DataMatrix | np.ndarray, S: Subspace, centered: bool = True) -> np.ndarray:
     """Project each observation onto the retained basis (n x L scores)."""
     values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
@@ -199,21 +192,6 @@ def pc_scores(X: DataMatrix | np.ndarray, S: Subspace, centered: bool = True) ->
     if centered:
         values = values - values.mean(axis=0)
     return values @ S.basis
-
-
-def canonical_correlations(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Canonical correlations between the column spaces of ``A`` and ``B``.
-
-    Both matrices are centered column-wise, then the correlations are taken
-    from the spectrum of the product of the two orthogonal projectors (the
-    cosines of the principal angles), which stays stable when n is small.
-    Values are clipped to [0, 1] and returned in descending order.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape != B.shape:
-        raise ValueError(f"score matrices differ in shape: {A.shape} vs {B.shape}")
-    return _cosines(_score_basis(A, "first"), _score_basis(B, "second"))
 
 
 def _score_basis(scores: np.ndarray, name: str) -> np.ndarray:

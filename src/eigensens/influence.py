@@ -1,31 +1,30 @@
 """Influence of single observations on the eigenvalues of a symmetric estimate.
 
-Three flavours are provided for each eigenvalue:
+:func:`eigen_influence` sweeps two flavours of influence of every observation
+on every eigenvalue:
 
-* the sample influence, ``sif_eigenvalue``: -(n-1) times the change in the
-  eigenvalue when the observation is actually removed and the reduced matrix
-  is re-decomposed;
-* the empirical influence, ``eif_eigenvalue``: the closed form available for
-  the covariance estimator, computed from full-data quantities only;
+* the empirical influence: the closed form available for the covariance
+  estimator, computed from full-data quantities only;
 * the hybrid influence: -(n-1) times the shift of the approximated
   leave-one-out eigenvalue, which works for any symmetric estimator, closed
   form or not.
 
-:func:`eigen_influence` sweeps the empirical and hybrid influence of every
-observation on every eigenvalue.  The approximation behind the hybrid form is
-the Rayleigh quotient of the leave-one-out estimate at the full-data
-eigenvectors (:func:`loo_eigenvalue_table`).  Crucially those approximations
-are *not* re-sorted; they stay indexed by the full-data ranks, which is what
-makes order disruptions visible to the switching detector.
+The sample influence, -(n-1) times the change in the eigenvalue when the
+observation is actually removed and the reduced matrix is re-decomposed, is
+the ``sif_eigen`` of :func:`eigensens.subspace_diag.influence_records`, from
+the engine's exact reduced decompositions.  The approximation behind the
+hybrid form is the Rayleigh quotient of the leave-one-out estimate at the
+full-data eigenvectors (:func:`loo_eigenvalue_table`).  Crucially those
+approximations are *not* re-sorted; they stay indexed by the full-data
+ranks, which is what makes order disruptions visible to the switching
+detector.
 
 :class:`LooEngine` holds the leave-one-out state of one run: the full-data
 decomposition, mean and scatter, the rank-one downdates, the approximate table
 (each column computed once, when first needed) and the exact reduced
 decompositions, one per observation that needs one, as stacked arrays of
 eigenvalues and eigenvectors a block at a time.  Every leave-one-out
-sweep takes an engine as its one data argument; the per-observation
-functions are references that take the data and the estimator and decompose
-their own input.
+sweep takes an engine as its one data argument.
 """
 
 from __future__ import annotations
@@ -44,22 +43,13 @@ from .dataset import (
     _finish,
     _require_loo,
     _scatter,
-    estimate,
-    estimate_loo,
-    mean_vector,
 )
-from .eigen import EigenSystem, eigh, eigh_stack
-from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
+from .eigen import eigh, eigh_stack
 
 __all__ = [
     "LooEngine",
-    "component_score",
     "loo_eigenvalue_table",
     "eigen_influence",
-    "sif_eigenvalue",
-    "eif_covariance",
-    "eif_eigenvalue",
-    "eigenvalue_gradient_check",
 ]
 
 # float64 entries per stacked block (512 KiB), so that the leave-one-out sweeps,
@@ -67,11 +57,6 @@ __all__ = [
 CHUNK_ENTRIES = 1 << 16
 # two threads for the sweeps only with one OpenBLAS thread each
 _PAIRED = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
-
-
-def component_score(E: EigenSystem, xbar: np.ndarray, x_i: np.ndarray, l: int) -> float:
-    """Score of a point on the l-th eigenvector (1-based): eta_l . (x_i - xbar)."""
-    return float(E.vector(l) @ (np.asarray(x_i, float) - np.asarray(xbar, float)))
 
 
 def _chunk_rows(p: int, width: int | None = None) -> int:
@@ -272,99 +257,3 @@ class LooEngine:
                 _finish(scatters, self.spec, X.n - 1, X.col_labels))
 
         yield from _blockwise(decompose, range(0, len(rows), step))
-
-
-def _check_unique(E: EigenSystem, j: int, what: str) -> None:
-    if E.is_degenerate_at(j):
-        raise DegenerateEigenvaluesError(
-            f"eigenvalue {j} is nearly tied with a neighbour "
-            f"(gap warnings {E.gap_warnings}); {what} is not defined for "
-            "degenerate eigenvalues"
-        )
-
-
-def sif_eigenvalue(
-    X: DataMatrix,
-    spec: EstimatorSpec,
-    j: int,
-    i: int,
-) -> float:
-    """Sample influence of observation ``i`` on the j-th eigenvalue (1-based).
-
-    -(n-1) times the difference between the j-th eigenvalue with and without
-    the observation, both taken in descending order from true decompositions.
-    """
-    _require_loo(X)
-    E = eigh(estimate(X, spec))
-    _check_unique(E, j, "the sample influence of an eigenvalue")
-    loo_values = eigh(estimate_loo(X, spec, i)).values
-    return -(X.n - 1) * (float(loo_values[j - 1]) - E.value(j))
-
-
-def eif_covariance(
-    X: DataMatrix,
-    i: int,
-    spec: EstimatorSpec = EstimatorSpec(),
-) -> np.ndarray:
-    """Empirical influence of observation ``i`` on the covariance estimate.
-
-    The closed form (x_i - xbar)(x_i - xbar)^T - Sigma_hat, valid only for
-    the covariance estimator.
-    """
-    if spec.kind != COVARIANCE:
-        raise UnsupportedEstimatorError(
-            "the closed-form matrix influence is only available for the "
-            f"covariance estimator, not {spec.kind!r}"
-        )
-    delta = X.row(i) - mean_vector(X)
-    return np.outer(delta, delta) - estimate(X, spec).matrix
-
-
-def eif_eigenvalue(
-    X: DataMatrix,
-    j: int,
-    i: int,
-    spec: EstimatorSpec = EstimatorSpec(),
-) -> float:
-    """Closed-form empirical influence on the j-th covariance eigenvalue.
-
-    The squared score of the observation on the j-th eigenvector minus
-    the eigenvalue itself, using full-data quantities only.
-    """
-    if spec.kind != COVARIANCE:
-        raise UnsupportedEstimatorError(
-            "no closed-form eigenvalue influence is shipped for "
-            f"{spec.kind!r} estimates; use the hybrid influence of "
-            "eigen_influence(engine), which works for any symmetric estimator"
-        )
-    E = eigh(estimate(X, spec))
-    w = component_score(E, mean_vector(X), X.row(i), j)
-    return w * w - E.value(j)
-
-
-def eigenvalue_gradient_check(
-    W: SymmetricEstimate | np.ndarray,
-    x0: np.ndarray,
-    mu: np.ndarray,
-    j: int,
-    eps: float = 1e-6,
-) -> tuple[float, float]:
-    """Finite-difference check of the eigenvalue influence direction.
-
-    Contaminating a distribution with mass ``eps`` at ``x0`` perturbs the
-    covariance to (1-eps) Sigma + eps (1-eps) (x0-mu)(x0-mu)^T.  The function
-    returns the finite-difference slope of the j-th eigenvalue along that
-    path together with the analytic directional derivative
-    eta_j^T [(x0-mu)(x0-mu)^T - Sigma] eta_j; the caller asserts agreement.
-    """
-    if not 0.0 < eps <= 1e-4:
-        raise ValueError(f"eps must be in (0, 1e-4], got {eps}")
-    sigma = W.matrix if isinstance(W, SymmetricEstimate) else np.asarray(W, float)
-    E = eigh(sigma)
-    _check_unique(E, j, "the eigenvalue influence")
-    delta = np.asarray(x0, float) - np.asarray(mu, float)
-    rank_one = np.outer(delta, delta)
-    analytic = float(E.vector(j) @ (rank_one - sigma) @ E.vector(j))
-    perturbed = (1.0 - eps) * sigma + eps * (1.0 - eps) * rank_one
-    fd = (eigh(perturbed).value(j) - E.value(j)) / eps
-    return fd, analytic

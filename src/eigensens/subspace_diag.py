@@ -3,16 +3,15 @@
 Two families of diagnostics, each with an exact (leave-one-out) and an
 empirical (full-data-only) member:
 
-* ``sif_b`` / ``eif_b_series`` -- based on the sines of the angles between
-  the retained eigenvectors and their projections onto the perturbed
-  subspace;
-* ``sci`` / ``scia_series`` -- based on the average squared canonical
-  correlation between the retained score sets with and without the
-  observation.
+* ``sif_b`` / ``eif_b`` -- based on the sines of the angles between the
+  retained eigenvectors and their projections onto the perturbed subspace;
+* ``sci`` / ``scia`` -- based on the average squared canonical correlation
+  between the retained score sets with and without the observation.
 
-The exact members cost one extra decomposition per observation, shared by
-both of them in a sweep; the empirical members are computed for every
-observation from a single full-data decomposition.  Sign conventions:
+:func:`eif_b_series` and :func:`scia_series` give the empirical members of
+every observation from the engine's single full-data decomposition.
+:func:`influence_records` adds the exact members for the rows asked for,
+from one reduced decomposition per row shared by both.  Sign conventions:
 ``sif_b``/``eif_b`` are non-positive and ``sci``/``scia`` non-negative; it
 is the magnitudes that matter when comparing observations.
 """
@@ -25,23 +24,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dataset import (
-    COVARIANCE,
-    DataMatrix,
-    EstimatorSpec,
-    _require_loo,
-    estimate,
-    estimate_loo,
-)
-from .eigen import EigenSystem, Subspace, _cosines, _score_basis, eigh
+from .dataset import COVARIANCE, DataMatrix
+from .eigen import EigenSystem, _cosines, _score_basis
 from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
 from .influence import LooEngine, _chunk_rows, _scores
 
 __all__ = [
     "InfluenceRecord",
-    "subspace_alignment",
-    "sif_b",
-    "sci",
     "eif_b_series",
     "scia_series",
     "influence_records",
@@ -66,21 +55,6 @@ class InfluenceRecord:
     scia: float | None = None
     note: str | None = None
     sif_eigen: np.ndarray | None = None
-
-
-def subspace_alignment(S_full: Subspace, S_loo: Subspace) -> float:
-    """Mean alignment of the full-data basis with the perturbed subspace.
-
-    1 - (1/L) * sum_l ||(I - P_loo) eta_l||, i.e. one minus the average sine
-    of the angle between each retained eigenvector and its projection onto
-    the perturbed span.  Equals 1 when the spans agree, 0 when orthogonal.
-    """
-    if S_full.p != S_loo.p or S_full.L != S_loo.L:
-        raise ValueError(
-            f"subspace shapes differ: {S_full.basis.shape} vs {S_loo.basis.shape}"
-        )
-    residual = S_full.basis - S_loo.basis @ (S_loo.basis.T @ S_full.basis)
-    return 1.0 - float(np.mean(np.linalg.norm(residual, axis=0)))
 
 
 def _boundary_note(gaps: list[tuple[int, int]], L: int, where: str) -> str | None:
@@ -156,27 +130,6 @@ class _SampleMeasures:
         return out
 
 
-def _reference(X: DataMatrix, spec: EstimatorSpec, L: int, i: int
-               ) -> tuple[_SampleMeasures, np.ndarray]:
-    """The per-row references' shared step: the full-data measures of ``X``
-    and the 1 x p x L retained basis of the estimate without observation
-    ``i``, from two decompositions, with the sweeps' warnings."""
-    _require_loo(X)
-    X._check_index(i)
-    E = eigh(estimate(X, spec))
-    measures = _SampleMeasures(X, E, L)
-    if L == E.p:
-        warnings.warn(
-            "L equals the full dimension; the subspace influence is "
-            "identically zero",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    E_loo = eigh(estimate_loo(X, spec, i))
-    _warn_boundaries(E.gap_warnings, E_loo.gap_warnings, L)
-    return measures, measures.bases(E_loo.vectors[None])
-
-
 def _exact_blocks(engine: LooEngine, measures: _SampleMeasures, rows: Iterable[int]
                   ) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
     """The sweeps' exact pass over the distinct 1-based ``rows``, ascending.
@@ -191,21 +144,6 @@ def _exact_blocks(engine: LooEngine, measures: _SampleMeasures, rows: Iterable[i
         for loo_gaps in gaps:
             _warn_boundaries(engine.eigen.gap_warnings, loo_gaps, measures.L)
         yield block, values, measures.bases(vectors)
-
-
-def sif_b(
-    X: DataMatrix,
-    spec: EstimatorSpec,
-    L: int,
-    i: int,
-) -> float:
-    """Sample influence of observation ``i`` on the retained L-dim subspace.
-
-    (n-1) * [subspace_alignment(full basis, leave-one-out basis) - 1]; always <= 0, and
-    identically 0 when L = p because both spans are the whole space.
-    """
-    measures, W = _reference(X, spec, L, i)
-    return float(measures.sif_b(W)[0])
 
 
 def _empirical_pieces(engine: LooEngine, L: int):
@@ -258,22 +196,6 @@ def scia_series(engine: LooEngine, L: int) -> np.ndarray:
             total += (lam[k] / lam[l]) * om[:, l] ** 2 * om[:, k] ** 2 \
                 / (lam[l] - lam[k]) ** 2
     return total / L
-
-
-def sci(
-    X: DataMatrix,
-    spec: EstimatorSpec,
-    L: int,
-    i: int,
-) -> float:
-    """Sample influence of observation ``i`` on the retained score space.
-
-    (n-1)^2 * (1 - mean squared canonical correlation) between the n-row
-    score sets built from the full-data and leave-one-out bases.  The data
-    rows are the same on both sides; only the basis changes.
-    """
-    measures, W = _reference(X, spec, L, i)
-    return float(measures.sci(W)[0])
 
 
 def influence_records(

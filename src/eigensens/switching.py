@@ -276,6 +276,7 @@ def verify_exact(
     event when they sit within ``delta``.  Returns the events with their
     ``verified`` column filled, stably sorted by pair, then observation.
     """
+    _check_delta(delta)
     order = np.lexsort((events.obs, events.low))
     obs, low = events.obs[order], events.low[order]
     # not np.unique: its first call imports numpy.ma, a few ms of every run

@@ -20,17 +20,15 @@ from eigensens import (
     eigh,
     estimate_loo,
     hybrid_influence,
-    eigenvalue_gradient_check,
     influence_records,
     recommend_L,
-    sci,
     scia_series,
-    sif_b,
     eif_b_series,
 )
 from eigensens.dataset import DataMatrix
 
 from conftest import COV_N
+from reference import eigenvalue_gradient_check, sci, sif_b
 
 
 @contextmanager

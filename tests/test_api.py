@@ -1,17 +1,47 @@
 """The public calling convention, and the README example that documents it."""
 
+import ast
 import contextlib
+import importlib
 import inspect
 import io
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eigensens
 from eigensens import influence, subspace_diag, switching
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+from conftest import COR_N, COV_N
+from reference import (
+    eif_covariance,
+    eif_eigenvalue,
+    mean_vector,
+    sci,
+    sif_b,
+    sif_eigenvalue,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+MODULES = sorted((ROOT / "src" / "eigensens").glob("*.py"))
+
+# the one-row functions that moved to tests/reference.py
+MOVED = [
+    "sif_eigenvalue",
+    "eif_eigenvalue",
+    "eif_covariance",
+    "component_score",
+    "eigenvalue_gradient_check",
+    "sif_b",
+    "sci",
+    "subspace_alignment",
+    "projector",
+    "canonical_correlations",
+    "mean_vector",
+]
 
 # the leave-one-out sweeps: each takes a LooEngine as its one data argument
 SWEEPS = [
@@ -89,3 +119,79 @@ def test_readme_quick_start_runs():
     printed = out.getvalue().splitlines()
     assert printed[0] == "[42, 57, 58, 59, 60, 91, 93]"
     assert printed[1].startswith("3 - ")
+
+
+def _imports(path: Path) -> list[tuple[str, str]]:
+    """``(module, bound name)`` of every import in a source file."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [(a.name, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.module or "", a.asname or a.name) for a in node.names]
+    return found
+
+
+@pytest.mark.parametrize("path", [m for m in MODULES if m.name != "__init__.py"],
+                         ids=lambda m: m.name)
+def test_every_import_is_used(path):
+    # every CLI start compiles and runs each import, so none may be dead;
+    # a name read only in an annotation counts as used
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [name for module, name in _imports(path)
+              if module != "__future__" and name not in used]
+    assert unused == []
+
+
+def test_the_per_row_references_left_the_package():
+    modules = [importlib.import_module(f"eigensens.{m.stem}")
+               for m in MODULES if m.name != "__init__.py"]
+    assert [n for n in MOVED if hasattr(eigensens, n)] == []
+    assert [(m.__name__, n) for m in modules for n in MOVED if hasattr(m, n)] == []
+    assert [(m.__name__, n) for m in modules
+            for n in getattr(m, "__all__", ()) if n in MOVED] == []
+    assert [(m.name, module) for m in MODULES for module, _ in _imports(m)
+            if "reference" in module.split(".")] == []
+
+
+# the README's one-row recipes, checked against tests/reference.py
+RECIPE_ROWS = (1, 57, 96)
+SPECS = pytest.mark.parametrize("spec", [COV_N, COR_N], ids=["cov", "cor"])
+
+
+@SPECS
+def test_readme_recipe_for_sif_b_and_sci(oils, spec):
+    engine = eigensens.LooEngine(oils, spec)
+    for L in (1, 2, oils.p - 1):
+        for i in RECIPE_ROWS:
+            r = eigensens.influence_records(engine, L, exact=[i])[i - 1]
+            assert r.sif_b == sif_b(oils, spec, L, i), f"L={L} obs {i}"
+            assert r.sci == sci(oils, spec, L, i), f"L={L} obs {i}"
+
+
+@SPECS
+def test_readme_recipe_for_sif_eigenvalue(oils, spec):
+    engine = eigensens.LooEngine(oils, spec)
+    for i in RECIPE_ROWS:
+        r = eigensens.influence_records(engine, 2, exact=[i])[i - 1]
+        for j in range(1, oils.p + 1):
+            assert r.sif_eigen[j - 1] == sif_eigenvalue(oils, spec, j, i), \
+                f"obs {i} j={j}"
+
+
+def test_readme_recipe_for_eif_eigenvalue(oils):
+    eif = eigensens.eigen_influence(eigensens.LooEngine(oils, COV_N))[0]
+    for i in RECIPE_ROWS:
+        for j in range(1, oils.p + 1):
+            assert eif[i - 1, j - 1] == pytest.approx(
+                eif_eigenvalue(oils, j, i, COV_N), rel=1e-12), f"obs {i} j={j}"
+
+
+def test_readme_recipe_for_mean_vector_and_eif_covariance(oils):
+    engine = eigensens.LooEngine(oils, COV_N)
+    assert np.array_equal(engine.mean, mean_vector(oils))
+    for i in RECIPE_ROWS:
+        d = oils.row(i) - engine.mean
+        assert np.array_equal(np.outer(d, d) - eigensens.estimate(oils).matrix,
+                              eif_covariance(oils, i))

@@ -16,12 +16,12 @@ from eigensens import (
     estimate,
     estimate_loo,
     load_csv,
-    mean_vector,
 )
 from eigensens.dataset import _parse_bulk, _parse_checked
 from eigensens.eigen import eigh
 
 from conftest import COV_N, COV_N1, COR_N, gaussian_data, make_data
+from reference import mean_vector
 
 
 def _load_error(path, **options) -> str:

@@ -5,18 +5,17 @@ from hypothesis import strategies as st
 
 from eigensens import (
     RankDeficiencyError,
-    canonical_correlations,
     count_decompositions,
     eigh,
     eigh_stack,
     estimate,
     pc_scores,
-    projector,
     subspace,
 )
 from eigensens.eigen import GAP_TOL, NEGATIVE_CLAMP, Subspace
 
 from conftest import COV_N, gaussian_data, make_data
+from reference import canonical_correlations, projector
 
 
 def random_symmetric(rng, p, low=0.01, high=5.0):

@@ -13,16 +13,22 @@ import pytest
 import eigensens
 
 from conftest import COR_N, COV_N, COV_N1, event_table, gaussian_data
+from reference import (
+    canonical_correlations,
+    eif_eigenvalue,
+    sci,
+    sif_b,
+    sif_eigenvalue,
+    subspace_alignment,
+)
 from eigensens import (
     DataMatrix,
     EstimatorSpec,
     LooEngine,
     bundled_oils_path,
-    canonical_correlations,
     count_decompositions,
     detect_near_switch,
     detect_switching,
-    eif_eigenvalue,
     eigen_influence,
     eigh,
     eigh_stack,
@@ -32,10 +38,6 @@ from eigensens import (
     influence_records,
     load_oils,
     loo_eigenvalue_table,
-    sci,
-    sif_b,
-    sif_eigenvalue,
-    subspace_alignment,
     verify_exact,
 )
 from eigensens import influence, switching

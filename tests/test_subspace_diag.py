@@ -15,15 +15,13 @@ from eigensens import (
     eigh,
     estimate,
     hybrid_influence,
-    subspace_alignment,
-    sci,
     scia_series,
-    sif_b,
     subspace,
 )
 from eigensens.subspace_diag import influence_records
 
 from conftest import COV_N, COR_N, axis_swap_data, gaussian_data, make_data
+from reference import sci, sif_b, subspace_alignment
 
 
 def tied_spectrum_data():

@@ -17,8 +17,6 @@ from eigensens import (
     hybrid_influence,
     influence_records,
     recommend_L,
-    sci,
-    sif_b,
     verify_exact,
 )
 from eigensens import switching
@@ -27,6 +25,7 @@ from eigensens.subspace_diag import eif_b_series, scia_series
 from eigensens.switching import KIND_NEAR, KIND_SWITCH, SwitchEvent
 
 from conftest import COR_N, COV_N, event_table, gaussian_data, make_data
+from reference import sci, sif_b
 
 
 def switch_set(events, pair=None):
@@ -230,6 +229,16 @@ class TestVerifyExact:
                                     LooEngine(oils, COV_N))
         assert len(verified) == 0
         assert window.total == 1
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan])
+    def test_non_positive_delta_rejected(self, oils, delta):
+        engine = LooEngine(oils, COV_N)
+        events = detect_near_switch(engine, 0.1)
+        with count_decompositions() as window:
+            with pytest.raises(ValueError, match="delta must be positive"):
+                verify_exact(events, engine, delta=delta)
+        # refused before any reduced decomposition
+        assert window.total == 0
 
     def test_all_oils_events_confirmed(self, oils):
         events = detect_switching(LooEngine(oils, COV_N))
