@@ -271,8 +271,13 @@ def _parse_checked(fh, path: Path, header: bool,
     return DataMatrix(np.array(values, dtype=float), labels, col_labels)
 
 
-def _scatter(values: np.ndarray) -> np.ndarray:
-    centered = values - values.mean(axis=0)
+def _scatter(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Symmetrised scatter of the rows of ``values`` about their mean.
+
+    The centred rows go to ``out``, a fresh array when it is None; a caller
+    that rewrites its buffer anyway passes ``values`` itself.
+    """
+    centered = np.subtract(values, values.mean(axis=0), out=out)
     t = centered.T @ centered
     return (t + t.T) / 2.0
 

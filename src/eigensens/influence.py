@@ -224,8 +224,11 @@ class LooEngine:
         X = self.X
         delta = X.values[index] - self.mean
         outer = delta[:, :, None] * delta[:, None, :]
-        scatters = self._scatter - (X.n / (X.n - 1.0)) * outer
-        return _finish(scatters, self.spec, X.n - 1, X.col_labels)
+        # scaled and subtracted in place, the bits of the out-of-place form
+        # with one block-sized temporary fewer
+        outer *= X.n / (X.n - 1.0)
+        return _finish(np.subtract(self._scatter, outer, out=outer), self.spec,
+                       X.n - 1, X.col_labels)
 
     def reduced(self, rows: Iterable[int]) -> Iterator[
             tuple[list[int], np.ndarray, np.ndarray, list[list[tuple[int, int]]]]]:
@@ -236,8 +239,8 @@ class LooEngine:
         their systems from one :func:`eigh_stack` call, one decomposition per
         row.  A block holds at most ``CHUNK_ENTRIES`` matrix entries, two
         blocks at most are in flight, and each reduced matrix is re-estimated
-        from the deleted data in its block's (n-1) x p buffer by the scatter
-        of :func:`eigensens.dataset.estimate`, with the bits of
+        from the deleted data, centred in its block's (n-1) x p buffer, by the
+        scatter of :func:`eigensens.dataset.estimate`, with the bits of
         :func:`eigensens.dataset.estimate_loo`.
         """
         X = self.X
@@ -252,7 +255,7 @@ class LooEngine:
             for k, i in enumerate(block):
                 rest[:i - 1] = X.values[:i - 1]
                 rest[i - 1:] = X.values[i:]
-                scatters[k] = _scatter(rest)
+                scatters[k] = _scatter(rest, out=rest)
             return block, *eigh_stack(
                 _finish(scatters, self.spec, X.n - 1, X.col_labels))
 

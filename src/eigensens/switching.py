@@ -18,9 +18,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .eigen import EigenSystem
+from .eigen import EigenSystem, eigh_stack
 from .errors import NoValidRetentionError
-from .influence import LooEngine
+from .influence import LooEngine, _blockwise, _chunk_rows
 from .subspace_diag import _exact_blocks, _SampleMeasures, eif_b_series
 
 __all__ = [
@@ -261,6 +261,18 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return where
 
 
+def _aligned_exact(engine: LooEngine, rows: np.ndarray) -> np.ndarray:
+    """Exact eigenvalues without each of the 1-based ``rows``, by full-data rank.
+
+    An m x p array from one :func:`eigh_stack` call on the engine's rank-one
+    downdates, each spectrum re-indexed by :func:`_align_ranks`.  The
+    downdates agree with the rebuilt estimates of :meth:`LooEngine.reduced`
+    to rounding, not bit for bit, so the values serve verdicts only.
+    """
+    values, vectors, _ = eigh_stack(engine._loo_stack(rows - 1))
+    return np.take_along_axis(values, _align_ranks(engine.eigen, vectors), axis=1)
+
+
 def verify_exact(
     events: EventTable,
     engine: LooEngine,
@@ -269,9 +281,10 @@ def verify_exact(
 ) -> EventTable:
     """Confirm approximation-flagged events with true re-decompositions.
 
-    Each flagged observation's reduced matrix is decomposed once and its
-    eigenvalues are re-indexed by full-data rank via eigenvector alignment,
-    into one row of an aligned (flagged x p) array.  A switch event is
+    Each flagged observation's reduced matrix, the engine's rank-one
+    downdate, is decomposed once and its eigenvalues are re-indexed by
+    full-data rank via eigenvector alignment, into one row of an aligned
+    (flagged x p) array built in stacked blocks.  A switch event is
     confirmed when the aligned exact values are out of order; a near-switch
     event when they sit within ``delta``.  Returns the events with their
     ``verified`` column filled, stably sorted by pair, then observation.
@@ -281,12 +294,14 @@ def verify_exact(
     obs, low = events.obs[order], events.low[order]
     # not np.unique: its first call imports numpy.ma, a few ms of every run
     flagged = np.array(sorted(set(obs.tolist())), dtype=int)
+    for i in flagged.tolist():
+        engine.X._check_index(i)
     aligned = np.empty((len(flagged), engine.p))
-    start = 0
-    for block, values, vectors, _ in engine.reduced(flagged):
-        where = _align_ranks(engine.eigen, vectors)
-        aligned[start:start + len(block)] = np.take_along_axis(values, where, axis=1)
-        start += len(block)
+    step = _chunk_rows(engine.p)
+    for k, block in enumerate(_blockwise(
+            lambda start: _aligned_exact(engine, flagged[start:start + step]),
+            range(0, len(flagged), step))):
+        aligned[k * step:(k + 1) * step] = block
     row = np.searchsorted(flagged, obs)
     lo, hi = aligned[row, low - 1], aligned[row, low]
     switch = events.switch[order]

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from eigensens import (
     loo_eigenvalue_table,
     verify_exact,
 )
-from eigensens import influence, switching
+from eigensens import dataset, influence, switching
 from eigensens.cli import main
 from eigensens.eigen import Subspace
 from eigensens.errors import ConvergenceError, DataError, ZeroVarianceError
@@ -49,6 +50,14 @@ from eigensens.switching import DEFAULT_NEAR_DELTA, KIND_NEAR, KIND_SWITCH
 
 COR_N1 = EstimatorSpec("correlation", "n-1")
 SPECS = [COV_N, COV_N1, COR_N, COR_N1]
+
+# verification decomposes the engine's rank-one downdates, not rebuilt
+# estimates: its aligned eigenvalues match the reference path to this share of
+# max |lambda| (about 2e-15 measured on oils and SEEDED)
+ALIGNED_TOL = 1e-13
+# a downdated covariance entry's error against exact rational arithmetic, as a
+# share of the largest entry: at most 7.4e-16 on the oils rows tested
+DOWNDATE_TOL = 1e-14
 
 # 400 rows of 30 columns: three or more blocks of _chunk_rows(30) rows, the
 # last one partial
@@ -157,6 +166,16 @@ class TestAgainstReference:
                 assert record.sif_b == ref_b, f"L={L} obs {i}"
                 assert record.sci == ref_c, f"L={L} obs {i}"
 
+    def test_aligned_downdates_equal_aligned_references(self, X, spec):
+        engine = LooEngine(X, spec)
+        aligned = switching._aligned_exact(engine, np.arange(1, X.n + 1))
+        for i in range(1, X.n + 1):
+            E_loo = eigh(estimate_loo(X, spec, i))
+            where = switching._align_ranks(engine.eigen, E_loo.vectors[np.newaxis])[0]
+            want = E_loo.values[where]
+            error = np.max(np.abs(aligned[i - 1] - want))
+            assert error <= ALIGNED_TOL * np.max(np.abs(want)), f"obs {i}"
+
     def test_verify_exact_verdicts_equal_per_row_alignment(self, X, spec):
         engine = LooEngine(X, spec)
         # both kinds on every cell, each row with its own approximate values,
@@ -177,6 +196,38 @@ class TestAgainstReference:
             lo, hi = aligned[ev.obs_index][[ev.pair[0] - 1, ev.pair[1] - 1]]
             want = lo < hi if ev.kind == KIND_SWITCH else abs(lo - hi) < DEFAULT_NEAR_DELTA
             assert ev.verified_exact is bool(want), f"obs {ev.obs_index} pair {ev.pair}"
+
+
+@pytest.mark.parametrize("spec", [COV_N, COV_N1], ids=["n", "n-1"])
+@pytest.mark.parametrize("i", [1, 57, 96])
+def test_downdates_are_within_tolerance_of_exact_arithmetic(oils, spec, i):
+    rest = [[Fraction(x) for x in row]
+            for k, row in enumerate(oils.values.tolist()) if k != i - 1]
+    m, p = len(rest), oils.p
+    sums = [sum(row[a] for row in rest) for a in range(p)]
+    exact = [(sum(row[a] * row[b] for row in rest) - sums[a] * sums[b] / m)
+             / spec.denominator(m) for a in range(p) for b in range(p)]
+    bound = DOWNDATE_TOL * max(map(abs, exact))
+    # the downdate, and the rebuilt reference beside it
+    for got in (LooEngine(oils, spec).loo_block(i, i)[0],
+                estimate_loo(oils, spec, i).matrix):
+        assert max(abs(Fraction(g) - e) for g, e in zip(got.ravel().tolist(), exact)) <= bound
+
+
+@pytest.fixture
+def scatters(monkeypatch) -> list[int]:
+    """Row counts of every scatter formed, from whichever module forms it."""
+    calls = []
+    scatter = dataset._scatter
+
+    def spy(values, *args, **kwargs):
+        calls.append(len(values))
+        return scatter(values, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("eigensens") and getattr(module, "_scatter", None) is scatter:
+            monkeypatch.setattr(module, "_scatter", spy)
+    return calls
 
 
 @pytest.fixture
@@ -207,6 +258,24 @@ class TestEngine:
             blocks = [block for block, *_ in engine.reduced([58, 3, 42])]
         assert window.total == 3
         assert blocks == [[58, 3, 42]]
+
+    def test_verification_decomposes_downdates_and_rebuilds_nothing(self, oils,
+                                                                     scatters):
+        engine = LooEngine(oils, COV_N)
+        assert scatters == [oils.n]
+        events = detect_near_switch(engine)
+        flagged = sorted(set(events.obs.tolist()))
+        assert len(events) > len(flagged)
+        with count_decompositions() as window:
+            verify_exact(events, engine)
+        assert window.total == len(flagged)
+        assert scatters == [oils.n]
+        # the sweeps that print exact values rebuild each of their rows
+        with count_decompositions() as window:
+            influence_records(engine, 2, exact=flagged)
+            hybrid_influence(engine, 2, flagged)
+        assert window.total == 2 * len(flagged)
+        assert scatters == [oils.n] + [oils.n - 1] * 2 * len(flagged)
 
     def test_results_do_not_depend_on_block_size(self, oils, monkeypatch):
         rows = range(1, oils.n + 1)

@@ -21,6 +21,7 @@ from eigensens import (
 )
 from eigensens import switching
 from eigensens.eigen import EigenSystem
+from eigensens.errors import DataError
 from eigensens.subspace_diag import eif_b_series, scia_series
 from eigensens.switching import KIND_NEAR, KIND_SWITCH, SwitchEvent
 
@@ -238,6 +239,17 @@ class TestVerifyExact:
             with pytest.raises(ValueError, match="delta must be positive"):
                 verify_exact(events, engine, delta=delta)
         # refused before any reduced decomposition
+        assert window.total == 0
+
+    @pytest.mark.parametrize("obs", [0, 97])
+    def test_out_of_range_observation_rejected(self, oils, obs):
+        # a downdate indexes the data directly, so row 0 must not wrap round
+        engine = LooEngine(oils, COV_N)
+        events = event_table(oils.row_labels, [(1, 2, 0.0, 0.0, KIND_NEAR),
+                                               (obs, 2, 0.0, 0.0, KIND_NEAR)])
+        with count_decompositions() as window:
+            with pytest.raises(DataError, match="out of range"):
+                verify_exact(events, engine)
         assert window.total == 0
 
     def test_all_oils_events_confirmed(self, oils):
