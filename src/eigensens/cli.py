@@ -37,6 +37,7 @@ from .subspace_diag import influence_records
 from .switching import (
     DEFAULT_NEAR_DELTA,
     EventTable,
+    _scan,
     build_switch_report,
     hybrid_influence,
     verify_exact,
@@ -277,6 +278,12 @@ def _emit(args: argparse.Namespace, doc: dict, tables) -> None:
             write(fh, table)
 
 
+def _boundary_events(engine: LooEngine, L: int, delta: float) -> EventTable:
+    """Switches and near switches of the boundary (L, L+1), the rows a hybrid
+    mode makes exact, whatever pairs the report itself scans."""
+    return _scan(engine, [(L, L + 1)], reversed_pairs=True, delta=delta)
+
+
 def _analyze(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     """Eigen-analysis: eigenvalues, explained variance, scree table, scores."""
     E = eigh(estimate(X, spec))
@@ -332,11 +339,8 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     if args.mode == MODE_HYBRID:
         if args.L >= E.p:
             raise ValueError("hybrid mode needs L < p to have a boundary pair")
-        report = build_switch_report(
-            engine, candidate_L=args.L, delta=args.delta,
-            pairs=[(args.L, args.L + 1)],
-        )
-        kinds = {ev.obs_index: ev.kind for ev in report.events}
+        kinds = {ev.obs_index: ev.kind
+                 for ev in _boundary_events(engine, args.L, args.delta)}
         exact = kinds.keys()
     records = influence_records(engine, args.L, exact=exact)
     eif, hif = eigen_influence(engine)
@@ -402,7 +406,7 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     hybrid = None
     if args.mode == MODE_HYBRID:
         hybrid = {"measure": "B", "L": args.L}
-        boundary = set(events.obs[events.low == args.L].tolist())
+        boundary = set(_boundary_events(engine, args.L, args.delta).obs.tolist())
         try:
             series = hybrid_influence(engine, args.L, boundary).tolist()
             hybrid["series"] = [
@@ -414,7 +418,7 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
 
     body = {
         "mode": args.mode,
-        "delta": report.delta,
+        "delta": args.delta,
         "pairs": None if args.pairs is None
         else [list(pair) for pair in args.pairs],
         "candidate_L": args.L,
@@ -428,7 +432,7 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
 
     def tables():
         comments = (
-            f"delta={_rounded(report.delta, args.precision)}",
+            f"delta={_rounded(args.delta, args.precision)}",
             f"candidate_L={args.L}",
             f"recommended_L={advice.L}",
             f"rationale={advice.rationale}",

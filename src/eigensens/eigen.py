@@ -182,16 +182,14 @@ def subspace(E: EigenSystem, L: int) -> Subspace:
     return Subspace(E.vectors[:, :L].copy(), L)
 
 
-def pc_scores(X: DataMatrix | np.ndarray, S: Subspace, centered: bool = True) -> np.ndarray:
-    """Project each observation onto the retained basis (n x L scores)."""
+def pc_scores(X: DataMatrix | np.ndarray, S: Subspace) -> np.ndarray:
+    """Project each centred observation onto the retained basis (n x L scores)."""
     values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
     if values.shape[1] != S.p:
         raise ValueError(
             f"data has {values.shape[1]} columns but the basis expects {S.p}"
         )
-    if centered:
-        values = values - values.mean(axis=0)
-    return values @ S.basis
+    return (values - values.mean(axis=0)) @ S.basis
 
 
 def _score_basis(scores: np.ndarray, name: str) -> np.ndarray:

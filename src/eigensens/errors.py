@@ -32,12 +32,4 @@ class ConvergenceError(EigenSensError):
 
 
 class NoValidRetentionError(EigenSensError):
-    """Every candidate retention boundary is disrupted by switching.
-
-    ``events`` is the :class:`eigensens.switching.EventTable` that
-    disrupted them.
-    """
-
-    def __init__(self, message: str, events):
-        super().__init__(message)
-        self.events = events
+    """Every candidate retention boundary is disrupted by switching."""

@@ -97,10 +97,6 @@ class EventTable:
         for i, label, j, k, lo, hi, kind, verdict in zip(*self.columns()):
             yield SwitchEvent(i, label, (j, k), lo, hi, kind, verdict)
 
-    def switched(self, boundary: int) -> list[int]:
-        """The distinct observations that switch the pair (boundary, boundary+1)."""
-        return sorted(set(self.obs[self.switch & (self.low == boundary)].tolist()))
-
 
 @dataclass(frozen=True)
 class RetentionAdvice:
@@ -114,7 +110,6 @@ class SwitchReport:
 
     events: EventTable
     recommendation: RetentionAdvice
-    delta: float
 
 
 def _normalise_pairs(pairs: Sequence[tuple[int, int]] | None, p: int
@@ -310,27 +305,26 @@ def verify_exact(
                       events.approx_hi[order], switch, verified)
 
 
-def recommend_L(
-    engine: LooEngine,
-    candidate_L: int,
-    *,
-    events: EventTable | None = None,
-) -> RetentionAdvice:
+def recommend_L(engine: LooEngine, candidate_L: int) -> RetentionAdvice:
     """Adjust a candidate retained count away from switching boundaries.
 
     A boundary (L, L+1) hit by switching means the retained set is not
     stable under single-observation removal.  Retaining one more component
     keeps both eigenvectors involved and is preferred; when that would mean
     retaining everything, one fewer is recommended instead.  The walk
-    continues while the new boundary is also disrupted.  Without ``events``,
-    switching is detected on the table of ``engine``.
+    continues while the new boundary is also disrupted.  Each boundary
+    visited is read from the two table columns of ``engine`` it compares,
+    computed when the walk first reaches them.
     """
     p = engine.p
     if not 1 <= candidate_L < p:
         raise ValueError(f"candidate_L={candidate_L} out of range 1..{p - 1}")
-    if events is None:
-        events = detect_switching(engine)
-    switched = events.switched(candidate_L)
+
+    def switched_at(boundary: int) -> list[int]:
+        table = engine._columns((boundary, boundary + 1))
+        return (np.flatnonzero(table[:, boundary - 1] < table[:, boundary]) + 1).tolist()
+
+    switched = switched_at(candidate_L)
     if not switched:
         return RetentionAdvice(
             candidate_L,
@@ -352,7 +346,7 @@ def recommend_L(
                          f"falling back to L={nxt}")
         else:
             steps.append(f"no untried boundary above; falling back to L={nxt}")
-        switched = events.switched(nxt)
+        switched = switched_at(nxt)
         if not switched:
             steps.append(f"boundary ({nxt},{nxt + 1}) is clean")
             return RetentionAdvice(nxt, "; ".join(steps))
@@ -361,9 +355,7 @@ def recommend_L(
             f"{switched}"
         )
         previous = nxt
-    raise NoValidRetentionError(
-        "every candidate boundary is disrupted by switching", events
-    )
+    raise NoValidRetentionError("every candidate boundary is disrupted by switching")
 
 
 def hybrid_influence(
@@ -398,17 +390,18 @@ def build_switch_report(
     """Detect switching and near switching, and advise on the retained count.
 
     Detection flags reversed pairs and pairs within ``delta`` in one pass
-    over the approximate table; the advice walks away from the boundaries
-    those switches disrupt.  Confirming the events (:func:`verify_exact`) and
-    repairing an influence series at them (:func:`hybrid_influence`) are
-    separate stages on the same engine.
+    over the approximate table of ``pairs``; the advice walks away from
+    disrupted boundaries by :func:`recommend_L`, which reads the boundaries
+    it visits whatever ``pairs`` holds.  Confirming the events
+    (:func:`verify_exact`) and repairing an influence series at them
+    (:func:`hybrid_influence`) are separate stages on the same engine.
     """
     _check_delta(delta)
     wanted = _normalise_pairs(pairs, engine.p)
     events = _scan(engine, wanted, reversed_pairs=True, delta=delta)
     try:
-        advice = recommend_L(engine, candidate_L, events=events)
+        advice = recommend_L(engine, candidate_L)
     except NoValidRetentionError as exc:
         advice = RetentionAdvice(candidate_L, f"retention advice failed: {exc}")
-    return SwitchReport(events, advice, delta)
+    return SwitchReport(events, advice)
 

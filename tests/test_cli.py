@@ -291,6 +291,24 @@ class TestSwitching:
         doc = json.loads(out.read_text())
         assert doc["events"] == []
 
+    @pytest.mark.parametrize("mode", ["approx", "exact", "hybrid"])
+    def test_pairs_leave_the_advice_and_hybrid_series_unrestricted(self, tmp_path,
+                                                                   mode):
+        def report(*pairs):
+            out = tmp_path / f"{mode}{len(pairs)}.json"
+            assert run("switching", "--input", OILS, "--label-col", "oil_type",
+                       "--L", "2", "--mode", mode, *pairs, "--out", str(out)) == 0
+            return json.loads(out.read_text())
+
+        full, restricted = report(), report("--pairs", "1:2")
+        assert restricted["recommended_L"] == full["recommended_L"]
+        assert full["recommended_L"]["L"] == 3
+        assert restricted["hybrid"] == full["hybrid"]
+        if mode == "hybrid":
+            series = restricted["hybrid"]["series"]
+            assert sum(s["replaced"] for s in series) == 11
+            assert series[56]["value"] == -44.9935
+
     def test_hybrid_mode_emits_series(self, tmp_path):
         out = tmp_path / "sw.json"
         assert run("switching", "--input", OILS, "--label-col", "oil_type",

@@ -240,13 +240,6 @@ class TestPcScores:
         np.testing.assert_allclose(pc_scores(X, S).ravel(), [-2.0, 0.0, 2.0],
                                    atol=1e-14)
 
-    def test_uncentered(self):
-        X = make_data([[1.0], [2.0], [3.0]])
-        S = Subspace(np.array([[1.0]]), 1)
-        np.testing.assert_allclose(
-            pc_scores(X, S, centered=False).ravel(), [1.0, 2.0, 3.0]
-        )
-
     def test_dimension_mismatch(self):
         X = make_data([[1.0, 2.0, 3.0]] * 3)
         S = Subspace(np.eye(2), 2)

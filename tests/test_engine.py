@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eigensens
 
@@ -26,6 +28,7 @@ from eigensens import (
     DataMatrix,
     EstimatorSpec,
     LooEngine,
+    build_switch_report,
     bundled_oils_path,
     count_decompositions,
     detect_near_switch,
@@ -39,6 +42,7 @@ from eigensens import (
     influence_records,
     load_oils,
     loo_eigenvalue_table,
+    recommend_L,
     verify_exact,
 )
 from eigensens import dataset, influence, switching
@@ -198,6 +202,19 @@ class TestAgainstReference:
             assert ev.verified_exact is bool(want), f"obs {ev.obs_index} pair {ev.pair}"
 
 
+@pytest.mark.parametrize("spec", [COV_N, COR_N], ids=["cov", "cor"])
+@pytest.mark.parametrize("X", _datasets())
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_advice_does_not_depend_on_the_scanned_pairs(X, spec, data):
+    L = data.draw(st.integers(1, X.p - 1), label="candidate_L")
+    lows = data.draw(st.sets(st.integers(1, X.p - 1), min_size=1), label="pair lows")
+    restricted = build_switch_report(LooEngine(X, spec), candidate_L=L,
+                                     pairs=[(j, j + 1) for j in lows])
+    full = build_switch_report(LooEngine(X, spec), candidate_L=L)
+    assert restricted.recommendation == full.recommendation
+
+
 @pytest.mark.parametrize("spec", [COV_N, COV_N1], ids=["n", "n-1"])
 @pytest.mark.parametrize("i", [1, 57, 96])
 def test_downdates_are_within_tolerance_of_exact_arithmetic(oils, spec, i):
@@ -325,6 +342,12 @@ class TestEngine:
         detect_near_switch(engine, pairs=[(1, 2)])
         engine.table
         assert len(projected) == 2
+
+    def test_retention_walk_computes_the_columns_of_the_boundaries_it_visits(
+            self, oils, projected):
+        # (2,3) switches, (3,4) is clean: the walk stops there
+        assert recommend_L(LooEngine(oils, COV_N), 2).L == 3
+        assert projected == [(96, [1, 2]), (96, [3])]
 
     def test_table_rows_project_only_the_rows_asked_for(self, oils, projected):
         engine = LooEngine(oils, COV_N)
@@ -482,7 +505,20 @@ class TestCliCost:
                      "--label-col", "oil_type", "--pairs", "2:3",
                      "--out", str(tmp_path / "report.json")]) == 0
         flagged = json.loads((tmp_path / "report.json").read_text())["loo_eigenvalues"]
-        assert projected == [(96, [1, 2]), (len(flagged), list(range(7)))]
+        # the retention walk leaves (2,3) for the clean (3,4): one more column
+        assert projected == [(96, [1, 2]), (96, [3]), (len(flagged), list(range(7)))]
+
+    def test_influence_hybrid_scans_its_boundary_and_gives_no_advice(
+            self, tmp_path, projected, monkeypatch):
+        advised = []
+        monkeypatch.setattr(switching, "recommend_L",
+                            lambda *args, **kw: advised.append(args))
+        assert main(["influence", "--input", str(bundled_oils_path()),
+                     "--label-col", "oil_type", "--mode", "hybrid",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        # the (2,3) scan, then the rest of the table for the eigenvalue influence
+        assert projected == [(96, [1, 2]), (96, [0, 3, 4, 5, 6])]
+        assert advised == []
 
 
 # Runs in a fresh interpreter: the report of an exact switching run needs

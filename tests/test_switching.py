@@ -196,15 +196,6 @@ class TestEventTable:
         assert kinds == [row[4] for row in self.ROWS]
         assert verdicts == [None] * len(self.ROWS)
 
-    def test_switched_lists_distinct_switching_observations_of_a_boundary(self):
-        table = event_table(self.LABELS, self.ROWS + [(1, 3, 0.2, 0.4, KIND_SWITCH)])
-        assert table.switched(1) == [1]
-        # a boundary with only near-switch rows has no switching observation
-        assert table.switched(2) == []
-        # repeated observations count once, sorted whatever the row order
-        assert table.switched(3) == [1, 2, 4]
-        assert event_table(self.LABELS, []).switched(1) == []
-
     def test_verify_exact_keeps_the_rows_and_leaves_its_input_unverified(self, oils):
         engine = LooEngine(oils, COV_N)
         events = detect_near_switch(engine)
@@ -351,6 +342,17 @@ class TestAlignRanks:
         assert where.tolist() == [[1, 2, 0], [0, 1, 2], [2, 1, 0], [0, 1, 2]]
 
 
+def _doctored(engine, cells):
+    """``engine`` with its table filled by rows of strictly descending
+    values, except that each (obs, pair low) cell of ``cells`` is reversed."""
+    table = np.tile(np.arange(engine.p, 0, -1.0), (engine.n, 1))
+    for i, j in cells:
+        table[i - 1, [j - 1, j]] = table[i - 1, [j, j - 1]]
+    engine._table[:] = table
+    engine._filled[:] = True
+    return engine
+
+
 class TestRecommendL:
     def test_oils_candidate_two_becomes_three(self, oils):
         advice = recommend_L(LooEngine(oils, COV_N), 2)
@@ -380,10 +382,8 @@ class TestRecommendL:
 
     def test_fallback_walk_rationale(self):
         X = gaussian_data(2, 40, [10.0, 5.0, 3.0, 1.0, 0.3])
-        fake = event_table(X.row_labels, [
-            (i, j, 0.0, 0.0, KIND_SWITCH) for i, j in ((4, 3), (7, 4), (9, 2))
-        ])
-        advice = recommend_L(LooEngine(X, COV_N), 3, events=fake)
+        engine = _doctored(LooEngine(X, COV_N), [(4, 3), (7, 4), (9, 2)])
+        advice = recommend_L(engine, 3)
         assert advice.L == 1
         assert advice.rationale == (
             "boundary (3,4) switches for observations [4]; "
@@ -396,15 +396,13 @@ class TestRecommendL:
         )
 
     def test_every_boundary_disrupted_reports_failure(self, oils):
-        first = next(iter(detect_switching(LooEngine(oils, COV_N))))
-        fake = event_table(oils.row_labels, [
-            (first.obs_index, j, first.approx_lo, first.approx_hi, first.kind)
-            for j in range(1, oils.p)
-        ])
-        with pytest.raises(NoValidRetentionError) as info:
-            recommend_L(LooEngine(oils, COV_N), 2, events=fake)
-        assert info.value.events is fake
-        assert len(info.value.events) == oils.p - 1
+        engine = LooEngine(oils, COV_N)
+        first = next(iter(detect_switching(engine)))
+        # that observation's approximations, ascending, reverse every pair
+        engine.table[first.obs_index - 1].sort()
+        with pytest.raises(NoValidRetentionError,
+                           match="^every candidate boundary is disrupted by switching$"):
+            recommend_L(engine, 2)
 
 
 class TestHybridInfluence:
@@ -464,7 +462,6 @@ class TestSwitchReport:
     def test_oils_report_contents(self, oils):
         report = build_switch_report(LooEngine(oils, COV_N), candidate_L=2)
         assert report.recommendation.L == 3
-        assert report.delta == 0.1
         assert switch_set(report.events, (2, 3)) == [42, 57, 58, 59, 60, 91, 93]
         nears = sorted({
             ev.obs_index
@@ -474,17 +471,19 @@ class TestSwitchReport:
         assert nears == [28, 90, 94, 95]
 
     def test_deterministic_byte_for_byte(self, oils):
+        delta = 0.1
+
         def dump():
             engine = LooEngine(oils, COV_N)
-            report = build_switch_report(engine, candidate_L=2)
-            events = verify_exact(report.events, engine)
+            report = build_switch_report(engine, candidate_L=2, delta=delta)
+            events = verify_exact(report.events, engine, delta=delta)
             boundary = {ev.obs_index for ev in events if ev.pair == (2, 3)}
             series = hybrid_influence(engine, 2, boundary)
             return json.dumps({
                 "events": [dataclasses.asdict(ev) for ev in events],
                 "advice": dataclasses.asdict(report.recommendation),
                 "hybrid": series.tolist(),
-                "delta": report.delta,
+                "delta": delta,
             }, sort_keys=True)
 
         assert dump() == dump()
