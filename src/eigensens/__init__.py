@@ -65,10 +65,9 @@ from .switching import (
     SwitchEvent,
     SwitchReport,
     build_switch_report,
-    detect_near_switch,
-    detect_switching,
     hybrid_influence,
     recommend_L,
+    scan_events,
     verify_exact,
 )
 

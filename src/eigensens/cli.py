@@ -36,10 +36,12 @@ from .influence import LooEngine, eigen_influence
 from .subspace_diag import influence_records
 from .switching import (
     DEFAULT_NEAR_DELTA,
+    KIND_NEAR,
+    KIND_SWITCH,
     EventTable,
-    _scan,
     build_switch_report,
     hybrid_influence,
+    scan_events,
     verify_exact,
 )
 
@@ -278,12 +280,6 @@ def _emit(args: argparse.Namespace, doc: dict, tables) -> None:
             write(fh, table)
 
 
-def _boundary_events(engine: LooEngine, L: int, delta: float) -> EventTable:
-    """Switches and near switches of the boundary (L, L+1), the rows a hybrid
-    mode makes exact, whatever pairs the report itself scans."""
-    return _scan(engine, [(L, L + 1)], reversed_pairs=True, delta=delta)
-
-
 def _analyze(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     """Eigen-analysis: eigenvalues, explained variance, scree table, scores."""
     E = eigh(estimate(X, spec))
@@ -339,8 +335,10 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     if args.mode == MODE_HYBRID:
         if args.L >= E.p:
             raise ValueError("hybrid mode needs L < p to have a boundary pair")
-        kinds = {ev.obs_index: ev.kind
-                 for ev in _boundary_events(engine, args.L, args.delta)}
+        # the rows made exact are those of the boundary (L, L+1), one event each
+        boundary = scan_events(engine, [(args.L, args.L + 1)], delta=args.delta)
+        kinds = dict(zip(boundary.obs.tolist(), [
+            KIND_SWITCH if s else KIND_NEAR for s in boundary.switch.tolist()]))
         exact = kinds.keys()
     records = influence_records(engine, args.L, exact=exact)
     eif, hif = eigen_influence(engine)
@@ -406,7 +404,9 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     hybrid = None
     if args.mode == MODE_HYBRID:
         hybrid = {"measure": "B", "L": args.L}
-        boundary = set(_boundary_events(engine, args.L, args.delta).obs.tolist())
+        # the boundary's rows, whatever pairs the report itself scans
+        boundary = set(scan_events(engine, [(args.L, args.L + 1)],
+                                   delta=args.delta).obs.tolist())
         try:
             series = hybrid_influence(engine, args.L, boundary).tolist()
             hybrid["series"] = [

@@ -29,14 +29,14 @@ __all__ = [
     "EventTable",
     "RetentionAdvice",
     "SwitchReport",
-    "detect_switching",
-    "detect_near_switch",
+    "scan_events",
     "verify_exact",
     "recommend_L",
     "hybrid_influence",
     "build_switch_report",
 ]
 
+# suits data on the scale of the bundled example; a tuning knob, not a constant
 DEFAULT_NEAR_DELTA = 0.1
 
 KIND_SWITCH = "switch"
@@ -127,59 +127,35 @@ def _normalise_pairs(pairs: Sequence[tuple[int, int]] | None, p: int
     return sorted(set(out))
 
 
-def _scan(engine: LooEngine, wanted: list[tuple[int, int]], *,
-          reversed_pairs: bool, delta: float | None) -> EventTable:
-    """Events over the engine's table, one masked comparison for all pairs.
+def scan_events(
+    engine: LooEngine,
+    pairs: Sequence[tuple[int, int]] | None = None,
+    *,
+    delta: float | None = None,
+) -> EventTable:
+    """Flag every (i, pair) where removal reverses the approximated order,
+    ``approx[j] < approx[j+1]``, and, when ``delta`` is given, every (i, pair)
+    whose approximated eigenvalues sit within it.
 
-    Only the table columns of the ``wanted`` pairs are computed, so a scan
-    of a few pairs pays for a few columns; the engine keeps them for later
-    use.  Flags reversed pairs when ``reversed_pairs`` is set and pairs
-    within ``delta`` when it is given.  A flagged pair is a ``switch`` when
-    reversed and a ``near_switch`` otherwise.  ``wanted`` is sorted and the
-    mask is read pair by pair, so the events come out sorted by pair, then
-    observation.
+    A flagged cell is a ``switch`` when reversed and a ``near_switch``
+    otherwise.  The engine's full-data decomposition covers the entire
+    sweep; no reduced matrix is decomposed.  Only the table columns of
+    ``pairs`` (all adjacent pairs when None) are computed, and the engine
+    keeps them for later use.  One masked comparison reads every pair, pair
+    by pair, so the events come out sorted by pair, then observation.
     """
+    if delta is not None:
+        _check_delta(delta)
+    wanted = _normalise_pairs(pairs, engine.p)
     table = engine._columns(j for pair in wanted for j in pair)
     lows = np.array([j for j, _ in wanted], dtype=int)
     # pair by observation, so that nonzero walks pair, then observation
     lo, hi = table[:, lows - 1].T, table[:, lows].T
-    reversed_ = lo < hi
-    mask = reversed_ if reversed_pairs else np.zeros_like(reversed_)
-    if delta is not None:
-        mask = mask | (np.abs(lo - hi) < delta)
+    switch = lo < hi
+    mask = switch if delta is None else switch | (np.abs(lo - hi) < delta)
     pair, row = np.nonzero(mask)
     return EventTable(engine.X.row_labels, row + 1, lows[pair], lo[pair, row],
-                      hi[pair, row], reversed_[pair, row])
-
-
-def detect_switching(
-    engine: LooEngine,
-    pairs: Sequence[tuple[int, int]] | None = None,
-) -> EventTable:
-    """Flag every (i, pair) where removal reverses the approximated order.
-
-    The engine's full-data decomposition covers the entire sweep; no reduced
-    matrix is decomposed.  Only the approximate-table columns of ``pairs``
-    are computed (all of them when ``pairs`` is None).
-    """
-    wanted = _normalise_pairs(pairs, engine.p)
-    return _scan(engine, wanted, reversed_pairs=True, delta=None)
-
-
-def detect_near_switch(
-    engine: LooEngine,
-    delta: float = DEFAULT_NEAR_DELTA,
-    pairs: Sequence[tuple[int, int]] | None = None,
-) -> EventTable:
-    """Flag every (i, pair) whose approximated eigenvalues sit within delta.
-
-    Pairs that are also fully reversed are reported with the stronger
-    ``switch`` kind.  The default threshold of 0.1 suits data on the scale
-    of the bundled example; it is a tuning knob, not a universal constant.
-    """
-    _check_delta(delta)
-    wanted = _normalise_pairs(pairs, engine.p)
-    return _scan(engine, wanted, reversed_pairs=False, delta=delta)
+                      hi[pair, row], switch[pair, row])
 
 
 def _check_delta(delta: float) -> None:
@@ -313,16 +289,15 @@ def recommend_L(engine: LooEngine, candidate_L: int) -> RetentionAdvice:
     keeps both eigenvectors involved and is preferred; when that would mean
     retaining everything, one fewer is recommended instead.  The walk
     continues while the new boundary is also disrupted.  Each boundary
-    visited is read from the two table columns of ``engine`` it compares,
-    computed when the walk first reaches them.
+    visited is scanned by :func:`scan_events`, which computes its two table
+    columns when the walk first reaches them.
     """
     p = engine.p
     if not 1 <= candidate_L < p:
         raise ValueError(f"candidate_L={candidate_L} out of range 1..{p - 1}")
 
     def switched_at(boundary: int) -> list[int]:
-        table = engine._columns((boundary, boundary + 1))
-        return (np.flatnonzero(table[:, boundary - 1] < table[:, boundary]) + 1).tolist()
+        return scan_events(engine, [(boundary, boundary + 1)]).obs.tolist()
 
     switched = switched_at(candidate_L)
     if not switched:
@@ -387,18 +362,15 @@ def build_switch_report(
     delta: float = DEFAULT_NEAR_DELTA,
     pairs: Sequence[tuple[int, int]] | None = None,
 ) -> SwitchReport:
-    """Detect switching and near switching, and advise on the retained count.
+    """Detection by :func:`scan_events` plus retention advice.
 
-    Detection flags reversed pairs and pairs within ``delta`` in one pass
-    over the approximate table of ``pairs``; the advice walks away from
-    disrupted boundaries by :func:`recommend_L`, which reads the boundaries
-    it visits whatever ``pairs`` holds.  Confirming the events
-    (:func:`verify_exact`) and repairing an influence series at them
+    The events are ``scan_events(engine, pairs, delta=delta)``; the advice
+    walks away from disrupted boundaries by :func:`recommend_L`, which scans
+    the boundaries it visits whatever ``pairs`` holds.  Confirming the
+    events (:func:`verify_exact`) and repairing an influence series at them
     (:func:`hybrid_influence`) are separate stages on the same engine.
     """
-    _check_delta(delta)
-    wanted = _normalise_pairs(pairs, engine.p)
-    events = _scan(engine, wanted, reversed_pairs=True, delta=delta)
+    events = scan_events(engine, pairs, delta=delta)
     try:
         advice = recommend_L(engine, candidate_L)
     except NoValidRetentionError as exc:

@@ -14,14 +14,13 @@ from scipy.stats import spearmanr
 from eigensens import (
     LooEngine,
     count_decompositions,
-    detect_near_switch,
-    detect_switching,
     eigen_influence,
     eigh,
     estimate_loo,
     hybrid_influence,
     influence_records,
     recommend_L,
+    scan_events,
     scia_series,
     eif_b_series,
 )
@@ -74,8 +73,8 @@ def test_criterion_2_golden_approximations(oils):
 def test_criterion_3_detection_sets(oils):
     with criterion(3, "switching and near-switch sets on the oils data"):
         started = time.perf_counter()
-        events = detect_switching(LooEngine(oils, COV_N))
-        nears = detect_near_switch(LooEngine(oils, COV_N), 0.1, pairs=[(2, 3)])
+        events = scan_events(LooEngine(oils, COV_N))
+        nears = scan_events(LooEngine(oils, COV_N), [(2, 3)], delta=0.1)
         elapsed = time.perf_counter() - started
 
         by_pair = {}
@@ -245,10 +244,8 @@ def test_criterion_9_cost_contract(oils):
     with criterion(9, "hybrid sweep spends exactly 1 + |flagged| "
                       "decompositions"):
         engine = LooEngine(oils, COV_N)
-        events = detect_near_switch(engine, 0.1, pairs=[(2, 3)])
-        flagged = sorted({ev.obs_index for ev in events}
-                         | {ev.obs_index
-                            for ev in detect_switching(engine, pairs=[(2, 3)])})
+        events = scan_events(engine, [(2, 3)], delta=0.1)
+        flagged = sorted(set(events.obs.tolist()))
         assert len(flagged) == 11
         # measure B is hybrid_influence; measure C is influence_records with
         # the flagged rows exact (the CLI's hybrid_c)

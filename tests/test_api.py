@@ -50,8 +50,7 @@ SWEEPS = [
     "eif_b_series",
     "scia_series",
     "influence_records",
-    "detect_switching",
-    "detect_near_switch",
+    "scan_events",
     "verify_exact",
     "recommend_L",
     "hybrid_influence",
@@ -142,6 +141,18 @@ def test_every_import_is_used(path):
     unused = [name for module, name in _imports(path)
               if module != "__future__" and name not in used]
     assert unused == []
+
+
+def test_the_cli_imports_no_private_name():
+    # the command line is built on the package's public names alone
+    cli = ROOT / "src" / "eigensens" / "cli.py"
+    tree = ast.parse(cli.read_text(encoding="utf-8"))
+    private = [(node.module, a.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "eigensens")
+               for a in node.names
+               if a.name.startswith("_") and not a.name.startswith("__")]
+    assert private == []
 
 
 def test_the_per_row_references_left_the_package():

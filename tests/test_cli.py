@@ -308,6 +308,28 @@ class TestSwitching:
             series = restricted["hybrid"]["series"]
             assert sum(s["replaced"] for s in series) == 11
             assert series[56]["value"] == -44.9935
+            # the replaced rows are the boundary's, not those of --pairs: no
+            # event and no loo_eigenvalues row lists them
+            assert restricted["events"] == []
+            assert restricted["loo_eigenvalues"] == {}
+
+    @pytest.mark.parametrize("L", ["1", "2", "3", "5"])
+    def test_hybrid_series_equals_the_influence_hybrid_column(self, tmp_path, L):
+        # two code paths make the same rows exact: hybrid_influence in
+        # switching, influence_records and the row choice in influence
+        def report(command):
+            out = tmp_path / f"{command}.json"
+            assert run(command, "--input", OILS, "--label-col", "oil_type",
+                       "--L", L, "--mode", "hybrid", "--precision", "17",
+                       "--out", str(out)) == 0
+            return json.loads(out.read_text())
+
+        series = report("switching")["hybrid"]["series"]
+        rows = report("influence")["observations"]
+        assert [(s["value"], s["replaced"]) for s in series] == [
+            (r["hybrid_b"], r["replaced"]) for r in rows]
+        if L == "2":
+            assert sum(s["replaced"] for s in series) == 11
 
     def test_hybrid_mode_emits_series(self, tmp_path):
         out = tmp_path / "sw.json"

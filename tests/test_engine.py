@@ -31,8 +31,6 @@ from eigensens import (
     build_switch_report,
     bundled_oils_path,
     count_decompositions,
-    detect_near_switch,
-    detect_switching,
     eigen_influence,
     eigh,
     eigh_stack,
@@ -43,6 +41,7 @@ from eigensens import (
     load_oils,
     loo_eigenvalue_table,
     recommend_L,
+    scan_events,
     verify_exact,
 )
 from eigensens import dataset, influence, switching
@@ -113,7 +112,7 @@ class TestAgainstReference:
     def test_pair_columns_equal_full_table_columns(self, X, spec, pairs):
         full = LooEngine(X, spec).table
         engine = LooEngine(X, spec)
-        detect_switching(engine, pairs=pairs)
+        scan_events(engine, pairs)
         cols = sorted({j - 1 for pair in pairs for j in pair})
         assert np.array_equal(engine._table[:, cols], full[:, cols])
         # the partly filled engine completes to the same table
@@ -124,7 +123,7 @@ class TestAgainstReference:
         rows = [X.n, 1, X.n // 2, 2]
         engine = LooEngine(X, spec)
         before = engine.table_rows(rows)
-        detect_switching(engine, pairs=[(2, 3)])
+        scan_events(engine, [(2, 3)])
         partial = engine.table_rows(rows)
         table = engine.table
         assert np.array_equal(before, table[np.array(rows) - 1])
@@ -280,7 +279,7 @@ class TestEngine:
                                                                      scatters):
         engine = LooEngine(oils, COV_N)
         assert scatters == [oils.n]
-        events = detect_near_switch(engine)
+        events = scan_events(engine, delta=DEFAULT_NEAR_DELTA)
         flagged = sorted(set(events.obs.tolist()))
         assert len(events) > len(flagged)
         with count_decompositions() as window:
@@ -305,7 +304,8 @@ class TestEngine:
                     for L in (2, 3)
                     for r in influence_records(engine, L, exact=rows)
                 ]
-                events = list(verify_exact(detect_near_switch(engine), engine))
+                events = scan_events(engine, delta=DEFAULT_NEAR_DELTA)
+                events = list(verify_exact(events, engine))
                 hybrid = hybrid_influence(engine, 2, rows).tolist()
             return records, events, hybrid, window.total
 
@@ -334,12 +334,12 @@ class TestEngine:
 
     def test_pair_scan_computes_only_its_columns(self, oils, projected):
         engine = LooEngine(oils, COV_N)
-        detect_switching(engine, pairs=[(2, 3)])
+        scan_events(engine, [(2, 3)])
         assert projected == [(96, [1, 2])]
         engine.table
         assert projected == [(96, [1, 2]), (96, [0, 3, 4, 5, 6])]
-        detect_switching(engine, pairs=[(2, 3)])
-        detect_near_switch(engine, pairs=[(1, 2)])
+        scan_events(engine, [(2, 3)])
+        scan_events(engine, [(1, 2)], delta=DEFAULT_NEAR_DELTA)
         engine.table
         assert len(projected) == 2
 

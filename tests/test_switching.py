@@ -12,18 +12,17 @@ from eigensens import (
     NoValidRetentionError,
     build_switch_report,
     count_decompositions,
-    detect_near_switch,
-    detect_switching,
     hybrid_influence,
     influence_records,
     recommend_L,
+    scan_events,
     verify_exact,
 )
 from eigensens import switching
 from eigensens.eigen import EigenSystem
 from eigensens.errors import DataError
 from eigensens.subspace_diag import eif_b_series, scia_series
-from eigensens.switching import KIND_NEAR, KIND_SWITCH, SwitchEvent
+from eigensens.switching import DEFAULT_NEAR_DELTA, KIND_NEAR, KIND_SWITCH, SwitchEvent
 
 from conftest import COR_N, COV_N, event_table, gaussian_data, make_data
 from reference import sci, sif_b
@@ -39,67 +38,70 @@ def switch_set(events, pair=None):
 
 class TestDetectSwitching:
     def test_oils_pair_2_3(self, oils):
-        events = detect_switching(LooEngine(oils, COV_N))
+        events = scan_events(LooEngine(oils, COV_N))
         assert switch_set(events, (2, 3)) == [42, 57, 58, 59, 60, 91, 93]
         assert switch_set(events, (1, 2)) == []
         assert switch_set(events, (3, 4)) == []
 
     def test_events_store_the_values_they_compared(self, oils):
-        for ev in detect_switching(LooEngine(oils, COV_N)):
+        for ev in scan_events(LooEngine(oils, COV_N)):
             assert ev.approx_lo < ev.approx_hi
             assert ev.kind == KIND_SWITCH
 
     def test_well_separated_spectrum_is_quiet(self):
         X = gaussian_data(2, 40, [10.0, 3.0, 1.0, 0.3])
-        assert len(detect_switching(LooEngine(X, COV_N))) == 0
+        assert len(scan_events(LooEngine(X, COV_N))) == 0
 
     def test_planted_leverage_point(self, planted_switch):
         X, planted = planted_switch
-        events = detect_switching(LooEngine(X, COV_N))
+        events = scan_events(LooEngine(X, COV_N))
         assert [(ev.obs_index, ev.pair) for ev in events] == [(planted, (2, 3))]
         verified = verify_exact(events, LooEngine(X, COV_N))
         assert [ev.verified_exact for ev in verified] == [True]
 
     def test_pair_restriction_matches_full_scan(self, oils):
-        full = detect_switching(LooEngine(oils, COV_N))
-        only = detect_switching(LooEngine(oils, COV_N), pairs=[(2, 3)])
+        full = scan_events(LooEngine(oils, COV_N))
+        only = scan_events(LooEngine(oils, COV_N), [(2, 3)])
         assert [ev for ev in full if ev.pair == (2, 3)] == list(only)
 
     def test_invalid_pair_rejected(self, oils):
         with pytest.raises(ValueError, match="consecutive"):
-            detect_switching(LooEngine(oils, COV_N), pairs=[(2, 4)])
+            scan_events(LooEngine(oils, COV_N), [(2, 4)])
 
     def test_events_sorted_by_pair_then_observation(self, oils):
-        events = detect_switching(LooEngine(oils, COV_N))
+        events = scan_events(LooEngine(oils, COV_N))
         keys = [(ev.pair, ev.obs_index) for ev in events]
         assert keys == sorted(keys)
 
 
 class TestDetectNearSwitch:
     def test_oils_near_set_includes_known_observations(self, oils):
-        events = detect_near_switch(LooEngine(oils, COV_N), 0.1, pairs=[(2, 3)])
+        events = scan_events(LooEngine(oils, COV_N), [(2, 3)], delta=0.1)
         nears = sorted({
             ev.obs_index for ev in events if ev.kind == KIND_NEAR
         })
         assert nears == [28, 90, 94, 95]
 
     def test_switching_observations_keep_the_stronger_kind(self, oils):
-        events = detect_near_switch(LooEngine(oils, COV_N), 0.1, pairs=[(2, 3)])
+        events = scan_events(LooEngine(oils, COV_N), [(2, 3)], delta=0.1)
         kinds = {ev.obs_index: ev.kind for ev in events}
         for i in (42, 58, 60):
             assert kinds[i] == KIND_SWITCH
 
     def test_zero_delta_rejected(self, oils):
         with pytest.raises(ValueError, match="positive"):
-            detect_near_switch(LooEngine(oils, COV_N), 0.0)
+            scan_events(LooEngine(oils, COV_N), delta=0.0)
 
     def test_infinite_delta_flags_everything(self, oils):
-        events = detect_near_switch(LooEngine(oils, COV_N), np.inf)
+        events = scan_events(LooEngine(oils, COV_N), delta=np.inf)
         assert len(events) == oils.n * (oils.p - 1)
 
     def test_near_events_satisfy_their_inequality(self, oils):
-        for ev in detect_near_switch(LooEngine(oils, COV_N), 0.1):
-            assert abs(ev.approx_lo - ev.approx_hi) < 0.1
+        for ev in scan_events(LooEngine(oils, COV_N), delta=0.1):
+            if ev.kind == KIND_NEAR:
+                assert abs(ev.approx_lo - ev.approx_hi) < 0.1
+            else:
+                assert ev.approx_lo < ev.approx_hi
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None)
@@ -108,20 +110,23 @@ class TestDetectNearSwitch:
         n = int(rng.integers(8, 30))
         p = int(rng.integers(2, 5))
         X = make_data(rng.normal(size=(n, p)) * rng.uniform(0.5, 2.0, size=p))
-        for ev in detect_switching(LooEngine(X, COV_N)):
+        for ev in scan_events(LooEngine(X, COV_N)):
             assert ev.kind == KIND_SWITCH
             assert ev.approx_lo < ev.approx_hi
         delta = float(rng.uniform(0.01, 0.5))
-        for ev in detect_near_switch(LooEngine(X, COV_N), delta):
-            assert abs(ev.approx_lo - ev.approx_hi) < delta
+        for ev in scan_events(LooEngine(X, COV_N), delta=delta):
             if ev.kind == KIND_NEAR:
+                assert abs(ev.approx_lo - ev.approx_hi) < delta
                 assert ev.approx_lo >= ev.approx_hi
+            else:
+                assert ev.approx_lo < ev.approx_hi
 
 
 def _per_cell_events(engine, pairs, delta):
-    """Switch and near-switch events of a loop over every cell of the table."""
+    """The events of a loop over every cell of the table: the switches alone,
+    and the switches together with the cells within ``delta``."""
     table, labels = engine.table, engine.X.row_labels
-    switches, nears = [], []
+    switches, with_nears = [], []
     for j in sorted({j for j, _ in pairs}):
         for i in range(1, engine.n + 1):
             lo, hi = table[i - 1, j - 1].item(), table[i - 1, j].item()
@@ -129,9 +134,9 @@ def _per_cell_events(engine, pairs, delta):
                              KIND_SWITCH if lo < hi else KIND_NEAR)
             if lo < hi:
                 switches.append(ev)
-            if abs(lo - hi) < delta:
-                nears.append(ev)
-    return switches, nears
+            if lo < hi or abs(lo - hi) < delta:
+                with_nears.append(ev)
+    return switches, with_nears
 
 
 class TestScanAgainstPerCellLoop:
@@ -148,8 +153,8 @@ class TestScanAgainstPerCellLoop:
         lows = rng.integers(1, p, size=int(rng.integers(1, p + 1)))
         pairs = [(int(j), int(j) + 1) for j in lows] if restrict else None
         engine = LooEngine(X, spec)
-        switches = list(detect_switching(engine, pairs))
-        nears = list(detect_near_switch(engine, delta, pairs))
+        switches = list(scan_events(engine, pairs))
+        nears = list(scan_events(engine, pairs, delta=delta))
         want = _per_cell_events(engine, pairs or [(j, j + 1) for j in range(1, p)],
                                 delta)
         assert (switches, nears) == want
@@ -198,7 +203,7 @@ class TestEventTable:
 
     def test_verify_exact_keeps_the_rows_and_leaves_its_input_unverified(self, oils):
         engine = LooEngine(oils, COV_N)
-        events = detect_near_switch(engine)
+        events = scan_events(engine, delta=DEFAULT_NEAR_DELTA)
         verified = verify_exact(events, engine)
         assert events.verified is None
         for name in ("obs", "low", "approx_lo", "approx_hi", "switch"):
@@ -210,7 +215,7 @@ class TestEventTable:
 
 class TestVerifyExact:
     def test_oils_obs57_confirmed(self, oils):
-        events = detect_switching(LooEngine(oils, COV_N), pairs=[(2, 3)])
+        events = scan_events(LooEngine(oils, COV_N), [(2, 3)])
         verified = verify_exact(events, LooEngine(oils, COV_N))
         status = {ev.obs_index: ev.verified_exact for ev in verified}
         assert status[57] is True
@@ -225,7 +230,7 @@ class TestVerifyExact:
     @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan])
     def test_non_positive_delta_rejected(self, oils, delta):
         engine = LooEngine(oils, COV_N)
-        events = detect_near_switch(engine, 0.1)
+        events = scan_events(engine, delta=0.1)
         with count_decompositions() as window:
             with pytest.raises(ValueError, match="delta must be positive"):
                 verify_exact(events, engine, delta=delta)
@@ -244,7 +249,7 @@ class TestVerifyExact:
         assert window.total == 0
 
     def test_all_oils_events_confirmed(self, oils):
-        events = detect_switching(LooEngine(oils, COV_N))
+        events = scan_events(LooEngine(oils, COV_N))
         verified = verify_exact(events, LooEngine(oils, COV_N))
         assert all(ev.verified_exact for ev in verified)
 
@@ -371,7 +376,7 @@ class TestRecommendL:
         assert advice.L == 4
 
     def test_never_recommends_a_switching_boundary(self, planted_multipair):
-        events = detect_switching(LooEngine(planted_multipair, COV_N))
+        events = scan_events(LooEngine(planted_multipair, COV_N))
         switched_boundaries = {ev.pair[0] for ev in events}
         advice = recommend_L(LooEngine(planted_multipair, COV_N), 2)
         assert advice.L not in switched_boundaries
@@ -397,7 +402,7 @@ class TestRecommendL:
 
     def test_every_boundary_disrupted_reports_failure(self, oils):
         engine = LooEngine(oils, COV_N)
-        first = next(iter(detect_switching(engine)))
+        first = next(iter(scan_events(engine)))
         # that observation's approximations, ascending, reverse every pair
         engine.table[first.obs_index - 1].sort()
         with pytest.raises(NoValidRetentionError,
