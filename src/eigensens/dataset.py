@@ -282,6 +282,21 @@ def _scatter(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return (t + t.T) / 2.0
 
 
+def _unit_free(values: np.ndarray, spec: EstimatorSpec) -> np.ndarray:
+    """``values`` in the units of the scatter of ``spec``.
+
+    Under correlation each column is scaled by the power of two that brings
+    its largest |value| into [0.5, 1), so that the scatter neither overflows
+    nor underflows at extreme units; in the normal range the scaling is exact
+    and cancels in the correlation bit for bit.  Under covariance, ``values``
+    itself.
+    """
+    if spec.kind != CORRELATION:
+        return values
+    _, exponent = np.frexp(np.max(np.abs(values), axis=0))
+    return np.ldexp(values, -exponent)
+
+
 def _finish(scatter: np.ndarray, spec: EstimatorSpec, n_rows: int,
             col_labels: list[str]) -> np.ndarray:
     """Scale a scatter matrix, or a stack of them (... x p x p), to ``spec``."""
@@ -308,8 +323,9 @@ def estimate(X: DataMatrix, spec: EstimatorSpec = EstimatorSpec()) -> SymmetricE
     """Covariance or correlation estimate of ``X`` under ``spec``."""
     if X.n < 2:
         raise DataError(f"need at least 2 observations, got {X.n}")
-    return SymmetricEstimate(_finish(_scatter(X.values), spec, X.n, X.col_labels),
-                             spec, X.n)
+    return SymmetricEstimate(
+        _finish(_scatter(_unit_free(X.values, spec)), spec, X.n, X.col_labels),
+        spec, X.n)
 
 
 def _require_loo(X: DataMatrix) -> None:

@@ -12,7 +12,7 @@ on every eigenvalue:
 The sample influence, -(n-1) times the change in the eigenvalue when the
 observation is actually removed and the reduced matrix is re-decomposed, is
 the ``sif_eigen`` of :func:`eigensens.subspace_diag.influence_records`, from
-the engine's exact reduced decompositions.  The approximation behind the
+its exact pass over the reduced estimates.  The approximation behind the
 hybrid form is the Rayleigh quotient of the leave-one-out estimate at the
 full-data eigenvectors (:func:`loo_eigenvalue_table`).  Crucially those
 approximations are *not* re-sorted; they stay indexed by the full-data
@@ -20,10 +20,8 @@ ranks, which is what makes order disruptions visible to the switching
 detector.
 
 :class:`LooEngine` holds the leave-one-out state of one run: the full-data
-decomposition, mean and scatter, the rank-one downdates, the approximate table
-(each column computed once, when first needed) and the exact reduced
-decompositions, one per observation that needs one, as stacked arrays of
-eigenvalues and eigenvectors a block at a time.  Every leave-one-out
+decomposition, mean and scatter, the rank-one downdates and the approximate
+table (each column computed once, when first needed).  Every leave-one-out
 sweep takes an engine as its one data argument.
 """
 
@@ -43,8 +41,9 @@ from .dataset import (
     _finish,
     _require_loo,
     _scatter,
+    _unit_free,
 )
-from .eigen import eigh, eigh_stack
+from .eigen import eigh
 
 __all__ = [
     "LooEngine",
@@ -147,8 +146,8 @@ class LooEngine:
     Holds the full-data decomposition, mean and scatter; produces each
     leave-one-out estimate as a rank-one downdate in O(p^2); computes each
     column of the approximate table of :func:`loo_eigenvalue_table` once,
-    when first needed; and decomposes reduced estimates in stacked blocks.
-    A diagnostic handed an engine never rebuilds what the engine already has.
+    when first needed.  A diagnostic handed an engine never rebuilds what
+    the engine already has.
     """
 
     def __init__(self, X: DataMatrix, spec: EstimatorSpec = EstimatorSpec()):
@@ -156,7 +155,12 @@ class LooEngine:
         self.X = X
         self.spec = spec
         self.mean = X.values.mean(axis=0)
-        self._scatter = _scatter(X.values)
+        # the data in the scatter's units, shared by the downdates and the
+        # exact pass's rebuilds; the mean and the scores stay in raw units
+        self._values = _unit_free(X.values, spec)
+        self._center = (self.mean if self._values is X.values
+                        else self._values.mean(axis=0))
+        self._scatter = _scatter(self._values)
         self.eigen = eigh(SymmetricEstimate(
             _finish(self._scatter, spec, X.n, X.col_labels), spec, X.n))
         self._table = np.full((X.n, X.p), np.nan)
@@ -222,41 +226,10 @@ class LooEngine:
     def _loo_stack(self, index: np.ndarray) -> np.ndarray:
         """Stacked estimates without each observation of 0-based ``index``."""
         X = self.X
-        delta = X.values[index] - self.mean
+        delta = self._values[index] - self._center
         outer = delta[:, :, None] * delta[:, None, :]
         # scaled and subtracted in place, the bits of the out-of-place form
         # with one block-sized temporary fewer
         outer *= X.n / (X.n - 1.0)
         return _finish(np.subtract(self._scatter, outer, out=outer), self.spec,
                        X.n - 1, X.col_labels)
-
-    def reduced(self, rows: Iterable[int]) -> Iterator[
-            tuple[list[int], np.ndarray, np.ndarray, list[list[tuple[int, int]]]]]:
-        """Exact decompositions of the estimate without each of ``rows``, by block.
-
-        Yields ``(block, values, vectors, gap_warnings)`` one block at a time:
-        the next 1-based rows, in the order given, and the stacked arrays of
-        their systems from one :func:`eigh_stack` call, one decomposition per
-        row.  A block holds at most ``CHUNK_ENTRIES`` matrix entries, two
-        blocks at most are in flight, and each reduced matrix is re-estimated
-        from the deleted data, centred in its block's (n-1) x p buffer, by the
-        scatter of :func:`eigensens.dataset.estimate`, with the bits of
-        :func:`eigensens.dataset.estimate_loo`.
-        """
-        X = self.X
-        rows = [int(i) for i in rows]
-        for i in rows:
-            X._check_index(i)
-        step = _chunk_rows(X.p)
-
-        def decompose(start: int) -> tuple:
-            block = rows[start:start + step]
-            rest, scatters = np.empty((X.n - 1, X.p)), np.empty((len(block), X.p, X.p))
-            for k, i in enumerate(block):
-                rest[:i - 1] = X.values[:i - 1]
-                rest[i - 1:] = X.values[i:]
-                scatters[k] = _scatter(rest, out=rest)
-            return block, *eigh_stack(
-                _finish(scatters, self.spec, X.n - 1, X.col_labels))
-
-        yield from _blockwise(decompose, range(0, len(rows), step))

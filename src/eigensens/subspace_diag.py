@@ -24,10 +24,14 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .dataset import COVARIANCE, DataMatrix
-from .eigen import EigenSystem, _cosines, _score_basis
-from .errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
-from .influence import LooEngine, _chunk_rows, _scores
+from .dataset import COVARIANCE, DataMatrix, _finish, _scatter
+from .eigen import EigenSystem, _cosines, _score_basis, eigh_stack
+from .errors import (
+    DegenerateEigenvaluesError,
+    RankDeficiencyError,
+    UnsupportedEstimatorError,
+)
+from .influence import LooEngine, _blockwise, _chunk_rows, _scores
 
 __all__ = [
     "InfluenceRecord",
@@ -76,27 +80,29 @@ def _warn_boundaries(gaps: list[tuple[int, int]], loo_gaps: list[tuple[int, int]
 
 
 class _SampleMeasures:
-    """``sif_b`` and ``sci`` of a block of reduced systems against one full-data system.
+    """``sif_b`` (and ``sci`` on request) of reduced systems against one full-data system.
 
     The exact measures' one check of the retained count.  The full-data side
-    (retained basis and, on the first use of ``sci``, the centred data and
-    the orthonormal basis of its scores) is built once.  Each measure takes
-    the m x p x L stack of reduced retained bases from :meth:`bases` and returns
-    m values, computed by stacked ``matmul``, ``norm``, ``matrix_rank``,
-    ``qr`` and ``svd``, which run the same kernel on each matrix as on one
-    alone.  The n x L score stacks of ``sci`` go in sub-blocks of at most
-    ``CHUNK_ENTRIES`` entries per reduced block, so memory stays bounded.
+    (retained basis and, for ``sci``, the centred data and the orthonormal
+    basis of its scores, which raises :class:`RankDeficiencyError` when rank
+    deficient) is built on construction, so that the blocks only read it.
+    Each measure takes an m x p x L stack of reduced retained bases and
+    returns m values by stacked kernels, which run the same on each matrix as
+    on one alone.  The n x L score stacks of ``sci`` go in sub-blocks of at
+    most ``CHUNK_ENTRIES`` entries per reduced block, so memory stays bounded.
     """
 
-    def __init__(self, X: DataMatrix, E: EigenSystem, L: int):
+    def __init__(self, X: DataMatrix, E: EigenSystem, L: int, *, sci: bool = False):
         if not 1 <= L <= E.p:
             raise ValueError(f"L={L} out of range 1..{E.p}")
         self.X = X
         self.p = E.p
         self.L = L
         self.full = E.vectors[:, :L].copy()
-        self._centered: np.ndarray | None = None
-        self._full_scores: np.ndarray | None = None
+        self.with_sci = sci
+        if sci and L < E.p:
+            self._centered = X.values - X.values.mean(axis=0)
+            self._full_scores = _score_basis(self._centered @ self.full, "first")
 
     def bases(self, vectors: np.ndarray) -> np.ndarray:
         """The m x p x L retained bases of an m x p x p stack of eigenvectors.
@@ -119,9 +125,6 @@ class _SampleMeasures:
         if self.L == self.p:
             return out
         n = self.X.n
-        if self._full_scores is None:
-            self._centered = self.X.values - self.X.values.mean(axis=0)
-            self._full_scores = _score_basis(self._centered @ self.full, "first")
         step = _chunk_rows(n, self.L)
         for start in range(0, len(W), step):
             scores = self._centered @ W[start:start + step]
@@ -130,20 +133,48 @@ class _SampleMeasures:
         return out
 
 
-def _exact_blocks(engine: LooEngine, measures: _SampleMeasures, rows: Iterable[int]
-                  ) -> Iterator[tuple[list[int], np.ndarray, np.ndarray]]:
-    """The sweeps' exact pass over the distinct 1-based ``rows``, ascending.
+def _exact_block(engine: LooEngine, measures: _SampleMeasures, block: list[int]
+                 ) -> tuple:
+    """``(block, values, sif_b, sci, gap_warnings)`` of the 1-based rows of ``block``.
 
-    Yields ``(block, values, W)`` for each block of
-    :meth:`LooEngine.reduced`: the rows, their m x p reduced eigenvalues and
-    their m x p x L retained bases for ``measures``.  Warns, row by row, when
-    the full-data or the reduced estimate ties at (L, L+1).
+    Each reduced estimate is rebuilt from the deleted data in the engine's
+    units, centred in the block's (n-1) x p buffer, with the bits of
+    :func:`eigensens.dataset.estimate_loo` in the normal range; one
+    :func:`eigh_stack` call decomposes the stack.  ``sci`` is None unless
+    ``measures`` has it.
+    """
+    X, values = engine.X, engine._values
+    rest, scatters = np.empty((X.n - 1, X.p)), np.empty((len(block), X.p, X.p))
+    for k, i in enumerate(block):
+        rest[:i - 1] = values[:i - 1]
+        rest[i - 1:] = values[i:]
+        scatters[k] = _scatter(rest, out=rest)
+    eigenvalues, vectors, gaps = eigh_stack(
+        _finish(scatters, engine.spec, X.n - 1, X.col_labels))
+    W = measures.bases(vectors)
+    return (block, eigenvalues, measures.sif_b(W),
+            measures.sci(W) if measures.with_sci else None, gaps)
+
+
+def _exact_blocks(engine: LooEngine, measures: _SampleMeasures, rows: Iterable[int]
+                  ) -> Iterator[tuple]:
+    """The sweeps' one exact pass over the distinct 1-based ``rows``, ascending.
+
+    Yields ``(block, values, sif_b, sci)`` per block of ``_chunk_rows(p)``
+    rows from :func:`_exact_block`, mapped by ``_blockwise``; warns, row by
+    row on the calling thread, when the full-data or the reduced estimate
+    ties at (L, L+1).
     """
     rows = sorted({int(i) for i in rows})
-    for block, values, vectors, gaps in engine.reduced(rows):
+    for i in rows:
+        engine.X._check_index(i)
+    step = _chunk_rows(engine.p)
+    for block, values, sif_b, sci, gaps in _blockwise(
+            lambda start: _exact_block(engine, measures, rows[start:start + step]),
+            range(0, len(rows), step)):
         for loo_gaps in gaps:
             _warn_boundaries(engine.eigen.gap_warnings, loo_gaps, measures.L)
-        yield block, values, measures.bases(vectors)
+        yield block, values, sif_b, sci
 
 
 def _empirical_pieces(engine: LooEngine, L: int):
@@ -211,17 +242,25 @@ def influence_records(
     and the reason is recorded on each record instead of aborting the sweep.
     The 1-based indices in ``exact`` also get the sample columns (``sif_b``,
     ``sci`` and ``sif_eigen``), each at the cost of one reduced
-    decomposition.
+    decomposition; when the full-data scores are rank deficient, ``sci`` is
+    left unset and the reason recorded likewise.
     """
     X = engine.X
     E = engine.eigen
-    note = _boundary_note(E.gap_warnings, L, "full-data")
+    exact = list(exact)
+    notes = [_boundary_note(E.gap_warnings, L, "full-data")]
     empirical_b = empirical_c = None
     try:
         empirical_b = eif_b_series(engine, L)
         empirical_c = scia_series(engine, L)
     except (DegenerateEigenvaluesError, UnsupportedEstimatorError) as exc:
-        note = str(exc) if note is None else f"{note}; {exc}"
+        notes.append(str(exc))
+    try:
+        measures = _SampleMeasures(X, E, L, sci=bool(exact))
+    except RankDeficiencyError as exc:
+        notes.append(str(exc))
+        measures = _SampleMeasures(X, E, L)
+    note = "; ".join(filter(None, notes)) or None
 
     records = [
         InfluenceRecord(
@@ -234,11 +273,10 @@ def influence_records(
         )
         for i in range(1, X.n + 1)
     ]
-    measures = _SampleMeasures(X, E, L)
-    for block, values, W in _exact_blocks(engine, measures, exact):
+    for block, values, sif_b, sci in _exact_blocks(engine, measures, exact):
         sif_eigen = -(X.n - 1) * (values - E.values)
-        for i, b, c, eig in zip(block, measures.sif_b(W).tolist(),
-                                measures.sci(W).tolist(), sif_eigen):
+        sci = [None] * len(block) if sci is None else sci.tolist()
+        for i, b, c, eig in zip(block, sif_b.tolist(), sci, sif_eigen):
             record = records[i - 1]
             record.sif_b, record.sci, record.sif_eigen = b, c, eig
     return records

@@ -237,7 +237,7 @@ def _aligned_exact(engine: LooEngine, rows: np.ndarray) -> np.ndarray:
 
     An m x p array from one :func:`eigh_stack` call on the engine's rank-one
     downdates, each spectrum re-indexed by :func:`_align_ranks`.  The
-    downdates agree with the rebuilt estimates of :meth:`LooEngine.reduced`
+    downdates agree with the estimates that the exact subspace pass rebuilds
     to rounding, not bit for bit, so the values serve verdicts only.
     """
     values, vectors, _ = eigh_stack(engine._loo_stack(rows - 1))
@@ -350,8 +350,8 @@ def hybrid_influence(
     """
     series = eif_b_series(engine, L)
     measures = _SampleMeasures(engine.X, engine.eigen, L)
-    for block, _, W in _exact_blocks(engine, measures, flagged):
-        series[np.array(block) - 1] = measures.sif_b(W)
+    for block, _, sif_b, _ in _exact_blocks(engine, measures, flagged):
+        series[np.array(block) - 1] = sif_b
     return series
 
 

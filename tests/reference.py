@@ -170,15 +170,16 @@ def subspace_alignment(S_full: Subspace, S_loo: Subspace) -> float:
     return 1.0 - float(np.mean(np.linalg.norm(residual, axis=0)))
 
 
-def _reference(X: DataMatrix, spec: EstimatorSpec, L: int, i: int
-               ) -> tuple[_SampleMeasures, np.ndarray]:
+def _reference(X: DataMatrix, spec: EstimatorSpec, L: int, i: int, *,
+               sci: bool = False) -> tuple[_SampleMeasures, np.ndarray]:
     """The shared step of ``sif_b`` and ``sci``: the full-data measures of ``X``
-    and the 1 x p x L retained basis of the estimate without observation
-    ``i``, from two decompositions, with the sweeps' warnings."""
+    (with ``sci`` when asked for) and the 1 x p x L retained basis of the
+    estimate without observation ``i``, from two decompositions, with the
+    sweeps' warnings."""
     _require_loo(X)
     X._check_index(i)
     E = eigh(estimate(X, spec))
-    measures = _SampleMeasures(X, E, L)
+    measures = _SampleMeasures(X, E, L, sci=sci)
     if L == E.p:
         warnings.warn(
             "L equals the full dimension; the subspace influence is "
@@ -218,5 +219,5 @@ def sci(
     score sets built from the full-data and leave-one-out bases.  The data
     rows are the same on both sides; only the basis changes.
     """
-    measures, W = _reference(X, spec, L, i)
+    measures, W = _reference(X, spec, L, i, sci=True)
     return float(measures.sci(W)[0])

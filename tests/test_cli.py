@@ -90,9 +90,6 @@ class TestAnalyze:
         assert doc["proportion_explained"] == [0.8, 0.2]
         assert doc["n"] == 4 and doc["p"] == 2
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 6: the scatter overflows at 1e200, and the correlation "
-        "run writes eigenvalues [1.0, 1.0] and exits 0"))
     def test_correlation_at_extreme_units(self, tmp_path):
         path = tmp_path / "extreme.csv"
         path.write_text("a,b\n1e200,2\n-1e200,4\n5,6\n7,1\n")
@@ -206,6 +203,29 @@ class TestInfluence:
         if estimator == "cov":
             assert all(r["eif_b"] == r["scia"] == 0.0 for r in rows)
             assert '"eif_b": -0.0' not in out.read_text()
+
+    @pytest.mark.parametrize("mode", ["exact", "hybrid"])
+    def test_rank_deficient_full_scores_leave_sci_null_with_a_note(self, tmp_path,
+                                                                    mode):
+        # all-zero data: the full-data scores have no rank after centering
+        path = tmp_path / "zero.csv"
+        path.write_text("a,b\n0,0\n0,0\n0,0\n")
+        out = tmp_path / "inf.json"
+        with pytest.warns(RuntimeWarning, match="nearly tied"):
+            assert run("influence", "--input", str(path), "--L", "1",
+                       "--mode", mode, "--out", str(out)) == 0
+        rows = json.loads(out.read_text())["observations"]
+        assert len(rows) == 3
+        for r in rows:
+            assert r["sci"] is None and r["hybrid_c"] is None
+            assert r["sif_b"] == 0.0
+            assert r["note"].endswith(
+                f"{TIED}; first score matrix is rank deficient after centering "
+                "(shape (3, 1))")
+            if mode == "exact":
+                assert r["sif_eigen"] == [0.0, 0.0]
+            else:
+                assert r["replaced"] is True and r["hybrid_b"] == 0.0
 
     def test_exact_sif_vector_recovers_loo_eigenvalues(self, tmp_path):
         out = tmp_path / "inf.json"

@@ -44,11 +44,12 @@ from eigensens import (
     scan_events,
     verify_exact,
 )
-from eigensens import dataset, influence, switching
+from eigensens import dataset, influence, subspace_diag, switching
 from eigensens.cli import main
 from eigensens.eigen import Subspace
 from eigensens.errors import ConvergenceError, DataError, ZeroVarianceError
 from eigensens.influence import _chunk_rows
+from eigensens.subspace_diag import _exact_blocks, _SampleMeasures
 from eigensens.switching import DEFAULT_NEAR_DELTA, KIND_NEAR, KIND_SWITCH
 
 COR_N1 = EstimatorSpec("correlation", "n-1")
@@ -130,21 +131,24 @@ class TestAgainstReference:
         assert np.array_equal(partial, table[np.array(rows) - 1])
         assert np.array_equal(engine.table_rows(rows), table[np.array(rows) - 1])
 
-    def test_reduced_systems_equal_reference_decompositions(self, X, spec):
-        engine = LooEngine(X, spec)
-        seen = []
-        for block, values, vectors, gaps in engine.reduced(range(1, X.n + 1)):
-            assert len(block) <= _chunk_rows(X.p)
-            assert values.shape == (len(block), X.p)
-            assert vectors.shape == (len(block), X.p, X.p)
-            assert len(gaps) == len(block)
-            for k, i in enumerate(block):
-                ref = eigh(estimate_loo(X, spec, i))
-                assert np.array_equal(values[k], ref.values), f"obs {i}"
-                assert np.array_equal(vectors[k], ref.vectors), f"obs {i}"
-                assert gaps[k] == ref.gap_warnings
-            seen.extend(block)
-        assert seen == list(range(1, X.n + 1))
+    def test_rebuilt_systems_equal_reference_decompositions(self, X, spec, rebuilt,
+                                                            monkeypatch):
+        # one thread, so that the spy sees the blocks in order
+        monkeypatch.setattr(influence, "_PAIRED", False)
+        influence_records(LooEngine(X, spec), 2, exact=range(1, X.n + 1))
+        assert all(len(mats) <= _chunk_rows(X.p) for mats, _ in rebuilt)
+        mats = np.concatenate([mats for mats, _ in rebuilt])
+        values = np.concatenate([got[0] for _, got in rebuilt])
+        vectors = np.concatenate([got[1] for _, got in rebuilt])
+        gaps = [g for _, got in rebuilt for g in got[2]]
+        assert len(mats) == X.n
+        for i in range(1, X.n + 1):
+            ref = estimate_loo(X, spec, i)
+            assert np.array_equal(mats[i - 1], ref.matrix), f"obs {i}"
+            E_loo = eigh(ref)
+            assert np.array_equal(values[i - 1], E_loo.values), f"obs {i}"
+            assert np.array_equal(vectors[i - 1], E_loo.vectors), f"obs {i}"
+            assert gaps[i - 1] == E_loo.gap_warnings
 
     def test_exact_sweep_equals_per_row_references(self, X, spec):
         engine = LooEngine(X, spec)
@@ -247,6 +251,20 @@ def scatters(monkeypatch) -> list[int]:
 
 
 @pytest.fixture
+def rebuilt(monkeypatch) -> list[tuple[np.ndarray, tuple]]:
+    """(stack, result) of every stacked decomposition of the exact pass."""
+    calls = []
+    decompose = subspace_diag.eigh_stack
+
+    def spy(mats):
+        calls.append((mats, decompose(mats)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(subspace_diag, "eigh_stack", spy)
+    return calls
+
+
+@pytest.fixture
 def projected(monkeypatch) -> list[tuple[int, list[int]]]:
     """(row count, 0-based columns) of every block of the table projected."""
     calls = []
@@ -268,12 +286,14 @@ class TestEngine:
         assert window.total == 5
         assert len(values) == len(vectors) == len(gaps) == 5
 
-    def test_reduced_costs_one_decomposition_per_row(self, oils):
+    def test_exact_pass_costs_one_decomposition_per_distinct_row(self, oils):
         engine = LooEngine(oils, COV_N)
+        measures = _SampleMeasures(oils, engine.eigen, 2, sci=True)
         with count_decompositions() as window:
-            blocks = [block for block, *_ in engine.reduced([58, 3, 42])]
+            blocks = [block for block, *_ in _exact_blocks(engine, measures,
+                                                           [58, 3, 42, 58])]
         assert window.total == 3
-        assert blocks == [[58, 3, 42]]
+        assert blocks == [[3, 42, 58]]
 
     def test_verification_decomposes_downdates_and_rebuilds_nothing(self, oils,
                                                                      scatters):
@@ -313,7 +333,9 @@ class TestEngine:
         monkeypatch.setattr(influence, "CHUNK_ENTRIES", 1 << 10)
         # blocks of 20 reduced matrices, the last one partial, and score
         # sub-blocks of 5 (L = 2) and 3 (L = 3) rows within them
-        blocks = [len(b) for b, *_ in LooEngine(oils, COV_N).reduced(rows)]
+        engine = LooEngine(oils, COV_N)
+        blocks = [len(b) for b, *_ in _exact_blocks(
+            engine, _SampleMeasures(oils, engine.eigen, 2), rows)]
         assert blocks == [20, 20, 20, 20, 16]
         assert (_chunk_rows(oils.n, 2), _chunk_rows(oils.n, 3)) == (5, 3)
         small = sweep()
@@ -361,9 +383,15 @@ class TestEngine:
         with pytest.raises(DataError, match="out of range"):
             LooEngine(oils, COV_N).table_rows([0])
 
-    def test_reduced_rejects_out_of_range_rows(self, oils):
-        with pytest.raises(DataError, match="out of range"):
-            list(LooEngine(oils, COV_N).reduced([97]))
+    @pytest.mark.parametrize("row", [0, 97])
+    def test_exact_sweeps_reject_out_of_range_rows(self, oils, row):
+        engine = LooEngine(oils, COV_N)
+        with count_decompositions() as window:
+            with pytest.raises(DataError, match="out of range"):
+                influence_records(engine, 2, exact=[3, row])
+            with pytest.raises(DataError, match="out of range"):
+                hybrid_influence(engine, 2, [row, 3])
+        assert window.total == 0
 
     def test_fewer_than_three_rows_are_refused(self):
         X = DataMatrix(np.array([[1.0, 2.0], [3.0, 5.0]]))
@@ -397,22 +425,24 @@ class TestEngine:
 
 
 def _sweep(X, spec):
-    """The table and every reduced block of ``X``, from a fresh engine."""
+    """The table and every exact block (rows, values, sif_b, sci) at L = 2 of
+    ``X``, from a fresh engine."""
     engine = LooEngine(X, spec)
-    return engine.table, list(engine.reduced(range(1, X.n + 1)))
+    measures = _SampleMeasures(X, engine.eigen, 2, sci=True)
+    return engine.table, list(_exact_blocks(engine, measures, range(1, X.n + 1)))
 
 
 @pytest.fixture
 def stacks(monkeypatch) -> list[tuple[str, np.ndarray]]:
-    """(thread name, stack) of every stacked decomposition of the sweeps."""
+    """(thread name, stack) of every stacked decomposition of the exact pass."""
     calls = []
-    decompose = influence.eigh_stack
+    decompose = subspace_diag.eigh_stack
 
     def spy(mats):
         calls.append((threading.current_thread().name, mats))
         return decompose(mats)
 
-    monkeypatch.setattr(influence, "eigh_stack", spy)
+    monkeypatch.setattr(subspace_diag, "eigh_stack", spy)
     return calls
 
 
@@ -423,18 +453,25 @@ class TestPairedBlocks:
     def test_helper_thread_changes_no_bit(self, spec, monkeypatch, stacks):
         monkeypatch.setattr(influence, "_PAIRED", False)
         table, blocks = _sweep(SEEDED, spec)
+        records = influence_records(LooEngine(SEEDED, spec), 2,
+                                    exact=range(1, SEEDED.n + 1))
         assert {name for name, _ in stacks} == {threading.main_thread().name}
         monkeypatch.setattr(influence, "_PAIRED", True)
+        del stacks[:]
         paired_table, paired_blocks = _sweep(SEEDED, spec)
         # the second block of each pair went to a helper, one per pair
         helpers = {name for name, _ in stacks} - {threading.main_thread().name}
         assert len(helpers) == len(blocks) // 2
         assert np.array_equal(paired_table, table)
         assert len(paired_blocks) == len(blocks) >= 3
-        for (rows, values, vectors, gaps), got in zip(blocks, paired_blocks):
+        for (rows, values, sif_b, sci), got in zip(blocks, paired_blocks):
             assert got[0] == rows
-            assert np.array_equal(got[1], values) and np.array_equal(got[2], vectors)
-            assert got[3] == gaps
+            assert np.array_equal(got[1], values)
+            assert np.array_equal(got[2], sif_b) and np.array_equal(got[3], sci)
+        paired = influence_records(LooEngine(SEEDED, spec), 2,
+                                   exact=range(1, SEEDED.n + 1))
+        assert [(r.sif_b, r.sci, r.sif_eigen.tolist()) for r in paired] == [
+            (r.sif_b, r.sci, r.sif_eigen.tolist()) for r in records]
 
     @pytest.mark.parametrize("paired", [False, True], ids=["one-thread", "paired"])
     def test_second_block_error_follows_the_first_block(self, paired, monkeypatch,
@@ -449,8 +486,10 @@ class TestPairedBlocks:
             return eigh_stack(mats)
 
         monkeypatch.setattr(influence, "_PAIRED", paired)
-        monkeypatch.setattr(influence, "eigh_stack", fail_on_second)
-        sweep = LooEngine(SEEDED, COV_N).reduced(range(1, SEEDED.n + 1))
+        monkeypatch.setattr(subspace_diag, "eigh_stack", fail_on_second)
+        engine = LooEngine(SEEDED, COV_N)
+        sweep = _exact_blocks(engine, _SampleMeasures(SEEDED, engine.eigen, 2),
+                              range(1, SEEDED.n + 1))
         assert next(sweep)[0] == blocks[0][0]
         with pytest.raises(ConvergenceError, match="no convergence"):
             next(sweep)
@@ -458,11 +497,28 @@ class TestPairedBlocks:
     def test_no_helper_outlives_its_pair(self, monkeypatch):
         monkeypatch.setattr(influence, "_PAIRED", True)
         before = threading.active_count()
-        sweep = LooEngine(SEEDED, COV_N).reduced(range(1, SEEDED.n + 1))
+        engine = LooEngine(SEEDED, COV_N)
+        sweep = _exact_blocks(engine, _SampleMeasures(SEEDED, engine.eigen, 2),
+                              range(1, SEEDED.n + 1))
         next(sweep)
         assert threading.active_count() == before
         sweep.close()
         assert threading.active_count() == before
+
+    def test_blocks_leave_the_measures_as_built(self, monkeypatch):
+        # the full-data side is built on the calling thread; the blocks,
+        # measured on either thread, only read it
+        monkeypatch.setattr(influence, "_PAIRED", True)
+        engine = LooEngine(SEEDED, COV_N)
+        measures = _SampleMeasures(SEEDED, engine.eigen, 2, sci=True)
+        built = {k: (v, v.copy() if isinstance(v, np.ndarray) else v)
+                 for k, v in vars(measures).items()}
+        for _ in _exact_blocks(engine, measures, range(1, SEEDED.n + 1)):
+            pass
+        assert vars(measures).keys() == built.keys()
+        for k, (obj, copy) in built.items():
+            assert vars(measures)[k] is obj
+            assert not isinstance(obj, np.ndarray) or np.array_equal(obj, copy)
 
     def test_counts_are_exact_across_threads(self, monkeypatch):
         monkeypatch.setattr(influence, "_PAIRED", True)
@@ -551,3 +607,28 @@ def test_cli_leaves_scipy_out(estimator, tmp_path):
     if estimator is not None:
         events = json.loads((tmp_path / "report.json").read_text())["events"]
         assert any(ev["verified_exact"] is not None for ev in events)
+
+
+# Runs in a fresh interpreter that loads numpy before eigensens, with no BLAS
+# thread count set: the package then writes nothing to the environment, and
+# the sweeps run on one thread.
+_NUMPY_FIRST = """
+import os
+import sys
+import numpy
+before = dict(os.environ)
+from eigensens import influence
+changed = sorted(set(os.environ.items()) ^ set(before.items()))
+print(influence._PAIRED, changed)
+"""
+
+
+def test_numpy_loaded_first_leaves_the_environment_and_the_pairing_off():
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    src = str(Path(eigensens.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FIRST],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False []"

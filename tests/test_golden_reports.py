@@ -109,6 +109,18 @@ def test_narrowest_verdict_report_matches_recorded_digest(name, pool, tmp_path):
     _replay("exact-dense-1000x30", pool, name, tmp_path)
 
 
+# The exact subspace pass prints its values to six digits.  On these two dense
+# pools a printed cell sits on a rounding boundary (pool 6: obs 872's sci;
+# pool 9: one sif_eigen cell of obs 691), so any change in the bits of the
+# rebuilt reduced estimates, their decompositions or the measures flips them.
+ROUNDING_EDGE_POOLS = [6, 9]
+
+
+@pytest.mark.parametrize("pool", ROUNDING_EDGE_POOLS, ids=lambda p: f"pool{p}")
+def test_exact_pass_rounding_edge_report_matches_recorded_digest(pool, tmp_path):
+    _replay("exact-dense-1000x30", pool, "influence-exact", tmp_path)
+
+
 def test_uncertified_alignment_report_matches_recorded_digest(alignment_solves, tmp_path):
     # one row of this input has a near-tied pair rotated by about 45 degrees,
     # the only row of the pool whose rank alignment the argmax cannot certify

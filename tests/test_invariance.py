@@ -9,16 +9,20 @@ stays put for correlation, whose entries have no units.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigensens import (
     DataMatrix,
     LooEngine,
     build_switch_report,
+    estimate,
     load_oils,
     verify_exact,
 )
+from eigensens.switching import KIND_NEAR, KIND_SWITCH, _aligned_exact
 
-from conftest import COR_N, COV_N, make_data
+from conftest import COR_N, COV_N, event_table, make_data
 
 DELTA = 0.1
 SCALES = [1e-3, 7.0, 1e4]
@@ -132,3 +136,67 @@ def test_degenerate_input_is_invariant_on_the_tied_pair(spec, change):
     X = oils_with_twin_columns()
     tied = _split(outcome(X, spec, DELTA))[0]
     assert _split(transformed_outcome(X, spec, change))[0] == tied
+
+
+# Correlation has no units: each column is brought to [0.5, 1) by a power of
+# two before the scatter is formed, so a rescaled copy gives the same bits
+# under 2^k and agrees to rounding under 10^k, however extreme the units.
+# An entry of X * 10^k is rounded once, about 1e-16 relative, which moves the
+# correlation entries, the table and the exact eigenvalues by far less than
+# this share of max |lambda|.
+UNIT_TOL = 1e-12
+
+
+def unit_data(seed: int, decades: float) -> DataMatrix:
+    """20 x 4 Gaussian data, its columns on scales from 10^-decades to 10^decades."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-decades, decades, size=4)
+    return make_data(rng.standard_normal((20, 4)) * scales)
+
+
+def every_cell(X: DataMatrix):
+    """Both kinds of event on every (observation, adjacent pair) cell."""
+    return event_table(X.row_labels, [
+        (i, j, 0.0, 0.0, kind) for j in range(1, X.p) for i in range(1, X.n + 1)
+        for kind in (KIND_SWITCH, KIND_NEAR)])
+
+
+def correlation_outcome(X: DataMatrix):
+    engine = LooEngine(X, COR_N)
+    events = verify_exact(every_cell(X), engine, delta=DELTA)
+    return estimate(X, COR_N).matrix, engine.table, events
+
+
+@given(seed=st.integers(0, 2**16), k=st.integers(-300, 300))
+@settings(max_examples=25, deadline=None)
+def test_correlation_is_bit_identical_under_powers_of_two(seed, k):
+    # columns up to 1e150 apart, whose squares overflow or underflow in raw
+    # units once rescaled, while the data stays finite and normal
+    X = unit_data(seed, 150.0)
+    base = correlation_outcome(X)
+    matrix, table, events = correlation_outcome(
+        DataMatrix(np.ldexp(X.values, k), X.row_labels, X.col_labels))
+    assert np.array_equal(matrix, base[0])
+    assert np.array_equal(table, base[1])
+    assert np.array_equal(events.verified, base[2].verified)
+
+
+@given(seed=st.integers(0, 2**16), k=st.integers(-300, 300))
+@settings(max_examples=25, deadline=None)
+def test_correlation_agrees_to_rounding_under_powers_of_ten(seed, k):
+    X = unit_data(seed, 3.0)
+    base = correlation_outcome(X)
+    matrix, table, events = correlation_outcome(
+        DataMatrix(X.values * 10.0**k, X.row_labels, X.col_labels))
+    scale = np.max(np.abs(LooEngine(X, COR_N).eigen.values))
+    assert np.max(np.abs(matrix - base[0])) <= UNIT_TOL
+    assert np.max(np.abs(table - base[1])) <= UNIT_TOL * scale
+    # a verdict may only differ where the exact values sit within the
+    # tolerance of its threshold
+    aligned = _aligned_exact(LooEngine(X, COR_N), np.arange(1, X.n + 1))
+    lo = aligned[events.obs - 1, events.low - 1]
+    hi = aligned[events.obs - 1, events.low]
+    margin = np.where(events.switch, np.abs(lo - hi), np.abs(np.abs(lo - hi) - DELTA))
+    clear = margin > UNIT_TOL * scale
+    assert clear.sum() > len(events) // 2
+    assert np.array_equal(events.verified[clear], base[2].verified[clear])
