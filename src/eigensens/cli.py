@@ -527,12 +527,13 @@ def main(argv: list[str] | None = None) -> int:
                   "estimator": {"kind": spec.kind, "divisor": spec.divisor},
                   "n": X.n, "p": X.p}
         _emit(args, header | body, tables)
+    # a LinAlgError is a ValueError by type, but a numerical failure: exit 1
+    except (EigenSensError, OSError, np.linalg.LinAlgError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EigenSensError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -277,9 +277,20 @@ def _scatter(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     The centred rows go to ``out``, a fresh array when it is None; a caller
     that rewrites its buffer anyway passes ``values`` itself.
     """
-    centered = np.subtract(values, values.mean(axis=0), out=out)
-    t = centered.T @ centered
-    return (t + t.T) / 2.0
+    # an overflow leaves a non-finite diagonal, which _finish refuses by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = np.subtract(values, values.mean(axis=0), out=out)
+        t = centered.T @ centered
+        return (t + t.T) / 2.0
+
+
+def _column_mean(values: np.ndarray) -> np.ndarray:
+    """Column means of ``values``, summed in the units that :func:`_unit_free`
+    gives under correlation and scaled back, so that the sum cannot overflow
+    at the float limit; both scalings are exact in the normal range, which
+    leaves the bits of ``values.mean(axis=0)``."""
+    _, exponent = np.frexp(np.max(np.abs(values), axis=0))
+    return np.ldexp(np.ldexp(values, -exponent).mean(axis=0), exponent)
 
 
 def _unit_free(values: np.ndarray, spec: EstimatorSpec) -> np.ndarray:
@@ -301,6 +312,12 @@ def _finish(scatter: np.ndarray, spec: EstimatorSpec, n_rows: int,
             col_labels: list[str]) -> np.ndarray:
     """Scale a scatter matrix, or a stack of them (... x p x p), to ``spec``."""
     mat = scatter / spec.denominator(n_rows)
+    # one flag per column: finite in every matrix of the stack
+    finite = np.isfinite(np.diagonal(mat, axis1=-2, axis2=-1)).reshape(
+        -1, mat.shape[-1]).all(axis=0)
+    if not finite.all():
+        raise DataError(f"column {col_labels[int(np.argmin(finite))]!r} is too "
+                        "large in magnitude: its sum of squares overflows")
     if spec.kind == CORRELATION:
         variances = np.diagonal(mat, axis1=-2, axis2=-1).copy()
         bad = variances <= 0.0

@@ -29,8 +29,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dataset import DataMatrix, SymmetricEstimate
-from .errors import ConvergenceError, RankDeficiencyError
+from .dataset import DataMatrix, SymmetricEstimate, _column_mean
+from .errors import ConvergenceError
 
 __all__ = [
     "EigenSystem",
@@ -189,22 +189,25 @@ def pc_scores(X: DataMatrix | np.ndarray, S: Subspace) -> np.ndarray:
         raise ValueError(
             f"data has {values.shape[1]} columns but the basis expects {S.p}"
         )
-    return (values - values.mean(axis=0)) @ S.basis
+    return (values - _column_mean(values)) @ S.basis
 
 
-def _score_basis(scores: np.ndarray, name: str) -> np.ndarray:
-    """Orthonormal basis of the column-centred scores; refuses rank deficiency.
+def _score_basis(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of the column-centred scores, and whether it is
+    rank deficient.
 
-    ``scores`` is one n x L matrix or a stack of them (m x n x L).
+    ``scores`` is one n x L matrix or a stack of them (m x n x L); the mask
+    (a bool, or one per matrix) is True where the centred scores have rank
+    below L, and the basis there spans too little to mean anything.
     """
     centered = scores - scores.mean(axis=-2, keepdims=True)
-    if np.any(np.linalg.matrix_rank(centered) < centered.shape[-1]):
-        raise RankDeficiencyError(
-            f"{name} score matrix is rank deficient after centering "
-            f"(shape {centered.shape[-2:]})"
-        )
     q, _ = np.linalg.qr(centered)
-    return q
+    return q, np.linalg.matrix_rank(centered) < centered.shape[-1]
+
+
+def _rank_deficient(name: str, shape: tuple[int, ...]) -> str:
+    """Why the ``name`` score matrix of ``shape`` has no canonical correlations."""
+    return f"{name} score matrix is rank deficient after centering (shape {shape})"
 
 
 def _cosines(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:

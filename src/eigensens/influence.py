@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .dataset import (
     DataMatrix,
     EstimatorSpec,
     SymmetricEstimate,
+    _column_mean,
     _finish,
     _require_loo,
     _scatter,
@@ -62,35 +63,6 @@ def _chunk_rows(p: int, width: int | None = None) -> int:
     """Rows per stacked block of p x ``width`` matrices (p x p by default),
     so that a block stays small."""
     return max(1, CHUNK_ENTRIES // (p * (p if width is None else width)))
-
-
-def _blockwise(fn: Callable, blocks: Iterable) -> Iterator:
-    """``fn`` of each block, in order.  With ``_PAIRED`` the second block of
-    each pair runs on a helper thread, joined before either result is yielded."""
-    blocks = iter(blocks)
-    for first in blocks:
-        second = next(blocks, None) if _PAIRED else None
-        if second is None:
-            yield fn(first)
-            continue
-        got = []
-
-        def run():
-            try:
-                got.append(fn(second))
-            except Exception as exc:  # raised after the first block's result
-                got.append(exc)
-
-        helper = threading.Thread(target=run)
-        helper.start()
-        try:
-            result = fn(first)
-        finally:
-            helper.join()
-        yield result
-        if isinstance(got[0], Exception):
-            raise got[0]
-        yield got[0]
 
 
 def loo_eigenvalue_table(engine: LooEngine) -> np.ndarray:
@@ -122,24 +94,6 @@ def eigen_influence(engine: LooEngine) -> tuple[np.ndarray | None, np.ndarray]:
     return eif, hif
 
 
-def _rayleigh_block(engine: LooEngine, rows: np.ndarray, cols: np.ndarray
-                    ) -> np.ndarray:
-    """Approximated eigenvalues at 0-based ``rows`` and ``cols`` of the table.
-
-    The rows come as stacked rank-one downdates in bounded blocks, each
-    projected onto the chosen full-data eigenvectors in one call; an entry
-    does not depend on which other rows or columns are asked for.
-    """
-    V = engine.eigen.vectors[:, cols]
-    out = np.empty((len(rows), len(cols)))
-    step = _chunk_rows(engine.p)
-    for k, block in enumerate(_blockwise(lambda start: np.einsum(
-            "jp,ijk,kp->ip", V, engine._loo_stack(rows[start:start + step]), V),
-            range(0, len(rows), step))):
-        out[k * step:(k + 1) * step] = block
-    return out
-
-
 class LooEngine:
     """The full-data and leave-one-out state of one run, shared by all diagnostics.
 
@@ -154,7 +108,7 @@ class LooEngine:
         _require_loo(X)
         self.X = X
         self.spec = spec
-        self.mean = X.values.mean(axis=0)
+        self.mean = _column_mean(X.values)
         # the data in the scatter's units, shared by the downdates and the
         # exact pass's rebuilds; the mean and the scores stay in raw units
         self._values = _unit_free(X.values, spec)
@@ -192,7 +146,9 @@ class LooEngine:
         missing = np.array(sorted({j - 1 for j in ranks if not self._filled[j - 1]}),
                            dtype=int)
         if missing.size:
-            self._table[:, missing] = _rayleigh_block(self, np.arange(self.n), missing)
+            V = self.eigen.vectors[:, missing]
+            self._table[:, missing] = self._sweep(
+                range(1, self.n + 1), lambda index: (self._rayleigh(index, V),))[0]
             self._filled[missing] = True
         return self._table
 
@@ -203,13 +159,9 @@ class LooEngine:
         these rows' downdates are projected, with the same values the table
         rows will hold.
         """
-        rows = [int(i) for i in rows]
-        for i in rows:
-            self.X._check_index(i)
-        index = np.array(rows, dtype=int) - 1
-        if self._filled.all():
-            return self._table[index]
-        return _rayleigh_block(self, index, np.arange(self.p))
+        return self._sweep(rows, lambda index: (
+            self._table[index] if self._filled.all()
+            else self._rayleigh(index, self.eigen.vectors),))[0]
 
     def loo_block(self, first: int, last: int) -> np.ndarray:
         """Stacked estimates without each of observations ``first..last``.
@@ -219,9 +171,64 @@ class LooEngine:
         rank-one downdate of the full-data scatter that agrees with
         :func:`eigensens.dataset.estimate_loo` to floating-point accuracy.
         """
-        self.X._check_index(first)
-        self.X._check_index(last)
-        return self._loo_stack(np.arange(first - 1, last))
+        return self._sweep(range(first, last + 1),
+                           lambda index: (self._loo_stack(index),))[0]
+
+    def _sweep(self, rows: Iterable[int], block: Callable[[np.ndarray], tuple]
+               ) -> tuple[np.ndarray, ...]:
+        """The one leave-one-out loop: ``block`` over the checked 1-based ``rows``.
+
+        ``block`` maps up to ``_chunk_rows(p)`` 0-based indices to a tuple of
+        arrays, one entry per index; each array goes, in row order, into one
+        output allocated before the first block from the shapes of an empty
+        block.  With ``_PAIRED`` the second block of each pair runs on a
+        helper thread, joined before either result is written, so results
+        and the first error raised are those of one thread.
+        """
+        index = np.fromiter(rows, dtype=int) - 1
+        bad = (index < 0) | (index >= self.n)
+        if bad.any():
+            self.X._check_index(int(index[bad.argmax()]) + 1)
+        step = _chunk_rows(self.p)
+        out = [np.empty((len(index), *a.shape[1:]), a.dtype) for a in block(index[:0])]
+
+        def write(start: int, arrays: tuple) -> None:
+            for target, a in zip(out, arrays):
+                target[start:start + step] = a
+
+        starts = iter(range(0, len(index), step))
+        for first in starts:
+            second = next(starts, None) if _PAIRED else None
+            if second is None:
+                write(first, block(index[first:first + step]))
+                continue
+            got = []
+
+            def run():
+                try:
+                    got.append(block(index[second:second + step]))
+                except Exception as exc:  # raised after the first block's result
+                    got.append(exc)
+
+            helper = threading.Thread(target=run)
+            helper.start()
+            try:
+                result = block(index[first:first + step])
+            finally:
+                helper.join()
+            write(first, result)
+            if isinstance(got[0], Exception):
+                raise got[0]
+            write(second, got[0])
+        return tuple(out)
+
+    def _rayleigh(self, index: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Approximated eigenvalues without each 0-based ``index`` row at the
+        full-data eigenvectors ``V``, some columns of ``eigen.vectors``; an
+        entry does not depend on the other rows or columns.  ``V`` is sliced
+        once per sweep, on the calling thread: slicing it in every block, on
+        the helper thread too, raised the dense benchmark's peak RSS."""
+        return np.einsum("jp,ijk,kp->ip", V, self._loo_stack(index), V)
 
     def _loo_stack(self, index: np.ndarray) -> np.ndarray:
         """Stacked estimates without each observation of 0-based ``index``."""
@@ -233,3 +240,15 @@ class LooEngine:
         outer *= X.n / (X.n - 1.0)
         return _finish(np.subtract(self._scatter, outer, out=outer), self.spec,
                        X.n - 1, X.col_labels)
+
+    def _loo_rebuild(self, index: np.ndarray) -> np.ndarray:
+        """The estimates of :meth:`_loo_stack` rebuilt from the deleted data,
+        each centred in one (n-1) x p buffer by ``estimate``'s scatter in the
+        engine's units: the bits of ``estimate_loo`` in the normal range."""
+        X, values = self.X, self._values
+        rest, scatters = np.empty((X.n - 1, X.p)), np.empty((len(index), X.p, X.p))
+        for k, i in enumerate(index.tolist()):
+            rest[:i] = values[:i]
+            rest[i:] = values[i + 1:]
+            scatters[k] = _scatter(rest, out=rest)
+        return _finish(scatters, self.spec, X.n - 1, X.col_labels)

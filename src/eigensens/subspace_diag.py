@@ -18,20 +18,21 @@ is the magnitudes that matter when comparing observations.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .dataset import COVARIANCE, DataMatrix, _finish, _scatter
-from .eigen import EigenSystem, _cosines, _score_basis, eigh_stack
+from .dataset import COVARIANCE, DataMatrix, _column_mean
+from .eigen import EigenSystem, _cosines, _rank_deficient, _score_basis, eigh_stack
 from .errors import (
     DegenerateEigenvaluesError,
     RankDeficiencyError,
     UnsupportedEstimatorError,
 )
-from .influence import LooEngine, _blockwise, _chunk_rows, _scores
+from .influence import LooEngine, _chunk_rows, _scores
 
 __all__ = [
     "InfluenceRecord",
@@ -61,8 +62,8 @@ class InfluenceRecord:
     sif_eigen: np.ndarray | None = None
 
 
-def _boundary_note(gaps: list[tuple[int, int]], L: int, where: str) -> str | None:
-    if (L, L + 1) in gaps:
+def _boundary_note(tied: bool, L: int, where: str) -> str | None:
+    if tied:
         return (
             f"eigenvalues {L} and {L + 1} of the {where} estimate are nearly "
             "tied; the retained subspace is weakly determined"
@@ -70,9 +71,8 @@ def _boundary_note(gaps: list[tuple[int, int]], L: int, where: str) -> str | Non
     return None
 
 
-def _warn_boundaries(gaps: list[tuple[int, int]], loo_gaps: list[tuple[int, int]],
-                     L: int) -> None:
-    for side, where in ((gaps, "full-data"), (loo_gaps, "leave-one-out")):
+def _warn_boundaries(full_tied: bool, loo_tied: bool, L: int) -> None:
+    for side, where in ((full_tied, "full-data"), (loo_tied, "leave-one-out")):
         note = _boundary_note(side, L, where)
         if note is not None:
             # past this function and the pass or helper that calls it
@@ -89,7 +89,8 @@ class _SampleMeasures:
     Each measure takes an m x p x L stack of reduced retained bases and
     returns m values by stacked kernels, which run the same on each matrix as
     on one alone.  The n x L score stacks of ``sci`` go in sub-blocks of at
-    most ``CHUNK_ENTRIES`` entries per reduced block, so memory stays bounded.
+    most ``CHUNK_ENTRIES`` entries per reduced block, so memory stays bounded;
+    ``sci`` is NaN where the reduced scores are rank deficient.
     """
 
     def __init__(self, X: DataMatrix, E: EigenSystem, L: int, *, sci: bool = False):
@@ -101,8 +102,13 @@ class _SampleMeasures:
         self.full = E.vectors[:, :L].copy()
         self.with_sci = sci
         if sci and L < E.p:
-            self._centered = X.values - X.values.mean(axis=0)
-            self._full_scores = _score_basis(self._centered @ self.full, "first")
+            # one power of two for the whole matrix, which no canonical
+            # correlation sees, keeps the scores finite at the float limit
+            centered = X.values - _column_mean(X.values)
+            self._centered = np.ldexp(centered, -np.frexp(np.max(np.abs(centered)))[1])
+            self._full_scores, deficient = _score_basis(self._centered @ self.full)
+            if deficient:
+                raise RankDeficiencyError(_rank_deficient("first", (X.n, L)))
 
     def bases(self, vectors: np.ndarray) -> np.ndarray:
         """The m x p x L retained bases of an m x p x p stack of eigenvectors.
@@ -127,54 +133,37 @@ class _SampleMeasures:
         n = self.X.n
         step = _chunk_rows(n, self.L)
         for start in range(0, len(W), step):
-            scores = self._centered @ W[start:start + step]
-            r = _cosines(self._full_scores, _score_basis(scores, "second"))
+            basis, deficient = _score_basis(self._centered @ W[start:start + step])
+            r = _cosines(self._full_scores, basis)
             out[start:start + step] = (n - 1) ** 2 * (1.0 - np.mean(r**2, axis=1))
+            out[start:start + step][deficient] = np.nan
         return out
 
 
-def _exact_block(engine: LooEngine, measures: _SampleMeasures, block: list[int]
-                 ) -> tuple:
-    """``(block, values, sif_b, sci, gap_warnings)`` of the 1-based rows of ``block``.
+def _exact(engine: LooEngine, measures: _SampleMeasures, rows: Iterable[int]
+           ) -> tuple:
+    """``(rows, values, sif_b, sci)`` of the distinct 1-based ``rows``, ascending.
 
-    Each reduced estimate is rebuilt from the deleted data in the engine's
-    units, centred in the block's (n-1) x p buffer, with the bits of
-    :func:`eigensens.dataset.estimate_loo` in the normal range; one
-    :func:`eigh_stack` call decomposes the stack.  ``sci`` is None unless
-    ``measures`` has it.
-    """
-    X, values = engine.X, engine._values
-    rest, scatters = np.empty((X.n - 1, X.p)), np.empty((len(block), X.p, X.p))
-    for k, i in enumerate(block):
-        rest[:i - 1] = values[:i - 1]
-        rest[i - 1:] = values[i:]
-        scatters[k] = _scatter(rest, out=rest)
-    eigenvalues, vectors, gaps = eigh_stack(
-        _finish(scatters, engine.spec, X.n - 1, X.col_labels))
-    W = measures.bases(vectors)
-    return (block, eigenvalues, measures.sif_b(W),
-            measures.sci(W) if measures.with_sci else None, gaps)
-
-
-def _exact_blocks(engine: LooEngine, measures: _SampleMeasures, rows: Iterable[int]
-                  ) -> Iterator[tuple]:
-    """The sweeps' one exact pass over the distinct 1-based ``rows``, ascending.
-
-    Yields ``(block, values, sif_b, sci)`` per block of ``_chunk_rows(p)``
-    rows from :func:`_exact_block`, mapped by ``_blockwise``; warns, row by
-    row on the calling thread, when the full-data or the reduced estimate
-    ties at (L, L+1).
+    One engine sweep: each block rebuilds, decomposes and measures its
+    reduced estimates (``sci`` is None unless ``measures`` has it).  Warns,
+    row by row on the calling thread, when the full-data or the reduced
+    estimate ties at (L, L+1).
     """
     rows = sorted({int(i) for i in rows})
-    for i in rows:
-        engine.X._check_index(i)
-    step = _chunk_rows(engine.p)
-    for block, values, sif_b, sci, gaps in _blockwise(
-            lambda start: _exact_block(engine, measures, rows[start:start + step]),
-            range(0, len(rows), step)):
-        for loo_gaps in gaps:
-            _warn_boundaries(engine.eigen.gap_warnings, loo_gaps, measures.L)
-        yield block, values, sif_b, sci
+    L = measures.L
+
+    def block(index: np.ndarray) -> tuple:
+        values, vectors, gaps = eigh_stack(engine._loo_rebuild(index))
+        W = measures.bases(vectors)
+        tied = np.array([(L, L + 1) in g for g in gaps], dtype=bool)
+        return (values, tied, measures.sif_b(W),
+                *([measures.sci(W)] if measures.with_sci else []))
+
+    values, tied, sif_b, *sci = engine._sweep(rows, block)
+    full_tied = (L, L + 1) in engine.eigen.gap_warnings
+    for loo_tied in tied.tolist():
+        _warn_boundaries(full_tied, loo_tied, L)
+    return np.array(rows, dtype=int), values, sif_b, sci[0] if sci else None
 
 
 def _empirical_pieces(engine: LooEngine, L: int):
@@ -243,12 +232,13 @@ def influence_records(
     The 1-based indices in ``exact`` also get the sample columns (``sif_b``,
     ``sci`` and ``sif_eigen``), each at the cost of one reduced
     decomposition; when the full-data scores are rank deficient, ``sci`` is
-    left unset and the reason recorded likewise.
+    left unset and the reason recorded likewise, on every row, and when only
+    a row's reduced scores are, on that row alone.
     """
     X = engine.X
     E = engine.eigen
     exact = list(exact)
-    notes = [_boundary_note(E.gap_warnings, L, "full-data")]
+    notes = [_boundary_note((L, L + 1) in E.gap_warnings, L, "full-data")]
     empirical_b = empirical_c = None
     try:
         empirical_b = eif_b_series(engine, L)
@@ -273,10 +263,15 @@ def influence_records(
         )
         for i in range(1, X.n + 1)
     ]
-    for block, values, sif_b, sci in _exact_blocks(engine, measures, exact):
-        sif_eigen = -(X.n - 1) * (values - E.values)
-        sci = [None] * len(block) if sci is None else sci.tolist()
-        for i, b, c, eig in zip(block, sif_b.tolist(), sci, sif_eigen):
-            record = records[i - 1]
-            record.sif_b, record.sci, record.sif_eigen = b, c, eig
+    rows, values, sif_b, sci = _exact(engine, measures, exact)
+    sif_eigen = -(X.n - 1) * (values - E.values)
+    sci = [None] * len(rows) if sci is None else sci.tolist()
+    deficient = _rank_deficient("second", (X.n, L))
+    for i, b, c, eig in zip(rows.tolist(), sif_b.tolist(), sci, sif_eigen):
+        record = records[i - 1]
+        record.sif_b, record.sif_eigen = b, eig
+        if c is not None and math.isnan(c):
+            record.note = "; ".join(filter(None, [record.note, deficient]))
+        else:
+            record.sci = c
     return records

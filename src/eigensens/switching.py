@@ -20,8 +20,8 @@ import numpy as np
 
 from .eigen import EigenSystem, eigh_stack
 from .errors import NoValidRetentionError
-from .influence import LooEngine, _blockwise, _chunk_rows
-from .subspace_diag import _exact_blocks, _SampleMeasures, eif_b_series
+from .influence import LooEngine
+from .subspace_diag import _exact, _SampleMeasures, eif_b_series
 
 __all__ = [
     "DEFAULT_NEAR_DELTA",
@@ -232,15 +232,15 @@ def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return where
 
 
-def _aligned_exact(engine: LooEngine, rows: np.ndarray) -> np.ndarray:
-    """Exact eigenvalues without each of the 1-based ``rows``, by full-data rank.
+def _aligned_exact(engine: LooEngine, index: np.ndarray) -> np.ndarray:
+    """Exact eigenvalues without each 0-based ``index`` row, by full-data rank.
 
     An m x p array from one :func:`eigh_stack` call on the engine's rank-one
     downdates, each spectrum re-indexed by :func:`_align_ranks`.  The
     downdates agree with the estimates that the exact subspace pass rebuilds
     to rounding, not bit for bit, so the values serve verdicts only.
     """
-    values, vectors, _ = eigh_stack(engine._loo_stack(rows - 1))
+    values, vectors, _ = eigh_stack(engine._loo_stack(index))
     return np.take_along_axis(values, _align_ranks(engine.eigen, vectors), axis=1)
 
 
@@ -264,15 +264,8 @@ def verify_exact(
     order = np.lexsort((events.obs, events.low))
     obs, low = events.obs[order], events.low[order]
     # not np.unique: its first call imports numpy.ma, a few ms of every run
-    flagged = np.array(sorted(set(obs.tolist())), dtype=int)
-    for i in flagged.tolist():
-        engine.X._check_index(i)
-    aligned = np.empty((len(flagged), engine.p))
-    step = _chunk_rows(engine.p)
-    for k, block in enumerate(_blockwise(
-            lambda start: _aligned_exact(engine, flagged[start:start + step]),
-            range(0, len(flagged), step))):
-        aligned[k * step:(k + 1) * step] = block
+    flagged = sorted(set(obs.tolist()))
+    aligned = engine._sweep(flagged, lambda index: (_aligned_exact(engine, index),))[0]
     row = np.searchsorted(flagged, obs)
     lo, hi = aligned[row, low - 1], aligned[row, low]
     switch = events.switch[order]
@@ -349,9 +342,9 @@ def hybrid_influence(
     hybrid, see ``influence_records``.
     """
     series = eif_b_series(engine, L)
-    measures = _SampleMeasures(engine.X, engine.eigen, L)
-    for block, _, sif_b, _ in _exact_blocks(engine, measures, flagged):
-        series[np.array(block) - 1] = sif_b
+    rows, _, sif_b, _ = _exact(engine, _SampleMeasures(engine.X, engine.eigen, L),
+                               flagged)
+    series[rows - 1] = sif_b
     return series
 
 

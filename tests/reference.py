@@ -11,6 +11,7 @@ for a row equals the reference bit for bit.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -24,8 +25,19 @@ from eigensens.dataset import (
     estimate,
     estimate_loo,
 )
-from eigensens.eigen import EigenSystem, Subspace, _cosines, _score_basis, eigh
-from eigensens.errors import DegenerateEigenvaluesError, UnsupportedEstimatorError
+from eigensens.eigen import (
+    EigenSystem,
+    Subspace,
+    _cosines,
+    _rank_deficient,
+    _score_basis,
+    eigh,
+)
+from eigensens.errors import (
+    DegenerateEigenvaluesError,
+    RankDeficiencyError,
+    UnsupportedEstimatorError,
+)
 from eigensens.subspace_diag import _SampleMeasures, _warn_boundaries
 
 
@@ -51,7 +63,11 @@ def canonical_correlations(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ValueError(f"score matrices differ in shape: {A.shape} vs {B.shape}")
-    return _cosines(_score_basis(A, "first"), _score_basis(B, "second"))
+    (qa, bad_a), (qb, bad_b) = _score_basis(A), _score_basis(B)
+    for name, bad in (("first", bad_a), ("second", bad_b)):
+        if bad:
+            raise RankDeficiencyError(_rank_deficient(name, A.shape))
+    return _cosines(qa, qb)
 
 
 def component_score(E: EigenSystem, xbar: np.ndarray, x_i: np.ndarray, l: int) -> float:
@@ -188,7 +204,7 @@ def _reference(X: DataMatrix, spec: EstimatorSpec, L: int, i: int, *,
             stacklevel=3,
         )
     E_loo = eigh(estimate_loo(X, spec, i))
-    _warn_boundaries(E.gap_warnings, E_loo.gap_warnings, L)
+    _warn_boundaries((L, L + 1) in E.gap_warnings, (L, L + 1) in E_loo.gap_warnings, L)
     return measures, measures.bases(E_loo.vectors[None])
 
 
@@ -220,4 +236,7 @@ def sci(
     rows are the same on both sides; only the basis changes.
     """
     measures, W = _reference(X, spec, L, i, sci=True)
-    return float(measures.sci(W)[0])
+    value = float(measures.sci(W)[0])
+    if math.isnan(value):
+        raise RankDeficiencyError(_rank_deficient("second", (X.n, L)))
+    return value

@@ -155,6 +155,19 @@ def test_the_cli_imports_no_private_name():
     assert private == []
 
 
+def test_the_sweeps_share_the_engine_thread_and_its_private_names():
+    # the helper thread of the leave-one-out sweeps lives in the engine alone
+    def threads(path: Path) -> int:
+        return sum(isinstance(node, ast.Call) and ast.unparse(node.func) in (
+            "threading.Thread", "Thread")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+    assert {m.name: threads(m) for m in MODULES if threads(m)} == {"influence.py": 1}
+    switching_path = ROOT / "src" / "eigensens" / "switching.py"
+    assert [name for module, name in _imports(switching_path)
+            if module == "influence" and name.startswith("_")] == []
+
+
 def test_the_per_row_references_left_the_package():
     modules = [importlib.import_module(f"eigensens.{m.stem}")
                for m in MODULES if m.name != "__init__.py"]

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eigensens import bundled_oils_path, cli
+from eigensens import bundled_oils_path, cli, load_csv
 from eigensens.cli import (
     _build_parser,
     _cells,
@@ -27,11 +28,15 @@ from eigensens.cli import (
     _write_json,
     main,
 )
+from eigensens.errors import RankDeficiencyError
 from eigensens.switching import KIND_NEAR, KIND_SWITCH
 
-from conftest import event_table
+from conftest import COV_N, event_table
+from reference import sci as reference_sci
 
 OILS = str(bundled_oils_path())
+# column a sums past the largest float; every other value is small
+FLOAT_LIMIT = "a,b,c\n1.5e308,1,2\n1.6e308,3,1\n1e308,2,5\n-1e308,4,4\n0,6,3\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
 CLOSED_FORM = "empirical subspace influence uses the covariance closed form"
 TIED = ("eigenvalues 1 and 2 are nearly equal; the empirical influence "
@@ -118,6 +123,19 @@ class TestAnalyze:
         scores = (tmp_path / "analysis_scores.csv").read_text().splitlines()
         assert scores[0] == "obs,label,PC1,PC2"
         assert len(scores) == 1 + 96
+
+    def test_scores_at_the_float_limit_are_finite(self, tmp_path):
+        # the raw column sum of a, 2.6e308, overflows; its mean does not
+        path = tmp_path / "limit.csv"
+        path.write_text(FLOAT_LIMIT)
+        out = tmp_path / "limit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("analyze", "--input", str(path), "--estimator", "cor",
+                       "--L", "1", "--precision", "17", "--out", str(out)) == 0
+        scores = [row["values"][0] for row in json.loads(out.read_text())["scores"]]
+        assert all(math.isfinite(x) for x in scores)
+        assert abs(sum(scores)) < 1e-12 * max(map(abs, scores))
 
     def test_degenerate_spectrum_warns_on_stderr(self, tmp_path, capsys):
         path = tmp_path / "tied.csv"
@@ -226,6 +244,39 @@ class TestInfluence:
                 assert r["sif_eigen"] == [0.0, 0.0]
             else:
                 assert r["replaced"] is True and r["hybrid_b"] == 0.0
+
+    def test_rank_deficient_reduced_scores_leave_only_that_row_null(self,
+                                                                   tmp_path):
+        # without row 5 columns b and c are zero: the reduced retained basis
+        # gives the data a second score column of zeros
+        path = tmp_path / "flat.csv"
+        path.write_text("a,b,c\n1,0,0\n2,0,0\n3,0,0\n4,0,0\n2,5,0\n")
+        out = tmp_path / "inf.json"
+        with pytest.warns(RuntimeWarning, match="leave-one-out estimate are nearly tied"):
+            assert run("influence", "--input", str(path), "--L", "2",
+                       "--mode", "exact", "--precision", "17", "--out", str(out)) == 0
+        rows = json.loads(out.read_text())["observations"]
+        X = load_csv(path)
+        for r in rows[:4]:
+            assert r["sci"] == reference_sci(X, COV_N, 2, r["obs"])
+            assert r["note"] is None
+        with pytest.warns(RuntimeWarning), pytest.raises(RankDeficiencyError):
+            reference_sci(X, COV_N, 2, 5)
+        assert rows[4]["sci"] is None
+        assert rows[4]["note"] == ("second score matrix is rank deficient after "
+                                   "centering (shape (5, 2))")
+        assert all(r["sif_b"] is not None and len(r["sif_eigen"]) == 3 for r in rows)
+
+    def test_exact_mode_runs_at_the_float_limit(self, tmp_path):
+        path = tmp_path / "limit.csv"
+        path.write_text(FLOAT_LIMIT)
+        out = tmp_path / "limit.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("influence", "--input", str(path), "--estimator", "cor",
+                       "--L", "1", "--mode", "exact", "--out", str(out)) == 0
+        rows = json.loads(out.read_text())["observations"]
+        assert all(math.isfinite(r["sif_b"]) and math.isfinite(r["sci"]) for r in rows)
 
     def test_exact_sif_vector_recovers_loo_eigenvalues(self, tmp_path):
         out = tmp_path / "inf.json"
@@ -784,6 +835,27 @@ class TestExitCodesAndConfig:
                                                         message):
         assert run(*argv, "--input", OILS, "--label-col", "oil_type") == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "influence", "switching"])
+    def test_an_overflowing_covariance_is_a_data_error_by_column(self, tmp_path,
+                                                                  capsys, command):
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b\n1e200,2\n-1e200,4\n5,6\n7,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command, "--input", str(path), "--L", "1") == 1
+        assert capsys.readouterr().err == (
+            "error: column 'a' is too large in magnitude: its sum of squares "
+            "overflows\n")
+
+    def test_a_failed_linear_algebra_routine_is_a_data_error(self, monkeypatch,
+                                                              capsys):
+        def fail(*args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(cli._COMMANDS, "analyze", fail)
+        assert run("analyze", "--input", OILS, "--label-col", "oil_type") == 1
+        assert capsys.readouterr().err == "error: SVD did not converge\n"
 
     def test_bad_flag_value_exits_2(self):
         with pytest.raises(SystemExit) as info:

@@ -338,11 +338,13 @@ class TestEstimate:
         with pytest.raises(ZeroVarianceError, match="'flat'"):
             estimate(X, COR_N)
 
-    def test_overflowing_scatter_is_refused(self):
-        X = make_data(np.random.default_rng(5).standard_normal((20, 3)) * 1e160)
-        with np.errstate(over="ignore"), pytest.raises(
-                DataError, match="estimate contains non-finite entries"):
-            estimate(X, COV_N)
+    def test_overflowing_scatter_is_refused_by_column_without_a_warning(self):
+        values = np.random.default_rng(5).standard_normal((20, 3))
+        values[:, 1] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="column 'x2' is too large"):
+                estimate(make_data(values), COV_N)
 
     def test_single_row_rejected(self):
         with pytest.raises(DataError, match="at least 2"):

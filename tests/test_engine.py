@@ -49,7 +49,7 @@ from eigensens.cli import main
 from eigensens.eigen import Subspace
 from eigensens.errors import ConvergenceError, DataError, ZeroVarianceError
 from eigensens.influence import _chunk_rows
-from eigensens.subspace_diag import _exact_blocks, _SampleMeasures
+from eigensens.subspace_diag import _exact, _SampleMeasures
 from eigensens.switching import DEFAULT_NEAR_DELTA, KIND_NEAR, KIND_SWITCH
 
 COR_N1 = EstimatorSpec("correlation", "n-1")
@@ -175,7 +175,7 @@ class TestAgainstReference:
 
     def test_aligned_downdates_equal_aligned_references(self, X, spec):
         engine = LooEngine(X, spec)
-        aligned = switching._aligned_exact(engine, np.arange(1, X.n + 1))
+        aligned = switching._aligned_exact(engine, np.arange(X.n))
         for i in range(1, X.n + 1):
             E_loo = eigh(estimate_loo(X, spec, i))
             where = switching._align_ranks(engine.eigen, E_loo.vectors[np.newaxis])[0]
@@ -268,13 +268,31 @@ def rebuilt(monkeypatch) -> list[tuple[np.ndarray, tuple]]:
 def projected(monkeypatch) -> list[tuple[int, list[int]]]:
     """(row count, 0-based columns) of every block of the table projected."""
     calls = []
-    project = influence._rayleigh_block
+    project = LooEngine._rayleigh
 
-    def spy(engine, rows, cols):
-        calls.append((len(rows), sorted(cols.tolist())))
-        return project(engine, rows, cols)
+    def spy(engine, index, V):
+        if len(index):  # not the empty block that shapes a sweep's outputs
+            # the full-data rank of each orthonormal column of V
+            ranks = np.argmax(np.abs(engine.eigen.vectors.T @ V), axis=0)
+            calls.append((len(index), sorted(ranks.tolist())))
+        return project(engine, index, V)
 
-    monkeypatch.setattr(influence, "_rayleigh_block", spy)
+    monkeypatch.setattr(LooEngine, "_rayleigh", spy)
+    return calls
+
+
+@pytest.fixture
+def rebuilds(monkeypatch) -> list[int]:
+    """Row count of every block of reduced estimates rebuilt."""
+    calls = []
+    rebuild = LooEngine._loo_rebuild
+
+    def spy(engine, index):
+        if len(index):  # not the empty block that shapes a sweep's outputs
+            calls.append(len(index))
+        return rebuild(engine, index)
+
+    monkeypatch.setattr(LooEngine, "_loo_rebuild", spy)
     return calls
 
 
@@ -290,10 +308,10 @@ class TestEngine:
         engine = LooEngine(oils, COV_N)
         measures = _SampleMeasures(oils, engine.eigen, 2, sci=True)
         with count_decompositions() as window:
-            blocks = [block for block, *_ in _exact_blocks(engine, measures,
-                                                           [58, 3, 42, 58])]
+            rows, values, sif_b, sci = _exact(engine, measures, [58, 3, 42, 58])
         assert window.total == 3
-        assert blocks == [[3, 42, 58]]
+        assert rows.tolist() == [3, 42, 58]
+        assert len(values) == len(sif_b) == len(sci) == 3
 
     def test_verification_decomposes_downdates_and_rebuilds_nothing(self, oils,
                                                                      scatters):
@@ -313,7 +331,7 @@ class TestEngine:
         assert window.total == 2 * len(flagged)
         assert scatters == [oils.n] + [oils.n - 1] * 2 * len(flagged)
 
-    def test_results_do_not_depend_on_block_size(self, oils, monkeypatch):
+    def test_results_do_not_depend_on_block_size(self, oils, monkeypatch, rebuilds):
         rows = range(1, oils.n + 1)
 
         def sweep():
@@ -334,9 +352,9 @@ class TestEngine:
         # blocks of 20 reduced matrices, the last one partial, and score
         # sub-blocks of 5 (L = 2) and 3 (L = 3) rows within them
         engine = LooEngine(oils, COV_N)
-        blocks = [len(b) for b, *_ in _exact_blocks(
-            engine, _SampleMeasures(oils, engine.eigen, 2), rows)]
-        assert blocks == [20, 20, 20, 20, 16]
+        del rebuilds[:]
+        _exact(engine, _SampleMeasures(oils, engine.eigen, 2), rows)
+        assert rebuilds == [20, 20, 20, 20, 16]
         assert (_chunk_rows(oils.n, 2), _chunk_rows(oils.n, 3)) == (5, 3)
         small = sweep()
         assert small == default
@@ -378,6 +396,17 @@ class TestEngine:
         engine.table
         engine.table_rows([58, 3])
         assert projected == [(2, list(range(7))), (96, list(range(7)))]
+
+    def test_empty_sweeps_give_empty_outputs_and_decompose_nothing(self, oils):
+        engine = LooEngine(oils, COV_N)
+        with count_decompositions() as window:
+            assert engine.table_rows([]).shape == (0, oils.p)
+            assert engine.loo_block(5, 4).shape == (0, oils.p, oils.p)
+            rows, values, sif_b, sci = _exact(
+                engine, _SampleMeasures(oils, engine.eigen, 2, sci=True), [])
+        assert window.total == 0
+        assert (rows.shape, values.shape, sif_b.shape, sci.shape) == (
+            (0,), (0, oils.p), (0,), (0,))
 
     def test_table_rows_reject_out_of_range_rows(self, oils):
         with pytest.raises(DataError, match="out of range"):
@@ -425,11 +454,11 @@ class TestEngine:
 
 
 def _sweep(X, spec):
-    """The table and every exact block (rows, values, sif_b, sci) at L = 2 of
-    ``X``, from a fresh engine."""
+    """The table and the exact pass (rows, values, sif_b, sci) at L = 2 of
+    every row of ``X``, from a fresh engine."""
     engine = LooEngine(X, spec)
     measures = _SampleMeasures(X, engine.eigen, 2, sci=True)
-    return engine.table, list(_exact_blocks(engine, measures, range(1, X.n + 1)))
+    return engine.table, _exact(engine, measures, range(1, X.n + 1))
 
 
 @pytest.fixture
@@ -439,7 +468,8 @@ def stacks(monkeypatch) -> list[tuple[str, np.ndarray]]:
     decompose = subspace_diag.eigh_stack
 
     def spy(mats):
-        calls.append((threading.current_thread().name, mats))
+        if len(mats):  # not the empty block that shapes a sweep's outputs
+            calls.append((threading.current_thread().name, mats))
         return decompose(mats)
 
     monkeypatch.setattr(subspace_diag, "eigh_stack", spy)
@@ -452,57 +482,56 @@ class TestPairedBlocks:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.kind}-{s.divisor}")
     def test_helper_thread_changes_no_bit(self, spec, monkeypatch, stacks):
         monkeypatch.setattr(influence, "_PAIRED", False)
-        table, blocks = _sweep(SEEDED, spec)
+        table, exact = _sweep(SEEDED, spec)
         records = influence_records(LooEngine(SEEDED, spec), 2,
                                     exact=range(1, SEEDED.n + 1))
         assert {name for name, _ in stacks} == {threading.main_thread().name}
+        blocks = len(stacks) // 2
+        assert blocks >= 3
         monkeypatch.setattr(influence, "_PAIRED", True)
         del stacks[:]
-        paired_table, paired_blocks = _sweep(SEEDED, spec)
+        paired_table, paired_exact = _sweep(SEEDED, spec)
         # the second block of each pair went to a helper, one per pair
         helpers = {name for name, _ in stacks} - {threading.main_thread().name}
-        assert len(helpers) == len(blocks) // 2
+        assert len(helpers) == blocks // 2
         assert np.array_equal(paired_table, table)
-        assert len(paired_blocks) == len(blocks) >= 3
-        for (rows, values, sif_b, sci), got in zip(blocks, paired_blocks):
-            assert got[0] == rows
-            assert np.array_equal(got[1], values)
-            assert np.array_equal(got[2], sif_b) and np.array_equal(got[3], sci)
+        for got, want in zip(paired_exact, exact):
+            assert np.array_equal(got, want)
         paired = influence_records(LooEngine(SEEDED, spec), 2,
                                    exact=range(1, SEEDED.n + 1))
         assert [(r.sif_b, r.sci, r.sif_eigen.tolist()) for r in paired] == [
             (r.sif_b, r.sci, r.sif_eigen.tolist()) for r in records]
 
     @pytest.mark.parametrize("paired", [False, True], ids=["one-thread", "paired"])
-    def test_second_block_error_follows_the_first_block(self, paired, monkeypatch,
-                                                        stacks):
+    @pytest.mark.parametrize("failing", [(0, 1), (1, 2), (1,)],
+                             ids=["both-of-a-pair", "across-pairs", "second"])
+    def test_the_first_error_in_row_order_wins(self, paired, failing, monkeypatch,
+                                               stacks):
         monkeypatch.setattr(influence, "_PAIRED", False)
-        _, blocks = _sweep(SEEDED, COV_N)
-        second = stacks[1][1]
+        _sweep(SEEDED, COV_N)
+        doomed = {k: stacks[k][1] for k in failing}
 
-        def fail_on_second(mats):
-            if np.array_equal(mats, second):
-                raise ConvergenceError("no convergence")
+        def fail(mats):
+            for k, stack in doomed.items():
+                if np.array_equal(mats, stack):
+                    raise ConvergenceError(f"no convergence in block {k}")
             return eigh_stack(mats)
 
         monkeypatch.setattr(influence, "_PAIRED", paired)
-        monkeypatch.setattr(subspace_diag, "eigh_stack", fail_on_second)
+        monkeypatch.setattr(subspace_diag, "eigh_stack", fail)
+        before = threading.active_count()
         engine = LooEngine(SEEDED, COV_N)
-        sweep = _exact_blocks(engine, _SampleMeasures(SEEDED, engine.eigen, 2),
-                              range(1, SEEDED.n + 1))
-        assert next(sweep)[0] == blocks[0][0]
-        with pytest.raises(ConvergenceError, match="no convergence"):
-            next(sweep)
+        with pytest.raises(ConvergenceError, match=f"block {failing[0]}$"):
+            _exact(engine, _SampleMeasures(SEEDED, engine.eigen, 2),
+                   range(1, SEEDED.n + 1))
+        assert threading.active_count() == before
 
-    def test_no_helper_outlives_its_pair(self, monkeypatch):
+    def test_no_helper_outlives_the_sweep(self, monkeypatch, stacks):
         monkeypatch.setattr(influence, "_PAIRED", True)
         before = threading.active_count()
         engine = LooEngine(SEEDED, COV_N)
-        sweep = _exact_blocks(engine, _SampleMeasures(SEEDED, engine.eigen, 2),
-                              range(1, SEEDED.n + 1))
-        next(sweep)
-        assert threading.active_count() == before
-        sweep.close()
+        _exact(engine, _SampleMeasures(SEEDED, engine.eigen, 2), range(1, SEEDED.n + 1))
+        assert len({name for name, _ in stacks}) > 1
         assert threading.active_count() == before
 
     def test_blocks_leave_the_measures_as_built(self, monkeypatch):
@@ -513,8 +542,7 @@ class TestPairedBlocks:
         measures = _SampleMeasures(SEEDED, engine.eigen, 2, sci=True)
         built = {k: (v, v.copy() if isinstance(v, np.ndarray) else v)
                  for k, v in vars(measures).items()}
-        for _ in _exact_blocks(engine, measures, range(1, SEEDED.n + 1)):
-            pass
+        _exact(engine, measures, range(1, SEEDED.n + 1))
         assert vars(measures).keys() == built.keys()
         for k, (obj, copy) in built.items():
             assert vars(measures)[k] is obj
@@ -537,6 +565,29 @@ class TestPairedBlocks:
                 assert (verify.total, records.total) == (SEEDED.n, SEEDED.n)
         finally:
             sys.setswitchinterval(interval)
+
+
+def test_every_sweep_goes_through_the_engine_sweep(oils, monkeypatch):
+    calls = []
+    sweep = LooEngine._sweep
+
+    def spy(engine, rows, block):
+        calls.append(rows)
+        return sweep(engine, rows, block)
+
+    monkeypatch.setattr(LooEngine, "_sweep", spy)
+    engine = LooEngine(oils, COV_N)
+    engine.table_rows([58, 3])
+    scan_events(engine, [(2, 3)])
+    events = scan_events(engine, [(2, 3)], delta=DEFAULT_NEAR_DELTA)
+    verify_exact(events, engine)
+    influence_records(engine, 2, exact=[42, 7])
+    hybrid_influence(engine, 2, [9])
+    engine.loo_block(5, 6)
+    engine.table
+    assert [list(rows) for rows in calls] == [
+        [58, 3], list(range(1, oils.n + 1)), sorted(set(events.obs.tolist())),
+        [7, 42], [9], [5, 6], list(range(1, oils.n + 1))]
 
 
 class TestCliCost:

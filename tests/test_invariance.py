@@ -193,7 +193,7 @@ def test_correlation_agrees_to_rounding_under_powers_of_ten(seed, k):
     assert np.max(np.abs(table - base[1])) <= UNIT_TOL * scale
     # a verdict may only differ where the exact values sit within the
     # tolerance of its threshold
-    aligned = _aligned_exact(LooEngine(X, COR_N), np.arange(1, X.n + 1))
+    aligned = _aligned_exact(LooEngine(X, COR_N), np.arange(X.n))
     lo = aligned[events.obs - 1, events.low - 1]
     hi = aligned[events.obs - 1, events.low]
     margin = np.where(events.switch, np.abs(lo - hi), np.abs(np.abs(lo - hi) - DELTA))
