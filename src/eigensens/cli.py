@@ -31,7 +31,12 @@ from .dataset import (
     load_csv,
 )
 from .eigen import eigh, pc_scores, subspace
-from .errors import DegenerateEigenvaluesError, EigenSensError, UnsupportedEstimatorError
+from .errors import (
+    DataError,
+    DegenerateEigenvaluesError,
+    EigenSensError,
+    UnsupportedEstimatorError,
+)
 from .influence import LooEngine, eigen_influence
 from .subspace_diag import influence_records
 from .switching import (
@@ -323,8 +328,17 @@ def _analyze(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     ]
 
 
+def _require_pair(X: DataMatrix, what: str) -> None:
+    """Refuse one-column data, on which no --L gives ``what`` a pair to read."""
+    if X.p < 2:
+        raise DataError(f"the input has one column; {what} needs two for an "
+                        "adjacent pair of eigenvalues")
+
+
 def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     """Per-observation influence sweep over all diagnostics for this mode."""
+    if args.mode == MODE_HYBRID:
+        _require_pair(X, "hybrid mode")
     engine = LooEngine(X, spec)
     E = engine.eigen
     if args.L > E.p:
@@ -388,6 +402,7 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
 def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     """Switching detection report with retention advice, plus the exact
     verdicts (exact mode) or the measure-B hybrid series (hybrid mode)."""
+    _require_pair(X, "switching")
     engine = LooEngine(X, spec)
     E = engine.eigen
     if args.L >= E.p:

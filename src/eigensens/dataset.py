@@ -309,8 +309,12 @@ def _unit_free(values: np.ndarray, spec: EstimatorSpec) -> np.ndarray:
 
 
 def _finish(scatter: np.ndarray, spec: EstimatorSpec, n_rows: int,
-            col_labels: list[str]) -> np.ndarray:
-    """Scale a scatter matrix, or a stack of them (... x p x p), to ``spec``."""
+            col_labels: list[str], dropped: np.ndarray | None = None) -> np.ndarray:
+    """Scale a scatter matrix, or a stack of them (... x p x p), to ``spec``.
+
+    ``dropped``, for an m x p x p stack of leave-one-out scatters, holds the
+    0-based row left out of each; a zero variance then names the first one.
+    """
     mat = scatter / spec.denominator(n_rows)
     # one flag per column: finite in every matrix of the stack
     finite = np.isfinite(np.diagonal(mat, axis1=-2, axis2=-1)).reshape(
@@ -323,10 +327,12 @@ def _finish(scatter: np.ndarray, spec: EstimatorSpec, n_rows: int,
         bad = variances <= 0.0
         if np.any(bad):
             p = variances.shape[-1]
-            first = variances.reshape(-1, p)[np.argmax(bad.reshape(-1, p).any(axis=1))]
-            j = int(np.argmin(first))
+            k = int(np.argmax(bad.reshape(-1, p).any(axis=1)))
+            j = int(np.argmin(variances.reshape(-1, p)[k]))
+            without = ("" if dropped is None
+                       else f" without observation {int(dropped[k]) + 1}")
             raise ZeroVarianceError(
-                f"column {col_labels[j]!r} has zero variance; "
+                f"column {col_labels[j]!r} has zero variance{without}; "
                 "correlation estimate is undefined"
             )
         scale = np.sqrt(variances)

@@ -120,17 +120,18 @@ class Subspace:
 def eigh(W: SymmetricEstimate | np.ndarray) -> EigenSystem:
     """Full decomposition of a symmetric matrix, deterministic conventions."""
     mat = W.matrix if isinstance(W, SymmetricEstimate) else np.asarray(W, dtype=float)
-    values, vectors, gaps = eigh_stack(mat[np.newaxis])
-    return EigenSystem(values[0], vectors[0], gaps[0])
+    values, vectors, tied = eigh_stack(mat[np.newaxis])
+    return EigenSystem(values[0], vectors[0],
+                       [(j + 1, j + 2) for j in np.flatnonzero(tied[0]).tolist()])
 
 
-def eigh_stack(mats: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, list[list[tuple[int, int]]]]:
+def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decompose a stack of symmetric matrices (m x p x p) in one LAPACK call.
 
-    Returns ``(values, vectors, gap_warnings)``: the m x p eigenvalues, the
-    m x p x p eigenvectors (as columns) and one gap list per matrix.  Counts
-    as m decompositions.  The conventions (stable descending order, sign
+    Returns ``(values, vectors, tied)``: the m x p eigenvalues, the m x p x p
+    eigenvectors (as columns) and the m x (p-1) relative gap test, True at
+    ``[k, j]`` when eigenvalues j+1 and j+2 of matrix k are nearly tied.
+    Counts as m decompositions.  The conventions (stable descending order, sign
     rule, clamp of tiny negatives, relative gap test) are applied to the
     whole stack with array operations, so row k is bit for bit what
     :func:`eigh` returns for matrix k alone.
@@ -161,11 +162,8 @@ def eigh_stack(mats: np.ndarray
     scale = scale[:, np.newaxis]
     # remove floating-point negatives on estimates that are PSD in theory
     values[(values < 0.0) & (values >= NEGATIVE_CLAMP * scale)] = 0.0
-    gaps: list[list[tuple[int, int]]] = [[] for _ in range(len(values))]
     tied = (values[:, :-1] - values[:, 1:]) / scale < GAP_TOL
-    for k, j in zip(*np.nonzero(tied)):
-        gaps[k].append((int(j) + 1, int(j) + 2))
-    return values, vectors, gaps
+    return values, vectors, tied
 
 
 def subspace(E: EigenSystem, L: int) -> Subspace:

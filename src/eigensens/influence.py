@@ -239,7 +239,7 @@ class LooEngine:
         # with one block-sized temporary fewer
         outer *= X.n / (X.n - 1.0)
         return _finish(np.subtract(self._scatter, outer, out=outer), self.spec,
-                       X.n - 1, X.col_labels)
+                       X.n - 1, X.col_labels, index)
 
     def _loo_rebuild(self, index: np.ndarray) -> np.ndarray:
         """The estimates of :meth:`_loo_stack` rebuilt from the deleted data,
@@ -251,4 +251,4 @@ class LooEngine:
             rest[:i] = values[:i]
             rest[i:] = values[i + 1:]
             scatters[k] = _scatter(rest, out=rest)
-        return _finish(scatters, self.spec, X.n - 1, X.col_labels)
+        return _finish(scatters, self.spec, X.n - 1, X.col_labels, index)

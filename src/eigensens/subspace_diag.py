@@ -25,8 +25,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataset import COVARIANCE, DataMatrix, _column_mean
-from .eigen import EigenSystem, _cosines, _rank_deficient, _score_basis, eigh_stack
+from .dataset import COVARIANCE
+from .eigen import _cosines, _rank_deficient, _score_basis, eigh_stack
 from .errors import (
     DegenerateEigenvaluesError,
     RankDeficiencyError,
@@ -79,91 +79,78 @@ def _warn_boundaries(full_tied: bool, loo_tied: bool, L: int) -> None:
             warnings.warn(note, RuntimeWarning, stacklevel=4)
 
 
-class _SampleMeasures:
-    """``sif_b`` (and ``sci`` on request) of reduced systems against one full-data system.
+def _sif_b(n: int, V: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``sif_b`` of n observations for an m x p x L stack of reduced retained
+    bases ``W`` against the full-data basis ``V``: m values, each the same
+    as for its matrix alone; 0 at L = p."""
+    if V.shape[1] == len(V):
+        return np.zeros(len(W))
+    residual = V - W @ (W.transpose(0, 2, 1) @ V)
+    alignment = 1.0 - np.mean(np.linalg.norm(residual, axis=1), axis=1)
+    return (n - 1) * (alignment - 1.0)
 
-    The exact measures' one check of the retained count.  The full-data side
-    (retained basis and, for ``sci``, the centred data and the orthonormal
-    basis of its scores, which raises :class:`RankDeficiencyError` when rank
-    deficient) is built on construction, so that the blocks only read it.
-    Each measure takes an m x p x L stack of reduced retained bases and
-    returns m values by stacked kernels, which run the same on each matrix as
-    on one alone.  The n x L score stacks of ``sci`` go in sub-blocks of at
-    most ``CHUNK_ENTRIES`` entries per reduced block, so memory stays bounded;
-    ``sci`` is NaN where the reduced scores are rank deficient.
-    """
 
-    def __init__(self, X: DataMatrix, E: EigenSystem, L: int, *, sci: bool = False):
-        if not 1 <= L <= E.p:
-            raise ValueError(f"L={L} out of range 1..{E.p}")
-        self.X = X
-        self.p = E.p
-        self.L = L
-        self.full = E.vectors[:, :L].copy()
-        self.with_sci = sci
-        if sci and L < E.p:
-            # one power of two for the whole matrix, which no canonical
-            # correlation sees, keeps the scores finite at the float limit
-            centered = X.values - _column_mean(X.values)
-            self._centered = np.ldexp(centered, -np.frexp(np.max(np.abs(centered)))[1])
-            self._full_scores, deficient = _score_basis(self._centered @ self.full)
-            if deficient:
-                raise RankDeficiencyError(_rank_deficient("first", (X.n, L)))
-
-    def bases(self, vectors: np.ndarray) -> np.ndarray:
-        """The m x p x L retained bases of an m x p x p stack of eigenvectors.
-
-        A fresh contiguous array: ``matmul`` on a strided view of the full
-        vectors can round differently.
-        """
-        return np.ascontiguousarray(vectors[..., :self.L])
-
-    def sif_b(self, W: np.ndarray) -> np.ndarray:
-        if self.L == self.p:
-            return np.zeros(len(W))
-        V = self.full
-        residual = V - W @ (W.transpose(0, 2, 1) @ V)
-        alignment = 1.0 - np.mean(np.linalg.norm(residual, axis=1), axis=1)
-        return (self.X.n - 1) * (alignment - 1.0)
-
-    def sci(self, W: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(W))
-        if self.L == self.p:
-            return out
-        n = self.X.n
-        step = _chunk_rows(n, self.L)
-        for start in range(0, len(W), step):
-            basis, deficient = _score_basis(self._centered @ W[start:start + step])
-            r = _cosines(self._full_scores, basis)
-            out[start:start + step] = (n - 1) ** 2 * (1.0 - np.mean(r**2, axis=1))
-            out[start:start + step][deficient] = np.nan
+def _sci(centered: np.ndarray, full: np.ndarray | None, W: np.ndarray) -> np.ndarray:
+    """``sci`` for an m x p x L stack of reduced retained bases ``W``: the
+    canonical correlations of the ``centered`` data's scores on each against
+    ``full``, the orthonormal basis of its full-data scores (None at L = p,
+    where every value is 0).  The n x L score stacks go in sub-blocks of at
+    most ``CHUNK_ENTRIES`` entries, so memory stays bounded; NaN where the
+    reduced scores are rank deficient."""
+    out = np.zeros(len(W))
+    if full is None:
         return out
+    n = len(centered)
+    step = _chunk_rows(n, W.shape[2])
+    for start in range(0, len(W), step):
+        basis, deficient = _score_basis(centered @ W[start:start + step])
+        r = _cosines(full, basis)
+        out[start:start + step] = (n - 1) ** 2 * (1.0 - np.mean(r**2, axis=1))
+        out[start:start + step][deficient] = np.nan
+    return out
 
 
-def _exact(engine: LooEngine, measures: _SampleMeasures, rows: Iterable[int]
+def _exact(engine: LooEngine, L: int, rows: Iterable[int], *, sci: bool = False
            ) -> tuple:
     """``(rows, values, sif_b, sci)`` of the distinct 1-based ``rows``, ascending.
 
-    One engine sweep: each block rebuilds, decomposes and measures its
-    reduced estimates (``sci`` is None unless ``measures`` has it).  Warns,
-    row by row on the calling thread, when the full-data or the reduced
-    estimate ties at (L, L+1).
+    The one exact pass.  The full-data side is built first, on the calling
+    thread, so that the blocks only read it: the retained basis and, with
+    ``sci``, the centred data and the orthonormal basis of its scores, which
+    raises :class:`RankDeficiencyError` when rank deficient.  Then one
+    engine sweep: each block rebuilds, decomposes and measures its reduced
+    estimates (``sci`` is None unless asked for).  Warns, row by row on the
+    calling thread, when the full-data or the reduced estimate ties at
+    (L, L+1).
     """
+    X, E = engine.X, engine.eigen
+    if not 1 <= L <= E.p:
+        raise ValueError(f"L={L} out of range 1..{E.p}")
     rows = sorted({int(i) for i in rows})
-    L = measures.L
+    V = E.vectors[:, :L].copy()
+    centered = full = None
+    if sci and L < E.p:
+        # one power of two for the whole matrix, which no canonical
+        # correlation sees, keeps the scores finite at the float limit
+        centered = X.values - engine.mean
+        centered = np.ldexp(centered, -np.frexp(np.max(np.abs(centered)))[1])
+        full, deficient = _score_basis(centered @ V)
+        if deficient:
+            raise RankDeficiencyError(_rank_deficient("first", (X.n, L)))
 
     def block(index: np.ndarray) -> tuple:
-        values, vectors, gaps = eigh_stack(engine._loo_rebuild(index))
-        W = measures.bases(vectors)
-        tied = np.array([(L, L + 1) in g for g in gaps], dtype=bool)
-        return (values, tied, measures.sif_b(W),
-                *([measures.sci(W)] if measures.with_sci else []))
+        values, vectors, tied = eigh_stack(engine._loo_rebuild(index))
+        # a fresh contiguous array: matmul on a strided view can round differently
+        W = np.ascontiguousarray(vectors[..., :L])
+        # column L - 1 of the tie mask is the pair (L, L+1); at L = p there is none
+        return (values, tied[:, L - 1:L].any(axis=1), _sif_b(X.n, V, W),
+                *([_sci(centered, full, W)] if sci else []))
 
-    values, tied, sif_b, *sci = engine._sweep(rows, block)
-    full_tied = (L, L + 1) in engine.eigen.gap_warnings
+    values, tied, sif_b, *measured = engine._sweep(rows, block)
+    full_tied = (L, L + 1) in E.gap_warnings
     for loo_tied in tied.tolist():
         _warn_boundaries(full_tied, loo_tied, L)
-    return np.array(rows, dtype=int), values, sif_b, sci[0] if sci else None
+    return np.array(rows, dtype=int), values, sif_b, measured[0] if sci else None
 
 
 def _empirical_pieces(engine: LooEngine, L: int):
@@ -246,10 +233,10 @@ def influence_records(
     except (DegenerateEigenvaluesError, UnsupportedEstimatorError) as exc:
         notes.append(str(exc))
     try:
-        measures = _SampleMeasures(X, E, L, sci=bool(exact))
+        rows, values, sif_b, sci = _exact(engine, L, exact, sci=bool(exact))
     except RankDeficiencyError as exc:
         notes.append(str(exc))
-        measures = _SampleMeasures(X, E, L)
+        rows, values, sif_b, sci = _exact(engine, L, exact)
     note = "; ".join(filter(None, notes)) or None
 
     records = [
@@ -263,7 +250,6 @@ def influence_records(
         )
         for i in range(1, X.n + 1)
     ]
-    rows, values, sif_b, sci = _exact(engine, measures, exact)
     sif_eigen = -(X.n - 1) * (values - E.values)
     sci = [None] * len(rows) if sci is None else sci.tolist()
     deficient = _rank_deficient("second", (X.n, L))

@@ -21,7 +21,7 @@ import numpy as np
 from .eigen import EigenSystem, eigh_stack
 from .errors import NoValidRetentionError
 from .influence import LooEngine
-from .subspace_diag import _exact, _SampleMeasures, eif_b_series
+from .subspace_diag import _exact, eif_b_series
 
 __all__ = [
     "DEFAULT_NEAR_DELTA",
@@ -342,8 +342,7 @@ def hybrid_influence(
     hybrid, see ``influence_records``.
     """
     series = eif_b_series(engine, L)
-    rows, _, sif_b, _ = _exact(engine, _SampleMeasures(engine.X, engine.eigen, L),
-                               flagged)
+    rows, _, sif_b, _ = _exact(engine, L, flagged)
     series[rows - 1] = sif_b
     return series
 

@@ -21,6 +21,7 @@ from eigensens.dataset import (
     DataMatrix,
     EstimatorSpec,
     SymmetricEstimate,
+    _column_mean,
     _require_loo,
     estimate,
     estimate_loo,
@@ -38,7 +39,7 @@ from eigensens.errors import (
     RankDeficiencyError,
     UnsupportedEstimatorError,
 )
-from eigensens.subspace_diag import _SampleMeasures, _warn_boundaries
+from eigensens.subspace_diag import _sci, _sif_b, _warn_boundaries
 
 
 def mean_vector(X: DataMatrix) -> np.ndarray:
@@ -186,16 +187,16 @@ def subspace_alignment(S_full: Subspace, S_loo: Subspace) -> float:
     return 1.0 - float(np.mean(np.linalg.norm(residual, axis=0)))
 
 
-def _reference(X: DataMatrix, spec: EstimatorSpec, L: int, i: int, *,
-               sci: bool = False) -> tuple[_SampleMeasures, np.ndarray]:
-    """The shared step of ``sif_b`` and ``sci``: the full-data measures of ``X``
-    (with ``sci`` when asked for) and the 1 x p x L retained basis of the
-    estimate without observation ``i``, from two decompositions, with the
-    sweeps' warnings."""
+def _reference(X: DataMatrix, spec: EstimatorSpec, L: int, i: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The shared step of ``sif_b`` and ``sci``: the p x L full-data retained
+    basis of ``X`` and the 1 x p x L retained basis of the estimate without
+    observation ``i``, from two decompositions, with the sweeps' warnings."""
     _require_loo(X)
     X._check_index(i)
     E = eigh(estimate(X, spec))
-    measures = _SampleMeasures(X, E, L, sci=sci)
+    if not 1 <= L <= E.p:
+        raise ValueError(f"L={L} out of range 1..{E.p}")
     if L == E.p:
         warnings.warn(
             "L equals the full dimension; the subspace influence is "
@@ -205,7 +206,7 @@ def _reference(X: DataMatrix, spec: EstimatorSpec, L: int, i: int, *,
         )
     E_loo = eigh(estimate_loo(X, spec, i))
     _warn_boundaries((L, L + 1) in E.gap_warnings, (L, L + 1) in E_loo.gap_warnings, L)
-    return measures, measures.bases(E_loo.vectors[None])
+    return E.vectors[:, :L].copy(), np.ascontiguousarray(E_loo.vectors[None, :, :L])
 
 
 def sif_b(
@@ -219,8 +220,8 @@ def sif_b(
     (n-1) * [subspace_alignment(full basis, leave-one-out basis) - 1]; always <= 0, and
     identically 0 when L = p because both spans are the whole space.
     """
-    measures, W = _reference(X, spec, L, i)
-    return float(measures.sif_b(W)[0])
+    V, W = _reference(X, spec, L, i)
+    return float(_sif_b(X.n, V, W)[0])
 
 
 def sci(
@@ -233,10 +234,19 @@ def sci(
 
     (n-1)^2 * (1 - mean squared canonical correlation) between the n-row
     score sets built from the full-data and leave-one-out bases.  The data
-    rows are the same on both sides; only the basis changes.
+    rows are the same on both sides; only the basis changes.  The centred
+    data are scaled by one power of two, which no canonical correlation
+    sees, so that the scores stay finite at the float limit.
     """
-    measures, W = _reference(X, spec, L, i, sci=True)
-    value = float(measures.sci(W)[0])
+    V, W = _reference(X, spec, L, i)
+    if L == X.p:
+        return float(_sci(X.values, None, W)[0])
+    centered = X.values - _column_mean(X.values)
+    centered = np.ldexp(centered, -np.frexp(np.max(np.abs(centered)))[1])
+    full, deficient = _score_basis(centered @ V)
+    if deficient:
+        raise RankDeficiencyError(_rank_deficient("first", (X.n, L)))
+    value = float(_sci(centered, full, W)[0])
     if math.isnan(value):
         raise RankDeficiencyError(_rank_deficient("second", (X.n, L)))
     return value

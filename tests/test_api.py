@@ -166,6 +166,9 @@ def test_the_sweeps_share_the_engine_thread_and_its_private_names():
     switching_path = ROOT / "src" / "eigensens" / "switching.py"
     assert [name for module, name in _imports(switching_path)
             if module == "influence" and name.startswith("_")] == []
+    # the exact pass is one function, which owns its measures
+    assert [name for module, name in _imports(switching_path)
+            if module == "subspace_diag" and name.startswith("_")] == ["_exact"]
 
 
 def test_the_per_row_references_left_the_package():

@@ -848,6 +848,41 @@ class TestExitCodesAndConfig:
             "error: column 'a' is too large in magnitude: its sum of squares "
             "overflows\n")
 
+    @pytest.mark.parametrize("argv", [
+        [command, "--mode", mode] for command in ("influence", "switching")
+        for mode in ("approx", "exact", "hybrid")], ids=" ".join)
+    def test_a_leave_one_out_zero_variance_names_the_observation(
+            self, tmp_path, capsys, argv):
+        # b varies only through observation 5: the full-data correlation is
+        # defined, the one without observation 5 is not
+        path = tmp_path / "lev.csv"
+        path.write_text("a,b,c\n1,0,2\n2,0,1\n3,0,4\n4,0,3\n2,5,5\n")
+        flags = ["--input", str(path), "--estimator", "cor", "--L", "1"]
+        assert run("analyze", *flags) == 0
+        capsys.readouterr()
+        assert run(*argv, *flags) == 1
+        assert capsys.readouterr().err == (
+            "error: column 'b' has zero variance without observation 5; "
+            "correlation estimate is undefined\n")
+
+    @pytest.mark.parametrize("argv, what", [
+        (["switching"], "switching"),
+        (["switching", "--mode", "hybrid", "--L", "3"], "switching"),
+        (["influence", "--mode", "hybrid"], "hybrid mode"),
+        (["influence", "--mode", "hybrid", "--L", "1"], "hybrid mode"),
+    ], ids=["switching", "switching-L3", "hybrid", "hybrid-L1"])
+    def test_one_column_has_no_pair_whatever_the_L(self, tmp_path, capsys,
+                                                   argv, what):
+        path = tmp_path / "one.csv"
+        path.write_text("a\n1\n2\n4\n")
+        assert run(*argv, "--input", str(path)) == 1
+        assert capsys.readouterr().err == (
+            f"error: the input has one column; {what} needs two for an "
+            "adjacent pair of eigenvalues\n")
+        # the commands that read no pair still run on it
+        assert run("influence", "--mode", "exact", "--L", "1",
+                   "--input", str(path)) == 0
+
     def test_a_failed_linear_algebra_routine_is_a_data_error(self, monkeypatch,
                                                               capsys):
         def fail(*args):

@@ -129,6 +129,12 @@ def reference_system(mat):
     return values, vectors, gaps
 
 
+def tied_pairs(row):
+    """The adjacent pairs (j, j+1) that one row of ``eigh_stack``'s tie mask
+    marks, as ``eigh`` lists them in ``gap_warnings``."""
+    return [(j + 1, j + 2) for j in np.flatnonzero(row)]
+
+
 def mixed_stack():
     rng = np.random.default_rng(0)
     a, b = rng.normal(size=(2, 20))
@@ -147,16 +153,16 @@ class TestEighStack:
     def test_mixed_stack_follows_the_conventions(self):
         mats = mixed_stack()
         with count_decompositions() as window:
-            stacked_values, stacked_vectors, stacked_gaps = eigh_stack(mats)
+            stacked_values, stacked_vectors, tied = eigh_stack(mats)
         assert window.total == len(mats)
         assert stacked_values.shape == (len(mats), 4)
         assert stacked_vectors.shape == (len(mats), 4, 4)
-        assert len(stacked_gaps) == len(mats)
+        assert tied.shape == (len(mats), 3) and tied.dtype == bool
         for k, mat in enumerate(mats):
             values, vectors, gaps = reference_system(mat)
             assert np.array_equal(stacked_values[k], values)
             assert np.array_equal(stacked_vectors[k], vectors)
-            assert stacked_gaps[k] == gaps
+            assert tied_pairs(tied[k]) == gaps
             alone = eigh(mat)
             assert np.array_equal(alone.values, values)
             assert np.array_equal(alone.vectors, vectors)
@@ -164,9 +170,10 @@ class TestEighStack:
 
     def test_mixed_stack_hits_every_branch(self):
         # matrices: duplicated, zero, inside, outside, tied_lead
-        values, vectors, gaps = eigh_stack(mixed_stack())
-        assert (3, 4) in gaps[0]
-        assert gaps[1] == [(1, 2), (2, 3), (3, 4)]
+        values, vectors, tied = eigh_stack(mixed_stack())
+        assert tied[0, 2]
+        assert tied[1].all()
+        assert tied_pairs(tied[1]) == eigh(np.zeros((4, 4))).gap_warnings
         assert values[2, 3] == 0.0
         assert values[3, 3] < 0.0
         raw = np.linalg.eigh(mixed_stack()[4])[1][:2, 2]
@@ -176,10 +183,10 @@ class TestEighStack:
 
     def test_empty_stack(self):
         with count_decompositions() as window:
-            values, vectors, gaps = eigh_stack(np.zeros((0, 3, 3)))
+            values, vectors, tied = eigh_stack(np.zeros((0, 3, 3)))
         assert window.total == 0
         assert values.shape == (0, 3) and vectors.shape == (0, 3, 3)
-        assert gaps == []
+        assert tied.shape == (0, 2) and tied.dtype == bool
 
 
 class TestSubspaceAndProjector:

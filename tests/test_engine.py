@@ -49,7 +49,7 @@ from eigensens.cli import main
 from eigensens.eigen import Subspace
 from eigensens.errors import ConvergenceError, DataError, ZeroVarianceError
 from eigensens.influence import _chunk_rows
-from eigensens.subspace_diag import _exact, _SampleMeasures
+from eigensens.subspace_diag import _exact
 from eigensens.switching import DEFAULT_NEAR_DELTA, KIND_NEAR, KIND_SWITCH
 
 COR_N1 = EstimatorSpec("correlation", "n-1")
@@ -140,7 +140,7 @@ class TestAgainstReference:
         mats = np.concatenate([mats for mats, _ in rebuilt])
         values = np.concatenate([got[0] for _, got in rebuilt])
         vectors = np.concatenate([got[1] for _, got in rebuilt])
-        gaps = [g for _, got in rebuilt for g in got[2]]
+        tied = np.concatenate([got[2] for _, got in rebuilt])
         assert len(mats) == X.n
         for i in range(1, X.n + 1):
             ref = estimate_loo(X, spec, i)
@@ -148,7 +148,8 @@ class TestAgainstReference:
             E_loo = eigh(ref)
             assert np.array_equal(values[i - 1], E_loo.values), f"obs {i}"
             assert np.array_equal(vectors[i - 1], E_loo.vectors), f"obs {i}"
-            assert gaps[i - 1] == E_loo.gap_warnings
+            assert [(j + 1, j + 2) for j in np.flatnonzero(tied[i - 1])] == \
+                E_loo.gap_warnings, f"obs {i}"
 
     def test_exact_sweep_equals_per_row_references(self, X, spec):
         engine = LooEngine(X, spec)
@@ -300,15 +301,14 @@ class TestEngine:
     def test_stacked_call_counts_every_matrix(self):
         mats = np.stack([estimate(SEEDED, COV_N).matrix] * 5)
         with count_decompositions() as window:
-            values, vectors, gaps = eigh_stack(mats)
+            values, vectors, tied = eigh_stack(mats)
         assert window.total == 5
-        assert len(values) == len(vectors) == len(gaps) == 5
+        assert len(values) == len(vectors) == len(tied) == 5
 
     def test_exact_pass_costs_one_decomposition_per_distinct_row(self, oils):
         engine = LooEngine(oils, COV_N)
-        measures = _SampleMeasures(oils, engine.eigen, 2, sci=True)
         with count_decompositions() as window:
-            rows, values, sif_b, sci = _exact(engine, measures, [58, 3, 42, 58])
+            rows, values, sif_b, sci = _exact(engine, 2, [58, 3, 42, 58], sci=True)
         assert window.total == 3
         assert rows.tolist() == [3, 42, 58]
         assert len(values) == len(sif_b) == len(sci) == 3
@@ -353,7 +353,7 @@ class TestEngine:
         # sub-blocks of 5 (L = 2) and 3 (L = 3) rows within them
         engine = LooEngine(oils, COV_N)
         del rebuilds[:]
-        _exact(engine, _SampleMeasures(oils, engine.eigen, 2), rows)
+        _exact(engine, 2, rows)
         assert rebuilds == [20, 20, 20, 20, 16]
         assert (_chunk_rows(oils.n, 2), _chunk_rows(oils.n, 3)) == (5, 3)
         small = sweep()
@@ -402,8 +402,7 @@ class TestEngine:
         with count_decompositions() as window:
             assert engine.table_rows([]).shape == (0, oils.p)
             assert engine.loo_block(5, 4).shape == (0, oils.p, oils.p)
-            rows, values, sif_b, sci = _exact(
-                engine, _SampleMeasures(oils, engine.eigen, 2, sci=True), [])
+            rows, values, sif_b, sci = _exact(engine, 2, [], sci=True)
         assert window.total == 0
         assert (rows.shape, values.shape, sif_b.shape, sci.shape) == (
             (0,), (0, oils.p), (0,), (0,))
@@ -457,8 +456,7 @@ def _sweep(X, spec):
     """The table and the exact pass (rows, values, sif_b, sci) at L = 2 of
     every row of ``X``, from a fresh engine."""
     engine = LooEngine(X, spec)
-    measures = _SampleMeasures(X, engine.eigen, 2, sci=True)
-    return engine.table, _exact(engine, measures, range(1, X.n + 1))
+    return engine.table, _exact(engine, 2, range(1, X.n + 1), sci=True)
 
 
 @pytest.fixture
@@ -522,31 +520,42 @@ class TestPairedBlocks:
         before = threading.active_count()
         engine = LooEngine(SEEDED, COV_N)
         with pytest.raises(ConvergenceError, match=f"block {failing[0]}$"):
-            _exact(engine, _SampleMeasures(SEEDED, engine.eigen, 2),
-                   range(1, SEEDED.n + 1))
+            _exact(engine, 2, range(1, SEEDED.n + 1))
         assert threading.active_count() == before
 
     def test_no_helper_outlives_the_sweep(self, monkeypatch, stacks):
         monkeypatch.setattr(influence, "_PAIRED", True)
         before = threading.active_count()
         engine = LooEngine(SEEDED, COV_N)
-        _exact(engine, _SampleMeasures(SEEDED, engine.eigen, 2), range(1, SEEDED.n + 1))
+        _exact(engine, 2, range(1, SEEDED.n + 1))
         assert len({name for name, _ in stacks}) > 1
         assert threading.active_count() == before
 
-    def test_blocks_leave_the_measures_as_built(self, monkeypatch):
-        # the full-data side is built on the calling thread; the blocks,
-        # measured on either thread, only read it
+    def test_blocks_only_read_the_full_data_side(self, monkeypatch):
+        # the full-data side is built on the calling thread before the sweep;
+        # frozen there, with the engine's own arrays, a block that wrote to
+        # it, on either thread, would raise
         monkeypatch.setattr(influence, "_PAIRED", True)
+        rows = range(1, SEEDED.n + 1)
+        want = _exact(LooEngine(SEEDED, COV_N), 2, rows, sci=True)
         engine = LooEngine(SEEDED, COV_N)
-        measures = _SampleMeasures(SEEDED, engine.eigen, 2, sci=True)
-        built = {k: (v, v.copy() if isinstance(v, np.ndarray) else v)
-                 for k, v in vars(measures).items()}
-        _exact(engine, measures, range(1, SEEDED.n + 1))
-        assert vars(measures).keys() == built.keys()
-        for k, (obj, copy) in built.items():
-            assert vars(measures)[k] is obj
-            assert not isinstance(obj, np.ndarray) or np.array_equal(obj, copy)
+        sweep, frozen = engine._sweep, []
+
+        def freeze(rows, block):
+            frozen.extend(c.cell_contents for c in block.__closure__
+                          if isinstance(c.cell_contents, np.ndarray))
+            for a in [*frozen, *vars(engine).values(), *vars(engine.eigen).values(),
+                      engine.X.values]:
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            return sweep(rows, block)
+
+        monkeypatch.setattr(engine, "_sweep", freeze)
+        got = _exact(engine, 2, rows, sci=True)
+        # the retained basis, the centred data and the basis of its scores
+        assert len(frozen) == 3
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_counts_are_exact_across_threads(self, monkeypatch):
         monkeypatch.setattr(influence, "_PAIRED", True)
@@ -565,6 +574,29 @@ class TestPairedBlocks:
                 assert (verify.total, records.total) == (SEEDED.n, SEEDED.n)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["one-thread", "paired"])
+    @pytest.mark.parametrize("b_row, c_row", [(12, 30), (12, 5)])
+    def test_a_zero_variance_names_the_first_row_without_which_it_falls(
+            self, monkeypatch, paired, b_row, c_row):
+        # columns b and c vary only at one row each, by dyadic values, so
+        # that their downdated variances there are exactly 0; blocks of 7
+        # rows put row 12 on the helper thread and rows 5 and 30 on the
+        # calling one
+        monkeypatch.setattr(influence, "_PAIRED", paired)
+        monkeypatch.setattr(influence, "CHUNK_ENTRIES", 64)
+        values = np.zeros((32, 3))
+        values[:, 0] = np.arange(32.0) % 5
+        values[b_row - 1, 1] = values[c_row - 1, 2] = 32.0
+        X = DataMatrix(values, col_labels=["a", "b", "c"])
+        name, row = min((b_row, "b"), (c_row, "c"))[::-1]
+        message = f"^column '{name}' has zero variance without observation {row};"
+        engine = LooEngine(X, COR_N)
+        assert _chunk_rows(X.p) == 7
+        with pytest.raises(ZeroVarianceError, match=message):
+            loo_eigenvalue_table(engine)
+        with pytest.raises(ZeroVarianceError, match=message):
+            _exact(engine, 1, range(1, X.n + 1))
 
 
 def test_every_sweep_goes_through_the_engine_sweep(oils, monkeypatch):

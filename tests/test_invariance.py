@@ -161,10 +161,20 @@ def every_cell(X: DataMatrix):
         for kind in (KIND_SWITCH, KIND_NEAR)])
 
 
-def correlation_outcome(X: DataMatrix):
-    engine = LooEngine(X, COR_N)
+def cell_outcome(X: DataMatrix, spec=COR_N):
+    engine = LooEngine(X, spec)
     events = verify_exact(every_cell(X), engine, delta=DELTA)
-    return estimate(X, COR_N).matrix, engine.table, events
+    return estimate(X, spec).matrix, engine.table, events
+
+
+def clear_of_threshold(X: DataMatrix, spec, events, tol: float) -> np.ndarray:
+    """Where the aligned exact values of each event sit farther than ``tol``
+    from its threshold, so that rounding cannot flip its verdict."""
+    aligned = _aligned_exact(LooEngine(X, spec), np.arange(X.n))
+    lo = aligned[events.obs - 1, events.low - 1]
+    hi = aligned[events.obs - 1, events.low]
+    margin = np.where(events.switch, np.abs(lo - hi), np.abs(np.abs(lo - hi) - DELTA))
+    return margin > tol
 
 
 @given(seed=st.integers(0, 2**16), k=st.integers(-300, 300))
@@ -173,8 +183,8 @@ def test_correlation_is_bit_identical_under_powers_of_two(seed, k):
     # columns up to 1e150 apart, whose squares overflow or underflow in raw
     # units once rescaled, while the data stays finite and normal
     X = unit_data(seed, 150.0)
-    base = correlation_outcome(X)
-    matrix, table, events = correlation_outcome(
+    base = cell_outcome(X)
+    matrix, table, events = cell_outcome(
         DataMatrix(np.ldexp(X.values, k), X.row_labels, X.col_labels))
     assert np.array_equal(matrix, base[0])
     assert np.array_equal(table, base[1])
@@ -185,18 +195,41 @@ def test_correlation_is_bit_identical_under_powers_of_two(seed, k):
 @settings(max_examples=25, deadline=None)
 def test_correlation_agrees_to_rounding_under_powers_of_ten(seed, k):
     X = unit_data(seed, 3.0)
-    base = correlation_outcome(X)
-    matrix, table, events = correlation_outcome(
+    base = cell_outcome(X)
+    matrix, table, events = cell_outcome(
         DataMatrix(X.values * 10.0**k, X.row_labels, X.col_labels))
     scale = np.max(np.abs(LooEngine(X, COR_N).eigen.values))
     assert np.max(np.abs(matrix - base[0])) <= UNIT_TOL
     assert np.max(np.abs(table - base[1])) <= UNIT_TOL * scale
     # a verdict may only differ where the exact values sit within the
     # tolerance of its threshold
-    aligned = _aligned_exact(LooEngine(X, COR_N), np.arange(X.n))
-    lo = aligned[events.obs - 1, events.low - 1]
-    hi = aligned[events.obs - 1, events.low]
-    margin = np.where(events.switch, np.abs(lo - hi), np.abs(np.abs(lo - hi) - DELTA))
-    clear = margin > UNIT_TOL * scale
+    clear = clear_of_threshold(X, COR_N, events, UNIT_TOL * scale)
     assert clear.sum() > len(events) // 2
     assert np.array_equal(events.verified[clear], base[2].verified[clear])
+
+
+# Moving the rows reorders the sums behind the mean and the scatter, so every
+# result agrees to rounding: at most 2.3e-15 max |lambda| over 60 seeds.
+ORDER_TOL = 1e-12
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@given(seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_row_order_changes_results_only_to_rounding(spec, seed, data):
+    X = unit_data(seed, 3.0)
+    order = np.array(data.draw(st.permutations(range(X.n)), label="row order"))
+    matrix, table, events = cell_outcome(X, spec)
+    moved = cell_outcome(
+        DataMatrix(X.values[order], [X.row_labels[k] for k in order], X.col_labels),
+        spec)
+    scale = np.max(np.abs(LooEngine(X, spec).eigen.values))
+    assert np.max(np.abs(moved[0] - matrix)) <= ORDER_TOL * np.max(np.abs(matrix))
+    # row r of the moved data is row order[r] of X
+    assert np.max(np.abs(moved[1] - table[order])) <= ORDER_TOL * scale
+    # every cell's two verdicts, by pair, observation and kind, rows mapped back
+    cells = (X.p - 1, X.n, 2)
+    verdicts = events.verified.reshape(cells)[:, order]
+    clear = clear_of_threshold(X, spec, events, ORDER_TOL * scale).reshape(cells)[:, order]
+    assert clear.sum() > clear.size // 2
+    assert np.array_equal(moved[2].verified.reshape(cells)[clear], verdicts[clear])
