@@ -414,7 +414,7 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     advice = report.recommendation
     events = report.events
     if args.mode == MODE_EXACT:
-        events = verify_exact(events, engine, delta=args.delta)
+        events = verify_exact(events, engine)
     flagged = sorted(set(events.obs.tolist()))
     hybrid = None
     if args.mode == MODE_HYBRID:

@@ -308,12 +308,35 @@ def _unit_free(values: np.ndarray, spec: EstimatorSpec) -> np.ndarray:
     return np.ldexp(values, -exponent)
 
 
+def _flat(values: np.ndarray) -> np.ndarray:
+    """Per column, whether ``values`` is constant on its rows, decided by
+    comparison: the variance of a constant column may round above zero."""
+    return values.min(axis=0) == values.max(axis=0)
+
+
+def _odd_rows(values: np.ndarray) -> np.ndarray | None:
+    """Per column of ``values`` (n >= 3 rows), the 0-based row without which
+    the column is constant, or -1; None when no column has one.  Decided by
+    comparison, as :func:`_flat` decides, so that a leave-one-out
+    correlation is refused whatever its downdate or rebuild rounds to."""
+    at_lo = values == values.min(axis=0)
+    at_hi = values == values.max(axis=0)
+    n_lo, n_hi = at_lo.sum(axis=0), at_hi.sum(axis=0)
+    odd = np.where(n_lo == 1, at_lo.argmax(axis=0), at_hi.argmax(axis=0))
+    odd[(np.minimum(n_lo, n_hi) != 1) | (n_lo + n_hi != len(values))] = -1
+    return odd if (odd >= 0).any() else None
+
+
 def _finish(scatter: np.ndarray, spec: EstimatorSpec, n_rows: int,
-            col_labels: list[str], dropped: np.ndarray | None = None) -> np.ndarray:
+            col_labels: list[str], dropped: np.ndarray | None = None,
+            flat: np.ndarray | bool = False) -> np.ndarray:
     """Scale a scatter matrix, or a stack of them (... x p x p), to ``spec``.
 
     ``dropped``, for an m x p x p stack of leave-one-out scatters, holds the
     0-based row left out of each; a zero variance then names the first one.
+    ``flat`` (... x p) marks the columns constant on the rows of each
+    scatter, which a correlation refuses even when their variance rounds
+    above zero; a variance of at most zero is refused either way.
     """
     mat = scatter / spec.denominator(n_rows)
     # one flag per column: finite in every matrix of the stack
@@ -324,11 +347,11 @@ def _finish(scatter: np.ndarray, spec: EstimatorSpec, n_rows: int,
                         "large in magnitude: its sum of squares overflows")
     if spec.kind == CORRELATION:
         variances = np.diagonal(mat, axis1=-2, axis2=-1).copy()
-        bad = variances <= 0.0
+        bad = (variances <= 0.0) | flat
         if np.any(bad):
             p = variances.shape[-1]
             k = int(np.argmax(bad.reshape(-1, p).any(axis=1)))
-            j = int(np.argmin(variances.reshape(-1, p)[k]))
+            j = int(np.argmax(bad.reshape(-1, p)[k]))
             without = ("" if dropped is None
                        else f" without observation {int(dropped[k]) + 1}")
             raise ZeroVarianceError(
@@ -347,8 +370,8 @@ def estimate(X: DataMatrix, spec: EstimatorSpec = EstimatorSpec()) -> SymmetricE
     if X.n < 2:
         raise DataError(f"need at least 2 observations, got {X.n}")
     return SymmetricEstimate(
-        _finish(_scatter(_unit_free(X.values, spec)), spec, X.n, X.col_labels),
-        spec, X.n)
+        _finish(_scatter(_unit_free(X.values, spec)), spec, X.n, X.col_labels,
+                flat=_flat(X.values)), spec, X.n)
 
 
 def _require_loo(X: DataMatrix) -> None:

@@ -40,6 +40,8 @@ from .dataset import (
     SymmetricEstimate,
     _column_mean,
     _finish,
+    _flat,
+    _odd_rows,
     _require_loo,
     _scatter,
     _unit_free,
@@ -115,8 +117,10 @@ class LooEngine:
         self._center = (self.mean if self._values is X.values
                         else self._values.mean(axis=0))
         self._scatter = _scatter(self._values)
-        self.eigen = eigh(SymmetricEstimate(
-            _finish(self._scatter, spec, X.n, X.col_labels), spec, X.n))
+        self.eigen = eigh(SymmetricEstimate(_finish(
+            self._scatter, spec, X.n, X.col_labels, flat=_flat(X.values)), spec, X.n))
+        # under correlation, the row without which each column is constant
+        self._odd = _odd_rows(X.values) if spec.kind != COVARIANCE else None
         self._table = np.full((X.n, X.p), np.nan)
         self._filled = np.zeros(X.p, dtype=bool)
 
@@ -239,7 +243,7 @@ class LooEngine:
         # with one block-sized temporary fewer
         outer *= X.n / (X.n - 1.0)
         return _finish(np.subtract(self._scatter, outer, out=outer), self.spec,
-                       X.n - 1, X.col_labels, index)
+                       X.n - 1, X.col_labels, index, self._flat_without(index))
 
     def _loo_rebuild(self, index: np.ndarray) -> np.ndarray:
         """The estimates of :meth:`_loo_stack` rebuilt from the deleted data,
@@ -251,4 +255,11 @@ class LooEngine:
             rest[:i] = values[:i]
             rest[i:] = values[i + 1:]
             scatters[k] = _scatter(rest, out=rest)
-        return _finish(scatters, self.spec, X.n - 1, X.col_labels, index)
+        return _finish(scatters, self.spec, X.n - 1, X.col_labels, index,
+                       self._flat_without(index))
+
+    def _flat_without(self, index: np.ndarray) -> np.ndarray | bool:
+        """Per 0-based ``index`` row and column, whether the column is
+        constant without that row; False when no column has such a row, so
+        that a block on the sweeps' helper thread then allocates nothing."""
+        return False if self._odd is None else index[:, None] == self._odd

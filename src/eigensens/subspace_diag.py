@@ -189,12 +189,15 @@ def eif_b_series(engine: LooEngine, L: int) -> np.ndarray:
 
 
 def scia_series(engine: LooEngine, L: int) -> np.ndarray:
-    """Empirical score-space influence for every observation in one pass."""
+    """Empirical score-space influence for every observation in one pass.
+
+    A zero retained eigenvalue is refused only where a ratio over it is
+    formed, at L < p; at L = p every value is 0."""
     E, om = _empirical_pieces(engine, L)
     lam = E.values
     total = np.zeros(engine.n)
     for l in range(L):
-        if lam[l] == 0.0:
+        if lam[l] == 0.0 and L < E.p:
             raise DegenerateEigenvaluesError(
                 f"eigenvalue {l + 1} is zero; the score-space influence "
                 "ratio is undefined"

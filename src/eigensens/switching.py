@@ -66,9 +66,10 @@ class EventTable:
     compared, ``switch`` True for a ``switch`` and False for a
     ``near_switch``, and ``verified`` the exact verdicts, None until
     :func:`verify_exact` fills it.  ``labels`` are the row labels of the
-    whole data, indexed by ``obs - 1``.  Rows are sorted by pair, then
-    observation.  ``len`` counts the rows; iterating yields them as
-    :class:`SwitchEvent`.
+    whole data, indexed by ``obs - 1``, and ``delta`` the near-switch
+    threshold, None when only switches were flagged.  Rows are sorted by
+    pair, then observation.  ``len`` counts the rows; iterating yields them
+    as :class:`SwitchEvent`.
     """
 
     labels: Sequence[str]
@@ -78,6 +79,7 @@ class EventTable:
     approx_hi: np.ndarray
     switch: np.ndarray
     verified: np.ndarray | None = None
+    delta: float | None = None
 
     def __len__(self) -> int:
         return len(self.obs)
@@ -155,11 +157,11 @@ def scan_events(
     mask = switch if delta is None else switch | (np.abs(lo - hi) < delta)
     pair, row = np.nonzero(mask)
     return EventTable(engine.X.row_labels, row + 1, lows[pair], lo[pair, row],
-                      hi[pair, row], switch[pair, row])
+                      hi[pair, row], switch[pair, row], delta=delta)
 
 
-def _check_delta(delta: float) -> None:
-    if not delta > 0.0:
+def _check_delta(delta: float | None) -> None:
+    if delta is None or not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
 
 
@@ -244,12 +246,7 @@ def _aligned_exact(engine: LooEngine, index: np.ndarray) -> np.ndarray:
     return np.take_along_axis(values, _align_ranks(engine.eigen, vectors), axis=1)
 
 
-def verify_exact(
-    events: EventTable,
-    engine: LooEngine,
-    *,
-    delta: float = DEFAULT_NEAR_DELTA,
-) -> EventTable:
+def verify_exact(events: EventTable, engine: LooEngine) -> EventTable:
     """Confirm approximation-flagged events with true re-decompositions.
 
     Each flagged observation's reduced matrix, the engine's rank-one
@@ -257,21 +254,23 @@ def verify_exact(
     full-data rank via eigenvector alignment, into one row of an aligned
     (flagged x p) array built in stacked blocks.  A switch event is
     confirmed when the aligned exact values are out of order; a near-switch
-    event when they sit within ``delta``.  Returns the events with their
-    ``verified`` column filled, stably sorted by pair, then observation.
+    event when they sit within the ``delta`` that flagged them.  Returns the
+    events with ``verified`` filled, stably sorted by pair, then observation.
     """
-    _check_delta(delta)
     order = np.lexsort((events.obs, events.low))
-    obs, low = events.obs[order], events.low[order]
+    obs, low, switch = events.obs[order], events.low[order], events.switch[order]
+    if not switch.all():
+        _check_delta(events.delta)
     # not np.unique: its first call imports numpy.ma, a few ms of every run
     flagged = sorted(set(obs.tolist()))
     aligned = engine._sweep(flagged, lambda index: (_aligned_exact(engine, index),))[0]
     row = np.searchsorted(flagged, obs)
     lo, hi = aligned[row, low - 1], aligned[row, low]
-    switch = events.switch[order]
-    verified = np.where(switch, lo < hi, np.abs(lo - hi) < delta)
+    verified = lo < hi
+    if not switch.all():
+        verified[~switch] = np.abs(lo - hi)[~switch] < events.delta
     return EventTable(events.labels, obs, low, events.approx_lo[order],
-                      events.approx_hi[order], switch, verified)
+                      events.approx_hi[order], switch, verified, events.delta)
 
 
 def recommend_L(engine: LooEngine, candidate_L: int) -> RetentionAdvice:

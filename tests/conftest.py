@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eigensens import DataMatrix, EstimatorSpec, EventTable, load_oils, switching
-from eigensens.switching import KIND_SWITCH
+from eigensens.switching import DEFAULT_NEAR_DELTA, KIND_SWITCH
 
 COV_N = EstimatorSpec("covariance", "n")
 COV_N1 = EstimatorSpec("covariance", "n-1")
@@ -43,15 +43,16 @@ def gaussian_data(seed: int, n: int, scales) -> DataMatrix:
     return make_data(rng.normal(size=(n, len(scales))) * np.asarray(scales))
 
 
-def event_table(labels, rows, verified=None) -> EventTable:
+def event_table(labels, rows, verified=None, delta=DEFAULT_NEAR_DELTA) -> EventTable:
     """A hand-built event table of ``(obs, pair low, approx_lo, approx_hi,
-    kind)`` rows, in the order given, with ``verified`` as its last column."""
+    kind)`` rows, in the order given, with ``verified`` as its verdict column
+    and ``delta`` as its near-switch threshold."""
     obs, low, lo, hi, kinds = zip(*rows) if rows else ((),) * 5
     return EventTable(
         labels, np.array(obs, dtype=int), np.array(low, dtype=int),
         np.array(lo, dtype=float), np.array(hi, dtype=float),
         np.array([kind == KIND_SWITCH for kind in kinds], dtype=bool),
-        None if verified is None else np.array(verified, dtype=bool),
+        None if verified is None else np.array(verified, dtype=bool), delta,
     )
 
 

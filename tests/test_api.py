@@ -80,6 +80,11 @@ def test_sweeps_take_the_engine_first(name):
     assert [p for p in params if p != "events"][0] == "engine"
 
 
+def test_verify_exact_reads_its_threshold_from_the_events():
+    # the near-switch delta is the one the scan flagged with, not a keyword
+    assert list(inspect.signature(switching.verify_exact).parameters) == ["events", "engine"]
+
+
 @pytest.mark.parametrize("name", SWEEPS)
 def test_sweeps_take_no_bool_switches(name):
     # a stage that a caller may skip is a separate call, not a flag

@@ -159,6 +159,19 @@ class TestInfluence:
         assert abs(rows[42]["eif_b"]) < 0.1 * abs(rows[42]["sif_b"])
         assert abs(rows[42]["scia"]) < 0.1 * abs(rows[42]["sci"])
 
+    def test_scia_is_zero_at_l_equal_p_with_a_zero_eigenvalue(self, tmp_path):
+        # no ratio over the zero eigenvalue is formed when every component
+        # is retained, so both empirical series are 0
+        path = tmp_path / "zero.csv"
+        path.write_text("a,b\n1,0\n2,0\n4,0\n3,0\n")
+        out = tmp_path / "inf.json"
+        assert run("influence", "--input", str(path), "--L", "2",
+                   "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+        assert doc["eigenvalues"] == [1.25, 0.0]
+        for r in doc["observations"]:
+            assert (r["eif_b"], r["scia"], r["note"]) == (0.0, 0.0, None)
+
     def test_mean_row_has_zero_empirical_influence(self, tmp_path):
         path = tmp_path / "center.csv"
         rows = ["a,b,c"]
@@ -851,19 +864,40 @@ class TestExitCodesAndConfig:
     @pytest.mark.parametrize("argv", [
         [command, "--mode", mode] for command in ("influence", "switching")
         for mode in ("approx", "exact", "hybrid")], ids=" ".join)
+    @pytest.mark.parametrize("rows, obs", [
+        (["a,b,c", "1,0,2", "2,0,1", "3,0,4", "4,0,3", "2,5,5"], 5),
+        # the downdates of the first of these files, and the downdates and
+        # rebuilds of the second, round b's variance without observation 1
+        # above 0
+        (["a,b", "1,2.5", "2,0.1", "4,0.1", "3,0.1", "7,0.1", "5,0.1"], 1),
+        (["a,b", "1,0.5", "2,0.013", "4,0.013", "3,0.013", "7,0.013", "5,0.013"], 1),
+    ], ids=["dyadic", "downdate-rounds", "both-round"])
     def test_a_leave_one_out_zero_variance_names_the_observation(
-            self, tmp_path, capsys, argv):
-        # b varies only through observation 5: the full-data correlation is
-        # defined, the one without observation 5 is not
+            self, tmp_path, capsys, argv, rows, obs):
+        # b varies only through one observation: the full-data correlation
+        # is defined, the one without that observation is not
         path = tmp_path / "lev.csv"
-        path.write_text("a,b,c\n1,0,2\n2,0,1\n3,0,4\n4,0,3\n2,5,5\n")
+        path.write_text("\n".join(rows) + "\n")
         flags = ["--input", str(path), "--estimator", "cor", "--L", "1"]
         assert run("analyze", *flags) == 0
         capsys.readouterr()
         assert run(*argv, *flags) == 1
         assert capsys.readouterr().err == (
-            "error: column 'b' has zero variance without observation 5; "
+            f"error: column 'b' has zero variance without observation {obs}; "
             "correlation estimate is undefined\n")
+
+    @pytest.mark.parametrize("argv", [["analyze"]] + [
+        [command, "--mode", mode] for command in ("influence", "switching")
+        for mode in ("approx", "exact", "hybrid")], ids=" ".join)
+    def test_a_constant_column_under_correlation_is_refused_however_its_mean_rounds(
+            self, tmp_path, capsys, argv):
+        # the mean of six copies of 0.1 rounds off 0.1, so the scatter
+        # leaves b a tiny positive variance
+        path = tmp_path / "flat.csv"
+        path.write_text("a,b\n1,0.1\n2,0.1\n5,0.1\n3,0.1\n3,0.1\n5,0.1\n")
+        assert run(*argv, "--input", str(path), "--estimator", "cor", "--L", "1") == 1
+        assert capsys.readouterr().err == (
+            "error: column 'b' has zero variance; correlation estimate is undefined\n")
 
     @pytest.mark.parametrize("argv, what", [
         (["switching"], "switching"),

@@ -17,7 +17,7 @@ from eigensens import (
     estimate_loo,
     load_csv,
 )
-from eigensens.dataset import _parse_bulk, _parse_checked
+from eigensens.dataset import _odd_rows, _parse_bulk, _parse_checked
 from eigensens.eigen import eigh
 
 from conftest import COV_N, COV_N1, COR_N, gaussian_data, make_data
@@ -338,6 +338,19 @@ class TestEstimate:
         with pytest.raises(ZeroVarianceError, match="'flat'"):
             estimate(X, COR_N)
 
+    @pytest.mark.parametrize("constant", [0.1, 0.3, 0.7, 1.1, 1e-3, 2.0 / 3, 1e5 + 0.1])
+    def test_a_constant_column_is_refused_however_its_mean_rounds(self, constant):
+        # the mean of n copies of a non-dyadic constant can round off it,
+        # which leaves a tiny positive variance; the refusal must not
+        # depend on that
+        for n in range(3, 40):
+            values = np.column_stack([np.arange(n) % 7, np.full(n, constant)])
+            X = DataMatrix(values, col_labels=["a", "b"])
+            with pytest.raises(ZeroVarianceError, match="^column 'b' has zero variance;"):
+                estimate(X, COR_N)
+            with pytest.raises(ZeroVarianceError, match="^column 'b' has zero variance;"):
+                LooEngine(X, COR_N)
+
     def test_overflowing_scatter_is_refused_by_column_without_a_warning(self):
         values = np.random.default_rng(5).standard_normal((20, 3))
         values[:, 1] *= 1e160
@@ -403,6 +416,43 @@ class TestEstimateLoo:
             estimate_loo(X, COR_N, 4)
         with pytest.raises(ZeroVarianceError, match="'b'"):
             LooEngine(X, COR_N).loo_block(4, 4)
+
+    @pytest.mark.parametrize("odd, rest", [(2.5, 0.1), (0.5, 0.013), (0.7, 0.1 + 0.013),
+                                           (-3.0, 1.0 / 3)])
+    def test_a_column_constant_without_one_row_is_refused_by_downdate_and_rebuild(
+            self, odd, rest):
+        # the downdate and the rebuild round a zero variance to a tiny
+        # positive one for some of these columns; both refuse the estimate
+        # without row 1 by comparison, and no other
+        for n in range(4, 20):
+            values = np.column_stack([np.arange(n) % 5 + 1.0, np.full(n, rest)])
+            values[0, 1] = odd
+            X = DataMatrix(values, col_labels=["a", "b"])
+            engine = LooEngine(X, COR_N)
+            message = "^column 'b' has zero variance without observation 1;"
+            for build in (engine._loo_stack, engine._loo_rebuild):
+                with pytest.raises(ZeroVarianceError, match=message):
+                    build(np.arange(n))
+                build(np.arange(1, n))
+            with pytest.raises(ZeroVarianceError, match="^column 'b' has zero variance;"):
+                estimate_loo(X, COR_N, 1)
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_odd_rows_name_the_row_without_which_a_column_is_constant(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(3, 8)), int(rng.integers(1, 5))
+        values = rng.integers(0, 3, size=(n, p)).astype(float)
+        want = np.full(p, -1)
+        for j in range(p):
+            for i in range(n):
+                rest = np.delete(values[:, j], i)
+                if np.all(rest == rest[0]) and values[i, j] != rest[0]:
+                    want[j] = i
+        odd = _odd_rows(values)
+        assert (odd is None) == (want == -1).all()
+        if odd is not None:
+            assert odd.tolist() == want.tolist()
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)

@@ -64,7 +64,7 @@ def outcome(X, spec, delta, rows=None):
     original = (lambda i: i) if rows is None else (lambda i: int(rows[i - 1]))
     events = sorted(
         (original(ev.obs_index), ev.obs_label, ev.pair, ev.kind, ev.verified_exact)
-        for ev in verify_exact(report.events, engine, delta=delta)
+        for ev in verify_exact(report.events, engine)
     )
     return events, engine.eigen.gap_warnings, report.recommendation.L
 
@@ -158,12 +158,12 @@ def every_cell(X: DataMatrix):
     """Both kinds of event on every (observation, adjacent pair) cell."""
     return event_table(X.row_labels, [
         (i, j, 0.0, 0.0, kind) for j in range(1, X.p) for i in range(1, X.n + 1)
-        for kind in (KIND_SWITCH, KIND_NEAR)])
+        for kind in (KIND_SWITCH, KIND_NEAR)], delta=DELTA)
 
 
 def cell_outcome(X: DataMatrix, spec=COR_N):
     engine = LooEngine(X, spec)
-    events = verify_exact(every_cell(X), engine, delta=DELTA)
+    events = verify_exact(every_cell(X), engine)
     return estimate(X, spec).matrix, engine.table, events
 
 

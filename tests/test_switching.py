@@ -209,6 +209,7 @@ class TestEventTable:
         for name in ("obs", "low", "approx_lo", "approx_hi", "switch"):
             assert np.array_equal(getattr(verified, name), getattr(events, name))
         assert verified.labels is events.labels
+        assert verified.delta == events.delta == DEFAULT_NEAR_DELTA
         assert verified.verified.dtype == bool
         assert len(verified.verified) == len(events) > 0
 
@@ -227,15 +228,37 @@ class TestVerifyExact:
         assert len(verified) == 0
         assert window.total == 1
 
-    @pytest.mark.parametrize("delta", [0.0, -1.0, np.nan])
-    def test_non_positive_delta_rejected(self, oils, delta):
+    @pytest.mark.parametrize("delta", [None, 0.0, -1.0, np.nan])
+    def test_near_switch_without_a_positive_delta_rejected(self, oils, delta):
         engine = LooEngine(oils, COV_N)
-        events = scan_events(engine, delta=0.1)
+        events = event_table(oils.row_labels, [(1, 2, 0.0, 0.0, KIND_SWITCH),
+                                               (2, 2, 0.0, 0.0, KIND_NEAR)],
+                             delta=delta)
         with count_decompositions() as window:
             with pytest.raises(ValueError, match="delta must be positive"):
-                verify_exact(events, engine, delta=delta)
+                verify_exact(events, engine)
         # refused before any reduced decomposition
         assert window.total == 0
+
+    def test_switches_alone_need_no_delta(self, oils):
+        engine = LooEngine(oils, COV_N)
+        events = scan_events(engine)
+        assert events.delta is None
+        verified = verify_exact(events, engine)
+        assert verified.delta is None and verified.verified.all()
+
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.5, 2.0])
+    def test_near_switches_are_judged_by_the_scan_delta(self, oils, delta):
+        engine = LooEngine(oils, COV_N)
+        verified = verify_exact(scan_events(engine, delta=delta), engine)
+        assert verified.delta == delta
+        aligned = switching._aligned_exact(engine, verified.obs - 1)
+        lo = aligned[np.arange(len(verified)), verified.low - 1]
+        hi = aligned[np.arange(len(verified)), verified.low]
+        near = ~verified.switch
+        assert np.array_equal(verified.verified[near], np.abs(lo - hi)[near] < delta)
+        if delta == 0.5:
+            assert (near.sum(), verified.verified[near].sum()) == (363, 360)
 
     @pytest.mark.parametrize("obs", [0, 97])
     def test_out_of_range_observation_rejected(self, oils, obs):
@@ -481,7 +504,7 @@ class TestSwitchReport:
         def dump():
             engine = LooEngine(oils, COV_N)
             report = build_switch_report(engine, candidate_L=2, delta=delta)
-            events = verify_exact(report.events, engine, delta=delta)
+            events = verify_exact(report.events, engine)
             boundary = {ev.obs_index for ev in events if ev.pair == (2, 3)}
             series = hybrid_influence(engine, 2, boundary)
             return json.dumps({
