@@ -415,13 +415,15 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     events = report.events
     if args.mode == MODE_EXACT:
         events = verify_exact(events, engine)
-    flagged = sorted(set(events.obs.tolist()))
+    # the rows the report flags: its events' and, in hybrid mode, the boundary's
+    listed = set(events.obs.tolist())
     hybrid = None
     if args.mode == MODE_HYBRID:
         hybrid = {"measure": "B", "L": args.L}
         # the boundary's rows, whatever pairs the report itself scans
         boundary = set(scan_events(engine, [(args.L, args.L + 1)],
                                    delta=args.delta).obs.tolist())
+        listed |= boundary
         try:
             series = hybrid_influence(engine, args.L, boundary).tolist()
             hybrid["series"] = [
@@ -430,6 +432,7 @@ def _switching(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
             ]
         except (UnsupportedEstimatorError, DegenerateEigenvaluesError) as exc:
             hybrid["note"] = str(exc)
+    flagged = sorted(listed)
 
     body = {
         "mode": args.mode,

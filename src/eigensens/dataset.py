@@ -94,11 +94,6 @@ class DataMatrix:
     def p(self) -> int:
         return self.values.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        """Return observation ``i`` (1-based)."""
-        self._check_index(i)
-        return self.values[i - 1]
-
     def drop_rows(self, indices) -> "DataMatrix":
         """Return a copy with all 1-based ``indices`` removed."""
         drop = set()
@@ -136,9 +131,6 @@ class SymmetricEstimate:
         asym = np.max(np.abs(self.matrix - self.matrix.T)) if self.matrix.size else 0.0
         if asym > SYMMETRY_TOL:
             raise DataError(f"estimate is not symmetric (max asymmetry {asym:.3e})")
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix))
 
 
 def load_csv(path, *, header: bool = True, label_col: str | None = None) -> DataMatrix:
@@ -383,8 +375,8 @@ def estimate_loo(X: DataMatrix, spec: EstimatorSpec, i: int) -> SymmetricEstimat
     """Estimate over the n-1 observations that remain when ``i`` is removed.
 
     This is the plain re-estimation on the physically deleted matrix; it is
-    the reference semantics that the downdates of
-    :meth:`eigensens.influence.LooEngine.loo_block` must reproduce.
+    the reference semantics that the engine's rank-one downdates must
+    reproduce.
     """
     _require_loo(X)
     return estimate(X.drop_rows([i]), spec)

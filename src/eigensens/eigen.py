@@ -73,25 +73,6 @@ class EigenSystem:
     def p(self) -> int:
         return self.values.shape[0]
 
-    def value(self, j: int) -> float:
-        """The j-th largest eigenvalue (1-based)."""
-        self._check_rank(j)
-        return float(self.values[j - 1])
-
-    def vector(self, j: int) -> np.ndarray:
-        """The eigenvector paired with the j-th largest eigenvalue (1-based)."""
-        self._check_rank(j)
-        return self.vectors[:, j - 1]
-
-    def is_degenerate_at(self, j: int) -> bool:
-        """True when eigenvalue ``j`` (1-based) ties one of its neighbours."""
-        self._check_rank(j)
-        return any(j in pair for pair in self.gap_warnings)
-
-    def _check_rank(self, j: int) -> None:
-        if not 1 <= j <= self.p:
-            raise ValueError(f"eigenvalue rank {j} out of range 1..{self.p}")
-
 
 @dataclass
 class Subspace:

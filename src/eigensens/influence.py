@@ -167,17 +167,6 @@ class LooEngine:
             self._table[index] if self._filled.all()
             else self._rayleigh(index, self.eigen.vectors),))[0]
 
-    def loo_block(self, first: int, last: int) -> np.ndarray:
-        """Stacked estimates without each of observations ``first..last``.
-
-        Indices are 1-based and inclusive; the result is (last-first+1) x p x
-        p; entry k is the estimate without observation ``first + k``, a
-        rank-one downdate of the full-data scatter that agrees with
-        :func:`eigensens.dataset.estimate_loo` to floating-point accuracy.
-        """
-        return self._sweep(range(first, last + 1),
-                           lambda index: (self._loo_stack(index),))[0]
-
     def _sweep(self, rows: Iterable[int], block: Callable[[np.ndarray], tuple]
                ) -> tuple[np.ndarray, ...]:
         """The one leave-one-out loop: ``block`` over the checked 1-based ``rows``.

@@ -119,9 +119,9 @@ def _exact(engine: LooEngine, L: int, rows: Iterable[int], *, sci: bool = False
     ``sci``, the centred data and the orthonormal basis of its scores, which
     raises :class:`RankDeficiencyError` when rank deficient.  Then one
     engine sweep: each block rebuilds, decomposes and measures its reduced
-    estimates (``sci`` is None unless asked for).  Warns, row by row on the
-    calling thread, when the full-data or the reduced estimate ties at
-    (L, L+1).
+    estimates (``sci`` is None unless asked for).  Warns on the calling
+    thread when the estimates tie at (L, L+1): once for the full data, when
+    there are rows, and once per row for a reduced estimate.
     """
     X, E = engine.X, engine.eigen
     if not 1 <= L <= E.p:
@@ -148,8 +148,9 @@ def _exact(engine: LooEngine, L: int, rows: Iterable[int], *, sci: bool = False
 
     values, tied, sif_b, *measured = engine._sweep(rows, block)
     full_tied = (L, L + 1) in E.gap_warnings
-    for loo_tied in tied.tolist():
-        _warn_boundaries(full_tied, loo_tied, L)
+    for k, loo_tied in enumerate(tied.tolist()):
+        # a full-data tie is the pass's, warned once; a reduced one is its row's
+        _warn_boundaries(full_tied and not k, loo_tied, L)
     return np.array(rows, dtype=int), values, sif_b, measured[0] if sci else None
 
 

@@ -73,11 +73,11 @@ def canonical_correlations(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def component_score(E: EigenSystem, xbar: np.ndarray, x_i: np.ndarray, l: int) -> float:
     """Score of a point on the l-th eigenvector (1-based): eta_l . (x_i - xbar)."""
-    return float(E.vector(l) @ (np.asarray(x_i, float) - np.asarray(xbar, float)))
+    return float(E.vectors[:, l - 1] @ (np.asarray(x_i, float) - np.asarray(xbar, float)))
 
 
 def _check_unique(E: EigenSystem, j: int, what: str) -> None:
-    if E.is_degenerate_at(j):
+    if any(j in pair for pair in E.gap_warnings):
         raise DegenerateEigenvaluesError(
             f"eigenvalue {j} is nearly tied with a neighbour "
             f"(gap warnings {E.gap_warnings}); {what} is not defined for "
@@ -100,7 +100,7 @@ def sif_eigenvalue(
     E = eigh(estimate(X, spec))
     _check_unique(E, j, "the sample influence of an eigenvalue")
     loo_values = eigh(estimate_loo(X, spec, i)).values
-    return -(X.n - 1) * (float(loo_values[j - 1]) - E.value(j))
+    return -(X.n - 1) * (float(loo_values[j - 1]) - float(E.values[j - 1]))
 
 
 def eif_covariance(
@@ -118,7 +118,7 @@ def eif_covariance(
             "the closed-form matrix influence is only available for the "
             f"covariance estimator, not {spec.kind!r}"
         )
-    delta = X.row(i) - mean_vector(X)
+    delta = X.values[i - 1] - mean_vector(X)
     return np.outer(delta, delta) - estimate(X, spec).matrix
 
 
@@ -140,8 +140,8 @@ def eif_eigenvalue(
             "eigen_influence(engine), which works for any symmetric estimator"
         )
     E = eigh(estimate(X, spec))
-    w = component_score(E, mean_vector(X), X.row(i), j)
-    return w * w - E.value(j)
+    w = component_score(E, mean_vector(X), X.values[i - 1], j)
+    return w * w - float(E.values[j - 1])
 
 
 def eigenvalue_gradient_check(
@@ -166,9 +166,10 @@ def eigenvalue_gradient_check(
     _check_unique(E, j, "the eigenvalue influence")
     delta = np.asarray(x0, float) - np.asarray(mu, float)
     rank_one = np.outer(delta, delta)
-    analytic = float(E.vector(j) @ (rank_one - sigma) @ E.vector(j))
+    eta = E.vectors[:, j - 1]
+    analytic = float(eta @ (rank_one - sigma) @ eta)
     perturbed = (1.0 - eps) * sigma + eps * (1.0 - eps) * rank_one
-    fd = (eigh(perturbed).value(j) - E.value(j)) / eps
+    fd = (float(eigh(perturbed).values[j - 1]) - float(E.values[j - 1])) / eps
     return fd, analytic
 
 

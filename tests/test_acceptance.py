@@ -160,7 +160,7 @@ def _check_identities(X):
     _, hif = eigen_influence(engine)
     assert np.max(np.abs(hif + (n - 1) * (table - E.values))) == 0.0
     for i in range(1, n + 1):
-        trace = np.trace(engine.loo_block(i, i)[0])
+        trace = np.trace(engine._loo_stack(np.array([i - 1]))[0])
         assert abs(np.sum(table[i - 1]) - trace) <= 1e-8
         exact_top = eigh(estimate_loo(X, COV_N, i)).values[0]
         assert table[i - 1, 0] <= exact_top + 1e-10

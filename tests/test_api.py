@@ -176,6 +176,44 @@ def test_the_sweeps_share_the_engine_thread_and_its_private_names():
             if module == "subspace_diag" and name.startswith("_")] == ["_exact"]
 
 
+def _attribute_uses(path: Path) -> tuple[set[str], set[str]]:
+    """``(read, called)``: the names read as ``.name``, and those called as
+    ``.name(...)``, in a source file, leaving out attributes of a module
+    bound by ``import`` (``np.trace`` is not a method of ours)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for a in node.names}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)}
+    called = {node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and node.func.attr in read}
+    return read, called
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    # a public method or property of an exported class that only tests use
+    # is dead weight that every CLI start compiles
+    uses = [_attribute_uses(path)
+            for path in [*MODULES, *sorted((ROOT / "bench").glob("*.py"))]]
+    read = set().union(*(r for r, _ in uses))
+    called = set().union(*(c for _, c in uses))
+    unused = []
+    for path in MODULES:
+        module = importlib.import_module(f"eigensens.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            cls = getattr(module, name)
+            if not inspect.isclass(cls):
+                continue
+            for attr, value in vars(cls).items():
+                if attr.startswith("_"):
+                    continue
+                if isinstance(value, property) and attr not in read:
+                    unused.append(f"{name}.{attr}")
+                elif inspect.isfunction(value) and attr not in called:
+                    unused.append(f"{name}.{attr}")
+    assert unused == []
+
+
 def test_the_per_row_references_left_the_package():
     modules = [importlib.import_module(f"eigensens.{m.stem}")
                for m in MODULES if m.name != "__init__.py"]
@@ -224,6 +262,6 @@ def test_readme_recipe_for_mean_vector_and_eif_covariance(oils):
     engine = eigensens.LooEngine(oils, COV_N)
     assert np.array_equal(engine.mean, mean_vector(oils))
     for i in RECIPE_ROWS:
-        d = oils.row(i) - engine.mean
+        d = oils.values[i - 1] - engine.mean
         assert np.array_equal(np.outer(d, d) - eigensens.estimate(oils).matrix,
                               eif_covariance(oils, i))

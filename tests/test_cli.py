@@ -393,9 +393,30 @@ class TestSwitching:
             assert sum(s["replaced"] for s in series) == 11
             assert series[56]["value"] == -44.9935
             # the replaced rows are the boundary's, not those of --pairs: no
-            # event and no loo_eigenvalues row lists them
+            # event lists them, but loo_eigenvalues does
             assert restricted["events"] == []
-            assert restricted["loo_eigenvalues"] == {}
+            assert [int(i) for i in restricted["loo_eigenvalues"]] == [
+                s["obs"] for s in series if s["replaced"]]
+
+    def test_hybrid_pairs_list_the_replaced_rows_in_the_loo_table(self, tmp_path):
+        # each replaced row of the series has its approximated eigenvalues in
+        # the report, as in the unrestricted run, in the JSON and the _loo CSV
+        def report(fmt, *pairs):
+            out = tmp_path / f"sw{len(pairs)}.{fmt}"
+            assert run("switching", "--input", OILS, "--label-col", "oil_type",
+                       "--L", "2", "--mode", "hybrid", "--format", fmt, *pairs,
+                       "--out", str(out)) == 0
+            return out
+
+        full = json.loads(report("json").read_text())
+        doc = json.loads(report("json", "--pairs", "1:2").read_text())
+        replaced = [s["obs"] for s in doc["hybrid"]["series"] if s["replaced"]]
+        assert replaced == [28, 42, 57, 58, 59, 60, 90, 91, 93, 94, 95]
+        assert doc["loo_eigenvalues"] == {
+            str(i): full["loo_eigenvalues"][str(i)] for i in replaced}
+        report("csv", "--pairs", "1:2")
+        loo = (tmp_path / "sw2_loo.csv").read_text().splitlines()
+        assert [int(line.split(",")[0]) for line in loo[1:]] == replaced
 
     @pytest.mark.parametrize("L", ["1", "2", "3", "5"])
     def test_hybrid_series_equals_the_influence_hybrid_column(self, tmp_path, L):

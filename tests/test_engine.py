@@ -105,7 +105,7 @@ class TestAgainstReference:
         V = engine.eigen.vectors
         for i in range(1, X.n + 1):
             # Rayleigh quotients of one downdate at the full-data eigenvectors
-            ref = np.einsum("jp,jk,kp->p", V, engine.loo_block(i, i)[0], V)
+            ref = np.einsum("jp,jk,kp->p", V, engine._loo_stack(np.array([i - 1]))[0], V)
             assert np.array_equal(table[i - 1], ref), f"row {i}"
 
     @pytest.mark.parametrize("pairs", [[(1, 2), (2, 3)], [(2, 3), (5, 6)]],
@@ -230,7 +230,7 @@ def test_downdates_are_within_tolerance_of_exact_arithmetic(oils, spec, i):
              / spec.denominator(m) for a in range(p) for b in range(p)]
     bound = DOWNDATE_TOL * max(map(abs, exact))
     # the downdate, and the rebuilt reference beside it
-    for got in (LooEngine(oils, spec).loo_block(i, i)[0],
+    for got in (LooEngine(oils, spec)._loo_stack(np.array([i - 1]))[0],
                 estimate_loo(oils, spec, i).matrix):
         assert max(abs(Fraction(g) - e) for g, e in zip(got.ravel().tolist(), exact)) <= bound
 
@@ -401,7 +401,6 @@ class TestEngine:
         engine = LooEngine(oils, COV_N)
         with count_decompositions() as window:
             assert engine.table_rows([]).shape == (0, oils.p)
-            assert engine.loo_block(5, 4).shape == (0, oils.p, oils.p)
             rows, values, sif_b, sci = _exact(engine, 2, [], sci=True)
         assert window.total == 0
         assert (rows.shape, values.shape, sif_b.shape, sci.shape) == (
@@ -615,11 +614,10 @@ def test_every_sweep_goes_through_the_engine_sweep(oils, monkeypatch):
     verify_exact(events, engine)
     influence_records(engine, 2, exact=[42, 7])
     hybrid_influence(engine, 2, [9])
-    engine.loo_block(5, 6)
     engine.table
     assert [list(rows) for rows in calls] == [
         [58, 3], list(range(1, oils.n + 1)), sorted(set(events.obs.tolist())),
-        [7, 42], [9], [5, 6], list(range(1, oils.n + 1))]
+        [7, 42], [9], list(range(1, oils.n + 1))]
 
 
 class TestCliCost:

@@ -37,7 +37,7 @@ class TestComponentScore:
         E = eigh(estimate(X, COV_N))
         xbar = mean_vector(X)
         for l in range(1, X.p + 1):
-            assert component_score(E, xbar, X.row(i), l) == pytest.approx(0.0, abs=1e-12)
+            assert component_score(E, xbar, X.values[i - 1], l) == pytest.approx(0.0, abs=1e-12)
 
     def test_axis_aligned(self):
         E = eigh(np.diag([3.0, 1.0]))
@@ -50,8 +50,8 @@ class TestComponentScore:
         xbar = mean_vector(X)
         for l in (1, 2, 3):
             i = int(rng.integers(1, 21))
-            direct = float(np.dot(E.vectors[:, l - 1], X.row(i) - xbar))
-            assert component_score(E, xbar, X.row(i), l) == direct
+            direct = float(np.dot(E.vectors[:, l - 1], X.values[i - 1] - xbar))
+            assert component_score(E, xbar, X.values[i - 1], l) == direct
 
 
 class TestLooApproximation:
@@ -271,7 +271,7 @@ class TestInfluenceInvariants:
         engine = LooEngine(oils, COV_N)
         for i in range(1, oils.n + 1):
             assert np.sum(engine.table[i - 1]) == pytest.approx(
-                np.trace(engine.loo_block(i, i)[0]), abs=1e-8
+                np.trace(engine._loo_stack(np.array([i - 1]))[0]), abs=1e-8
             )
 
     def test_rayleigh_dominance(self, oils):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,29 @@ def test_reduced_tie_at_the_boundary_warns(call):
     with pytest.warns(RuntimeWarning, match="eigenvalues 1 and 2 of the "
                       "leave-one-out estimate are nearly tied"):
         call(X)
+
+
+def test_a_full_data_tie_warns_once_per_exact_pass():
+    # eigenvalues 1.25, 1.25, 0.025: the full data ties at (1, 2), and no
+    # reduced estimate does
+    X = make_data([[1, 0, .1], [-1, 0, .1], [0, 1, -.1], [0, -1, -.1],
+                   [2, 0, .2], [-2, 0, .2], [0, 2, -.2], [0, -2, -.2]])
+    engine = LooEngine(X, COV_N)
+    assert engine.eigen.gap_warnings == [(1, 2)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        influence_records(engine, 1, exact=range(1, X.n + 1))
+    messages = [str(w.message) for w in caught]
+    assert sum("of the full-data estimate are nearly tied" in m
+               for m in messages) == 1
+    assert not any("leave-one-out" in m for m in messages)
+    # the per-row reference still warns once per row
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i in range(1, X.n + 1):
+            sif_b(X, COV_N, 1, i)
+    assert sum("of the full-data estimate are nearly tied" in str(w.message)
+               for w in caught) == X.n
 
 
 @pytest.mark.parametrize("L", [0, 8])
