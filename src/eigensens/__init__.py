@@ -34,12 +34,10 @@ from .dataset import (
 )
 from .eigen import (
     EigenSystem,
-    Subspace,
     count_decompositions,
     eigh,
     eigh_stack,
     pc_scores,
-    subspace,
 )
 from .errors import (
     ConvergenceError,

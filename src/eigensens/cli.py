@@ -30,7 +30,7 @@ from .dataset import (
     estimate,
     load_csv,
 )
-from .eigen import eigh, pc_scores, subspace
+from .eigen import eigh, pc_scores
 from .errors import (
     DataError,
     DegenerateEigenvaluesError,
@@ -41,8 +41,6 @@ from .influence import LooEngine, eigen_influence
 from .subspace_diag import influence_records
 from .switching import (
     DEFAULT_NEAR_DELTA,
-    KIND_NEAR,
-    KIND_SWITCH,
     EventTable,
     build_switch_report,
     hybrid_influence,
@@ -72,7 +70,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
         if pair[1] != pair[0] + 1 or pair[0] < 1:
             raise ValueError(f"pair {chunk!r} is not a consecutive 1-based pair")
         pairs.append(pair)
-    return pairs
+    return sorted(set(pairs))
 
 
 def _rounded(x: float, digits: int) -> str:
@@ -300,7 +298,7 @@ def _analyze(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
     total = float(np.sum(E.values))
     proportion = E.values / total if total > 0 else np.zeros_like(E.values)
     cumulative = np.cumsum(proportion)
-    scores = pc_scores(X, subspace(E, args.L))
+    scores = pc_scores(X, E.vectors[:, :args.L])
 
     body = {
         "L": args.L,
@@ -351,8 +349,8 @@ def _influence(args: argparse.Namespace, X: DataMatrix, spec: EstimatorSpec):
             raise ValueError("hybrid mode needs L < p to have a boundary pair")
         # the rows made exact are those of the boundary (L, L+1), one event each
         boundary = scan_events(engine, [(args.L, args.L + 1)], delta=args.delta)
-        kinds = dict(zip(boundary.obs.tolist(), [
-            KIND_SWITCH if s else KIND_NEAR for s in boundary.switch.tolist()]))
+        obs, *_, kind, _ = boundary.columns()
+        kinds = dict(zip(obs, kind))
         exact = kinds.keys()
     records = influence_records(engine, args.L, exact=exact)
     eif, hif = eigen_influence(engine)

@@ -22,7 +22,6 @@ which lets callers assert how many decompositions a workflow actually spent.
 from __future__ import annotations
 
 import threading
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -34,10 +33,8 @@ from .errors import ConvergenceError
 
 __all__ = [
     "EigenSystem",
-    "Subspace",
     "eigh",
     "eigh_stack",
-    "subspace",
     "pc_scores",
     "count_decompositions",
 ]
@@ -72,30 +69,6 @@ class EigenSystem:
     @property
     def p(self) -> int:
         return self.values.shape[0]
-
-
-@dataclass
-class Subspace:
-    """The span of the first L eigenvectors, stored as a p x L basis."""
-
-    basis: np.ndarray
-    L: int
-
-    def __post_init__(self) -> None:
-        self.basis = np.asarray(self.basis, dtype=float)
-        if self.basis.ndim != 2:
-            raise ValueError("basis must be a p x L matrix")
-        if not 1 <= self.L <= self.basis.shape[0] or self.basis.shape[1] != self.L:
-            raise ValueError(
-                f"invalid retained count L={self.L} for basis {self.basis.shape}"
-            )
-        gram = self.basis.T @ self.basis
-        if np.max(np.abs(gram - np.eye(self.L))) > 1e-8:
-            raise ValueError("basis columns are not orthonormal")
-
-    @property
-    def p(self) -> int:
-        return self.basis.shape[0]
 
 
 def eigh(W: SymmetricEstimate | np.ndarray) -> EigenSystem:
@@ -147,28 +120,13 @@ def eigh_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, vectors, tied
 
 
-def subspace(E: EigenSystem, L: int) -> Subspace:
-    """The span of the first ``L`` eigenvectors of ``E``."""
-    if not 1 <= L <= E.p:
-        raise ValueError(f"L={L} out of range 1..{E.p}")
-    if (L, L + 1) in E.gap_warnings:
-        warnings.warn(
-            f"eigenvalues {L} and {L + 1} are nearly tied; the retained "
-            "subspace is not well determined",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return Subspace(E.vectors[:, :L].copy(), L)
-
-
-def pc_scores(X: DataMatrix | np.ndarray, S: Subspace) -> np.ndarray:
-    """Project each centred observation onto the retained basis (n x L scores)."""
-    values = X.values if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
-    if values.shape[1] != S.p:
+def pc_scores(X: DataMatrix, basis: np.ndarray) -> np.ndarray:
+    """Project each centred observation onto a p x L basis (n x L scores)."""
+    if X.p != basis.shape[0]:
         raise ValueError(
-            f"data has {values.shape[1]} columns but the basis expects {S.p}"
+            f"data has {X.p} columns but the basis expects {basis.shape[0]}"
         )
-    return (values - _column_mean(values)) @ S.basis
+    return (X.values - _column_mean(X.values)) @ np.ascontiguousarray(basis)
 
 
 def _score_basis(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -46,7 +46,7 @@ from .dataset import (
     _scatter,
     _unit_free,
 )
-from .eigen import eigh
+from .eigen import eigh, pc_scores
 
 __all__ = [
     "LooEngine",
@@ -77,11 +77,6 @@ def loo_eigenvalue_table(engine: LooEngine) -> np.ndarray:
     return engine._columns(range(1, engine.p + 1))
 
 
-def _scores(engine: LooEngine) -> np.ndarray:
-    """n x p scores (x_i - xbar)^T V of every observation on every eigenvector."""
-    return (engine.X.values - engine.mean) @ engine.eigen.vectors
-
-
 def eigen_influence(engine: LooEngine) -> tuple[np.ndarray | None, np.ndarray]:
     """Empirical and hybrid influence of every observation on every eigenvalue.
 
@@ -92,7 +87,8 @@ def eigen_influence(engine: LooEngine) -> tuple[np.ndarray | None, np.ndarray]:
     """
     lam = engine.eigen.values
     hif = -(engine.n - 1) * (engine.table - lam)
-    eif = _scores(engine) ** 2 - lam if engine.spec.kind == COVARIANCE else None
+    eif = (pc_scores(engine.X, engine.eigen.vectors) ** 2 - lam
+           if engine.spec.kind == COVARIANCE else None)
     return eif, hif
 
 

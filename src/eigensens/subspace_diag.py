@@ -26,13 +26,13 @@ from typing import Iterable
 import numpy as np
 
 from .dataset import COVARIANCE
-from .eigen import _cosines, _rank_deficient, _score_basis, eigh_stack
+from .eigen import _cosines, _rank_deficient, _score_basis, eigh_stack, pc_scores
 from .errors import (
     DegenerateEigenvaluesError,
     RankDeficiencyError,
     UnsupportedEstimatorError,
 )
-from .influence import LooEngine, _chunk_rows, _scores
+from .influence import LooEngine, _chunk_rows
 
 __all__ = [
     "InfluenceRecord",
@@ -168,7 +168,7 @@ def _empirical_pieces(engine: LooEngine, L: int):
             f"eigenvalues {L} and {L + 1} are nearly equal; the empirical "
             "influence denominator is degenerate"
         )
-    return E, _scores(engine)
+    return E, pc_scores(engine.X, E.vectors)
 
 
 def eif_b_series(engine: LooEngine, L: int) -> np.ndarray:

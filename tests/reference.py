@@ -28,7 +28,6 @@ from eigensens.dataset import (
 )
 from eigensens.eigen import (
     EigenSystem,
-    Subspace,
     _cosines,
     _rank_deficient,
     _score_basis,
@@ -47,9 +46,10 @@ def mean_vector(X: DataMatrix) -> np.ndarray:
     return X.values.mean(axis=0)
 
 
-def projector(S: Subspace) -> np.ndarray:
-    """Orthogonal projector onto the subspace: symmetric, idempotent, trace L."""
-    return S.basis @ S.basis.T
+def projector(basis: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the span of an orthonormal p x L basis:
+    symmetric, idempotent, trace L."""
+    return basis @ basis.T
 
 
 def canonical_correlations(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -173,18 +173,17 @@ def eigenvalue_gradient_check(
     return fd, analytic
 
 
-def subspace_alignment(S_full: Subspace, S_loo: Subspace) -> float:
-    """Mean alignment of the full-data basis with the perturbed subspace.
+def subspace_alignment(V: np.ndarray, W: np.ndarray) -> float:
+    """Mean alignment of the full-data basis ``V`` with the perturbed span of ``W``,
+    both orthonormal p x L bases.
 
     1 - (1/L) * sum_l ||(I - P_loo) eta_l||, i.e. one minus the average sine
     of the angle between each retained eigenvector and its projection onto
     the perturbed span.  Equals 1 when the spans agree, 0 when orthogonal.
     """
-    if S_full.p != S_loo.p or S_full.L != S_loo.L:
-        raise ValueError(
-            f"subspace shapes differ: {S_full.basis.shape} vs {S_loo.basis.shape}"
-        )
-    residual = S_full.basis - S_loo.basis @ (S_loo.basis.T @ S_full.basis)
+    if V.shape != W.shape:
+        raise ValueError(f"subspace shapes differ: {V.shape} vs {W.shape}")
+    residual = V - W @ (W.T @ V)
     return 1.0 - float(np.mean(np.linalg.norm(residual, axis=0)))
 
 

@@ -144,6 +144,20 @@ class TestAnalyze:
             assert run("analyze", "--input", str(path), "--L", "1",
                        "--out", str(tmp_path / "t.json")) == 0
 
+    def test_a_tie_at_the_retained_boundary_warns_once(self, tmp_path):
+        # eigenvalues 1.25, 1.25, 0.025 tie at (1, 2), the boundary of --L 1
+        path = tmp_path / "tied3.csv"
+        path.write_text("a,b,c\n1,0,.1\n-1,0,.1\n0,1,-.1\n0,-1,-.1\n"
+                        "2,0,.2\n-2,0,.2\n0,2,-.2\n0,-2,-.2\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("analyze", "--input", str(path), "--L", "1",
+                       "--out", str(tmp_path / "t.json")) == 0
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == [
+            "eigenvalues 1 and 2 are nearly tied; component order is not well "
+            "determined"]
+
     def test_L_beyond_dimension_is_config_error(self, diag_csv, tmp_path):
         assert run("analyze", "--input", diag_csv, "--L", "5",
                    "--out", str(tmp_path / "x.json")) == 2
@@ -374,6 +388,18 @@ class TestSwitching:
                    "--pairs", "1:2", "--out", str(out)) == 0
         doc = json.loads(out.read_text())
         assert doc["events"] == []
+
+    def test_pairs_field_lists_the_pairs_scanned(self, tmp_path):
+        # --pairs is a set: order and repeats do not change the scan or the report
+        def report(pairs):
+            out = tmp_path / f"sw{len(pairs)}.json"
+            assert run("switching", "--input", OILS, "--label-col", "oil_type",
+                       "--pairs", pairs, "--out", str(out)) == 0
+            return json.loads(out.read_text())
+
+        typed, plain = report("3:4,2:3,2:3"), report("2:3,3:4")
+        assert typed["pairs"] == [[2, 3], [3, 4]]
+        assert typed == plain
 
     @pytest.mark.parametrize("mode", ["approx", "exact", "hybrid"])
     def test_pairs_leave_the_advice_and_hybrid_series_unrestricted(self, tmp_path,

@@ -10,9 +10,8 @@ from eigensens import (
     eigh_stack,
     estimate,
     pc_scores,
-    subspace,
 )
-from eigensens.eigen import GAP_TOL, NEGATIVE_CLAMP, Subspace
+from eigensens.eigen import GAP_TOL, NEGATIVE_CLAMP
 
 from conftest import COV_N, gaussian_data, make_data
 from reference import canonical_correlations, projector
@@ -186,32 +185,20 @@ class TestEighStack:
 class TestSubspaceAndProjector:
     def test_full_space_projector_is_identity(self):
         E = eigh(np.diag([4.0, 2.0, 1.0]))
-        P = projector(subspace(E, 3))
+        P = projector(E.vectors[:, :3])
         np.testing.assert_allclose(P, np.eye(3), atol=1e-12)
 
     def test_leading_axis(self):
         E = eigh(np.diag([3.0, 1.0]))
-        S = subspace(E, 1)
-        np.testing.assert_allclose(np.abs(S.basis[:, 0]), [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(projector(S), [[1.0, 0.0], [0.0, 0.0]],
+        basis = E.vectors[:, :1]
+        np.testing.assert_allclose(np.abs(basis[:, 0]), [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(projector(basis), [[1.0, 0.0], [0.0, 0.0]],
                                    atol=1e-15)
-
-    def test_L_out_of_range(self):
-        E = eigh(np.diag([3.0, 1.0]))
-        with pytest.raises(ValueError, match="out of range"):
-            subspace(E, 0)
-        with pytest.raises(ValueError, match="out of range"):
-            subspace(E, 3)
-
-    def test_degenerate_boundary_warns(self):
-        E = eigh(np.eye(3))
-        with pytest.warns(RuntimeWarning, match="nearly tied"):
-            subspace(E, 1)
 
     def test_projector_idempotent_on_random_basis(self):
         rng = np.random.default_rng(11)
         q, _ = np.linalg.qr(rng.normal(size=(6, 3)))
-        P = projector(Subspace(q, 3))
+        P = projector(q)
         assert np.max(np.abs(P @ P - P)) <= 1e-10
         np.testing.assert_allclose(P, P.T, atol=1e-12)
         assert np.trace(P) == pytest.approx(3.0, abs=1e-10)
@@ -221,7 +208,7 @@ class TestSubspaceAndProjector:
         q, _ = np.linalg.qr(rng.normal(size=(5, 2)))
         flipped = q * np.array([-1.0, 1.0])
         np.testing.assert_allclose(
-            projector(Subspace(q, 2)), projector(Subspace(flipped, 2)),
+            projector(q), projector(flipped),
             atol=1e-14,
         )
 
@@ -229,23 +216,20 @@ class TestSubspaceAndProjector:
 class TestPcScores:
     def test_identity_basis_returns_centered_data(self):
         X = make_data([[1.0, 2.0], [3.0, 4.0], [5.0, 9.0]])
-        E = eigh(np.eye(2))
-        S = Subspace(np.eye(2), 2)
-        scores = pc_scores(X, S)
+        scores = pc_scores(X, np.eye(2))
         np.testing.assert_allclose(scores, X.values - X.values.mean(axis=0),
                                    atol=1e-14)
 
     def test_first_axis_basis(self):
         X = make_data([[1.0, 5.0], [3.0, 5.0], [5.0, 5.0]])
-        S = Subspace(np.array([[1.0], [0.0]]), 1)
-        np.testing.assert_allclose(pc_scores(X, S).ravel(), [-2.0, 0.0, 2.0],
+        basis = np.array([[1.0], [0.0]])
+        np.testing.assert_allclose(pc_scores(X, basis).ravel(), [-2.0, 0.0, 2.0],
                                    atol=1e-14)
 
     def test_dimension_mismatch(self):
         X = make_data([[1.0, 2.0, 3.0]] * 3)
-        S = Subspace(np.eye(2), 2)
         with pytest.raises(ValueError, match="columns"):
-            pc_scores(X, S)
+            pc_scores(X, np.eye(2))
 
 
 class TestCanonicalCorrelations:

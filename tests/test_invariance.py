@@ -18,11 +18,12 @@ from eigensens import (
     build_switch_report,
     estimate,
     load_oils,
+    scan_events,
     verify_exact,
 )
 from eigensens.switching import KIND_NEAR, KIND_SWITCH, _aligned_exact
 
-from conftest import COR_N, COV_N, event_table, make_data
+from conftest import COR_N, COV_N, COV_N1, event_table, gaussian_data, make_data
 
 DELTA = 0.1
 SCALES = [1e-3, 7.0, 1e4]
@@ -206,6 +207,42 @@ def test_correlation_agrees_to_rounding_under_powers_of_ten(seed, k):
     clear = clear_of_threshold(X, COR_N, events, UNIT_TOL * scale)
     assert clear.sum() > len(events) // 2
     assert np.array_equal(events.verified[clear], base[2].verified[clear])
+
+
+# Covariance carries the units squared, so X -> 2^k X scales the estimate and
+# the table by exactly 4^k, and delta with them, while the data, their squares
+# and every matrix entry stay normal and inside the range that LAPACK
+# decomposes without rescaling (about 2^-485 to 2^485).  The largest entry of
+# each estimate below lies between 2^-1 and 2^8, and the smallest is far from
+# the subnormals, so |k| <= 120 keeps them well inside both ranges.  The Gaussian scales are close enough that every seed tried
+# flags events, and most also flag switches and fail some verifications.
+POW2_K = 120
+COV_INPUTS = st.one_of(
+    st.just(DATASETS["oils"]),
+    st.integers(0, 2**16).map(
+        lambda seed: gaussian_data(seed, 40, [1.2, 1.15, 1.1, 1.05, 1.0, 0.5])),
+)
+
+
+def scanned_outcome(X: DataMatrix, spec, delta: float):
+    engine = LooEngine(X, spec)
+    events = verify_exact(scan_events(engine, delta=delta), engine)
+    return estimate(X, spec).matrix, engine.table, events
+
+
+@pytest.mark.parametrize("spec", [pytest.param(COV_N, id="n"),
+                                  pytest.param(COV_N1, id="n-1")])
+@given(X=COV_INPUTS, k=st.integers(-POW2_K, POW2_K))
+@settings(max_examples=25, deadline=None)
+def test_covariance_scales_exactly_under_powers_of_two(spec, X, k):
+    base = scanned_outcome(X, spec, DELTA)
+    matrix, table, events = scanned_outcome(
+        DataMatrix(np.ldexp(X.values, k), X.row_labels, X.col_labels),
+        spec, np.ldexp(DELTA, 2 * k))
+    assert np.array_equal(matrix, np.ldexp(base[0], 2 * k))
+    assert np.array_equal(table, np.ldexp(base[1], 2 * k))
+    for column in ("obs", "low", "switch", "verified"):
+        assert np.array_equal(getattr(events, column), getattr(base[2], column))
 
 
 # Moving the rows reorders the sums behind the mean and the scatter, so every
